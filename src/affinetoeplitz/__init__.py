@@ -32,8 +32,6 @@ from .semigroup import (
     SemigroupElement,
     euclid_smallest,
     euclid_smallest_direct,
-    group_inv,
-    group_mul,
     join,
     leq,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "SemigroupElement",
     "euclid_smallest",
     "euclid_smallest_direct",
-    "group_inv",
-    "group_mul",
     "join",
     "leq",
     "ZERO",

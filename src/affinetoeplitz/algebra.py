@@ -39,9 +39,6 @@ __all__ = [
     "covariance_reduce",
     "monomial_mul",
     "adjoint",
-    "element_add",
-    "element_mul",
-    "element_adjoint",
     "parse_word",
     "reduce_word",
     "token_monomial",
@@ -335,18 +332,6 @@ class AlgebraElement:
         if self.is_zero:
             return "0"
         return " + ".join(f"({coeff})*{mono}" for mono, coeff in self.terms())
-
-
-def element_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def element_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def element_adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
 
 
 # --------------------------------------------------------------------------

@@ -6,15 +6,22 @@ basis vector to another one (possibly picking up an integer power of the
 model's unit parameter z) or annihilates it.  The three models:
 
 * the left-regular model on basis {e_(j,c)} indexed by the monoid itself,
+  defined by `toeplitz_apply`,
 * the fibered model on X = {(r, x) : x >= 1, r in Z/x}, where the additive
   generator cycles each fiber and multiplies by z at the wraparound,
 * the two-sided shift model on Z, where the additive generator is unitary.
 
-Phases are tracked as integer exponents of z, so all comparisons are exact
-in the cyclotomic field; conversion to complex happens only at the edge
-(`trace_state`).  Batch variants evaluate the same closed per-generator-block
-formulas over numpy arrays for the big verification sweeps; they are compared
-against the single-step path in the test suite.
+The fibered and shift models each have one stepper (`_x_step`, `_z_step`)
+that applies one generator power to a whole array of basis vectors, from that
+generator's own definition.  The arrays hold Python integers (dtype=object),
+so indices stay exact at any size.  `relation_suite`, `q_projector_check` and
+`monomial_apply` all run on these steppers.  Independently of them, the batch
+appliers evaluate closed per-generator-block formulas for a whole spanning
+monomial over int64 arrays, for the big verification sweeps and the
+`trace_state` profile; the test suite checks the two paths against each
+other.  Phases are tracked as integer exponents of z, so all comparisons are
+exact in the cyclotomic field; conversion to complex happens only at the
+edge (`trace_state`).
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ __all__ = [
     "WeightedBasis",
     "NULL",
     "toeplitz_apply",
-    "x_apply",
-    "z_apply",
     "monomial_apply",
     "x_monomial_apply_batch",
     "toeplitz_monomial_apply_batch",
@@ -88,7 +93,7 @@ NULL = WeightedBasis(0, None)
 
 
 # --------------------------------------------------------------------------
-# single-generator steps
+# one generator power at a time
 # --------------------------------------------------------------------------
 
 
@@ -102,96 +107,103 @@ def toeplitz_apply(y: SemigroupElement, e: SemigroupElement, star: bool = False)
     return WeightedBasis(0, SemigroupElement(dm // y.a, e.a // y.a))
 
 
-def _x_step_s(e: XBasis) -> WeightedBasis:
-    if e.r + 1 == e.x:
-        return WeightedBasis(1, XBasis(0, e.x))
-    return WeightedBasis(0, XBasis(e.r + 1, e.x))
+def _x_step(tok: GeneratorToken, null, r, x, w):
+    """One generator power on fibered basis vectors held in object arrays (null, r, x, w).
+
+    s sends e_(r, x) to e_(r+1, x), picking up one z when it wraps from x-1
+    to 0, and s* is its inverse; v_p sends e_(r, x) to e_(pr, px), and v_p*
+    undoes that where p divides both r and x and kills the vector elsewhere.
+    Killed lanes keep their last (valid) values.
+    """
+    if tok.kind == "s":
+        moved = r - tok.power if tok.star else r + tok.power
+        return null, moved % x, x, w + moved // x
+    q = tok.index**tok.power
+    if not tok.star:
+        return null, r * q, x * q, w
+    ok = (r % q == 0) & (x % q == 0)
+    return null | ~ok, np.where(ok, r // q, r), np.where(ok, x // q, x), w
 
 
-def _x_step_s_star(e: XBasis) -> WeightedBasis:
-    if e.r == 0:
-        return WeightedBasis(-1, XBasis(e.x - 1, e.x))
-    return WeightedBasis(0, XBasis(e.r - 1, e.x))
+def _z_step(tok: GeneratorToken, null, n):
+    """One generator power on shift-model basis vectors held in object arrays (null, n).
+
+    s sends e_n to e_(n+1) and is unitary; v_p sends e_n to e_(pn), and v_p*
+    undoes that where p divides n and kills the vector elsewhere.  No phases.
+    """
+    if tok.kind == "s":
+        return null, n - tok.power if tok.star else n + tok.power
+    q = tok.index**tok.power
+    if not tok.star:
+        return null, n * q
+    ok = n % q == 0
+    return null | ~ok, np.where(ok, n // q, n)
 
 
-def _x_step_v(p: int, e: XBasis) -> WeightedBasis:
-    return WeightedBasis(0, XBasis(p * e.r, p * e.x))
+def _tok(kind: str, index: int | None = None, power: int = 1, star: bool = False) -> GeneratorToken:
+    return GeneratorToken(kind, index, power, star)
 
 
-def _x_step_v_star(p: int, e: XBasis) -> WeightedBasis:
-    if e.x % p != 0 or e.r % p != 0:
-        return NULL
-    return WeightedBasis(0, XBasis(e.r // p, e.x // p))
+def _x_word(word: list[GeneratorToken], r, x):
+    """(null, r, x, w) after a word in operator order (rightmost token first) acts on e_(r, x)."""
+    state = (np.zeros(r.shape, bool), r, x, np.zeros(r.shape, dtype=object))
+    for tok in reversed(word):
+        state = _x_step(tok, *state)
+    return state
 
 
-def x_apply(tok: GeneratorToken, e: XBasis) -> WeightedBasis:
-    """Apply one parsed generator term to a fibered-model basis vector, step by step."""
-    out = WeightedBasis(0, e)
-    for _ in range(tok.power):
-        if out.is_null:
-            return NULL
-        cur = out.basis
-        assert isinstance(cur, XBasis)
-        if tok.kind == "s":
-            step = _x_step_s_star(cur) if tok.star else _x_step_s(cur)
-        else:
-            step = _x_step_v_star(tok.index, cur) if tok.star else _x_step_v(tok.index, cur)
-        out = step.scaled(out.z_power)
-    return out
+def _z_word(word: list[GeneratorToken], n):
+    """(null, n) after a word in operator order (rightmost token first) acts on e_n."""
+    state = (np.zeros(n.shape, bool), n)
+    for tok in reversed(word):
+        state = _z_step(tok, *state)
+    return state
 
 
-def z_apply(tok: GeneratorToken, e: int) -> WeightedBasis:
-    """Apply one parsed generator term on the two-sided shift model."""
-    n = e
-    for _ in range(tok.power):
-        if tok.kind == "s":
-            n = n - 1 if tok.star else n + 1
-        elif tok.star:
-            if n % tok.index != 0:
-                return NULL
-            n //= tok.index
-        else:
-            n *= tok.index
-    return WeightedBasis(0, n)
-
-
-def _generator_blocks(mono: Monomial) -> list[GeneratorToken]:
-    """s*^n, then v_b* prime by prime, then v_a, then s^m."""
-    toks: list[GeneratorToken] = []
-    if mono.n:
-        toks.append(GeneratorToken("s", None, mono.n, True))
-    for p, e in factorize(mono.b):
-        toks.append(GeneratorToken("v", p, e, True))
-    for p, e in factorize(mono.a):
-        toks.append(GeneratorToken("v", p, e, False))
-    if mono.m:
-        toks.append(GeneratorToken("s", None, mono.m, False))
-    return toks
+def _monomial_word(mono: Monomial) -> list[GeneratorToken]:
+    """s^m, v_a prime by prime, v_b* prime by prime, s*^n, in operator order."""
+    word = [_tok("s", power=mono.m)]
+    word += [_tok("v", p, e) for p, e in factorize(mono.a)]
+    word += [_tok("v", p, e, star=True) for p, e in factorize(mono.b)]
+    word.append(_tok("s", power=mono.n, star=True))
+    return [tok for tok in word if tok.power]
 
 
 def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
-    """Apply a monomial generator-by-generator; the zero element kills everything."""
+    """Apply a monomial generator-by-generator to one basis vector; the zero element kills everything."""
     if mono.is_zero:
         return NULL
-    out = WeightedBasis(0, e)
-    for tok in _generator_blocks(mono):
-        if out.is_null:
-            return NULL
-        cur = out.basis
-        if isinstance(cur, XBasis):
-            step = x_apply(tok, cur)
-        elif isinstance(cur, SemigroupElement):
+    word = _monomial_word(mono)
+    if isinstance(e, SemigroupElement):
+        for tok in reversed(word):
             y = SemigroupElement(tok.power, 1) if tok.kind == "s" else SemigroupElement(0, tok.index**tok.power)
-            step = toeplitz_apply(y, cur, star=tok.star)
-        else:
-            step = z_apply(tok, cur)
-        out = step.scaled(out.z_power)
-    return out
+            out = toeplitz_apply(y, e, star=tok.star)
+            if out.is_null:
+                return NULL
+            e = out.basis
+        return WeightedBasis(0, e)
+    if isinstance(e, XBasis):
+        null, r, x, w = _x_word(word, np.array([e.r], dtype=object), np.array([e.x], dtype=object))
+        return NULL if null[0] else WeightedBasis(w[0], XBasis(r[0], x[0]))
+    null, n = _z_word(word, np.array([e], dtype=object))
+    return NULL if null[0] else WeightedBasis(0, n[0])
 
 
 # --------------------------------------------------------------------------
-# batch application (same block formulas over numpy arrays)
+# batch application (closed per-block formulas over int64 arrays)
 # --------------------------------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _peak(*values) -> int:
+    """Largest absolute entry among the arguments, as a Python int."""
+    return max(int(np.asarray(np.abs(v)).max(initial=0)) for v in values)
+
+
+def _check_int64(bound: int) -> None:
+    if bound > _INT64_MAX:
+        raise ValueError(f"an index could reach {bound}, past int64; use monomial_apply for exact results")
 
 
 def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
@@ -201,8 +213,10 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
     the accumulated z-exponent.  Requires a, b >= 1 (a vanished monomial is a
     mask, not a parameter row).  Killed lanes come back canonicalised to
     r = 0, x = 1, w = 0 with the null flag set, so the level stays a valid
-    divisor and the arrays remain safe to feed back in.
+    divisor and the arrays remain safe to feed back in.  Raises ValueError
+    when an index or z-exponent could leave int64.
     """
+    _check_int64(_peak(x) * _peak(a) + _peak(m) + _peak(n) + _peak(w) + 2)
     null = np.asarray(null, dtype=bool)
     r = np.asarray(r)
     x = np.asarray(x)
@@ -230,7 +244,9 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
     """Vectorised action of s^m v_a v_b* s*^n on left-regular basis vectors e_(j, c).
 
     Requires a, b >= 1; killed lanes are canonicalised to j = 0, c = 1.
+    Raises ValueError when an index could leave int64.
     """
+    _check_int64(_peak(j, c) * _peak(a) + _peak(m))
     null = np.asarray(null, dtype=bool)
     j = np.asarray(j)
     c = np.asarray(c)
@@ -256,28 +272,26 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
 # --------------------------------------------------------------------------
 
 
-def _apply_word_x(tokens: list[GeneratorToken], e: XBasis) -> WeightedBasis:
-    out = WeightedBasis(0, e)
-    for tok in reversed(tokens):
-        if out.is_null:
-            return NULL
-        step = x_apply(tok, out.basis)
-        out = step.scaled(out.z_power)
-    return out
+def _fibered_window(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives and levels of every e_(r, x) with x <= window, level by level."""
+    sizes = np.arange(1, window + 1, dtype=np.int64)
+    levels = np.repeat(sizes, sizes)
+    reps = np.arange(levels.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return reps, levels
 
 
-def _apply_word_z(tokens: list[GeneratorToken], e: int) -> WeightedBasis:
-    out = WeightedBasis(0, e)
-    for tok in reversed(tokens):
-        if out.is_null:
-            return NULL
-        step = z_apply(tok, out.basis)
-        out = step.scaled(out.z_power)
-    return out
+def _check_window(primes: list[int], window: int) -> None:
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not primes:
+        raise ValueError("prime list is empty")
+    if min(primes) < 1:
+        raise ValueError(f"generator indices must be >= 1, got {min(primes)}")
 
 
-def _tok(kind: str, index: int | None = None, power: int = 1, star: bool = False) -> GeneratorToken:
-    return GeneratorToken(kind, index, power, star)
+def _projection_word(p: int, k: int) -> list[GeneratorToken]:
+    """s^k v_p v_p* s*^k, the range projection of s^k v_p."""
+    return [_tok("s", power=k), _tok("v", p), _tok("v", p, star=True), _tok("s", power=k, star=True)]
 
 
 def relation_suite(model: str, primes: list[int], window: int) -> dict:
@@ -289,29 +303,33 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     checked vector by vector: each e_n lies in the range of exactly one
     s^k v_p v_p* s*^k with 0 <= k < p.
 
-    Returns a JSON-compatible report with a first counterexample per failed
-    relation.  Token lists below are written in operator order: the leftmost
-    factor acts last.
+    Returns a JSON-compatible report with the first counterexample (in window
+    order) per failed relation.  Token lists below are written in operator
+    order: the leftmost factor acts last.
     """
+    if model not in ("x", "z"):
+        raise ValueError(f"unknown model {model!r}")
+    _check_window(primes, window)
     report: dict = {"model": model, "window": window, "relations": {}}
 
-    def record(name: str, ok: bool, counterexample=None) -> None:
-        entry: dict = {"pass": ok}
-        if not ok:
-            entry["counterexample"] = counterexample
+    def record(name: str, bad: np.ndarray, counterexample) -> None:
+        hits = np.flatnonzero(bad)
+        entry: dict = {"pass": not hits.size}
+        if hits.size:
+            entry["counterexample"] = counterexample(int(hits[0]))
         report["relations"][name] = entry
 
     if model == "x":
-        vectors = [XBasis(r, x) for x in range(1, window + 1) for r in range(x)]
+        r, x = (a.astype(object) for a in _fibered_window(window))
 
         def check(name: str, lhs: list[GeneratorToken], rhs) -> None:
-            for e in vectors:
-                left = _apply_word_x(lhs, e)
-                right = _apply_word_x(rhs, e) if rhs is not None else NULL
-                if left != right:
-                    record(name, False, {"r": e.r, "x": e.x})
-                    return
-            record(name, True)
+            null, r1, x1, w1 = _x_word(lhs, r, x)
+            if rhs is None:
+                bad = ~null
+            else:
+                null2, r2, x2, w2 = _x_word(rhs, r, x)
+                bad = (null != null2) | (~null & ((r1 != r2) | (x1 != x2) | (w1 != w2)))
+            record(name, bad, lambda i: {"r": r[i], "x": x[i]})
 
         for p in primes:
             check(f"T1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
@@ -328,46 +346,27 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
                           [_tok("v", q), _tok("v", p, star=True)])
         return report
 
-    if model == "z":
-        vectors = list(range(-window, window + 1))
+    n = np.arange(-window, window + 1).astype(object)
 
-        def check_z(name: str, lhs, rhs) -> None:
-            for e in vectors:
-                if _apply_word_z(lhs, e) != _apply_word_z(rhs, e):
-                    record(name, False, {"n": e})
-                    return
-            record(name, True)
+    def check_z(name: str, lhs: list[GeneratorToken], rhs: list[GeneratorToken]) -> None:
+        null, n1 = _z_word(lhs, n)
+        null2, n2 = _z_word(rhs, n)
+        record(name, (null != null2) | (~null & (n1 != n2)), lambda i: {"n": n[i]})
 
-        for p in primes:
-            check_z(f"Q1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
-        for p in primes:
-            for q in primes:
-                if p < q:
-                    check_z(f"Q2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
-        check_z("Q6", [_tok("s"), _tok("s", star=True)], [])
-        for p in primes:
-            name = f"Q5[p={p}]"
-            ok = True
-            bad = None
-            for e in vectors:
-                hits = 0
-                for k in range(p):
-                    word = [
-                        _tok("s", power=k) if k else None,
-                        _tok("v", p),
-                        _tok("v", p, star=True),
-                        _tok("s", power=k, star=True) if k else None,
-                    ]
-                    word = [t for t in word if t is not None]
-                    if _apply_word_z(word, e) == WeightedBasis(0, e):
-                        hits += 1
-                if hits != 1:
-                    ok, bad = False, {"n": e, "hits": hits}
-                    break
-            record(name, ok, bad)
-        return report
-
-    raise ValueError(f"unknown model {model!r}")
+    for p in primes:
+        check_z(f"Q1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
+    for p in primes:
+        for q in primes:
+            if p < q:
+                check_z(f"Q2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
+    check_z("Q6", [_tok("s"), _tok("s", star=True)], [])
+    for p in primes:
+        hits = np.zeros(n.shape, dtype=np.int64)
+        for k in range(p):
+            null, moved = _z_word(_projection_word(p, k), n)
+            hits += ~null & (moved == n)
+        record(f"Q5[p={p}]", hits != 1, lambda i: {"n": n[i], "hits": int(hits[i])})
+    return report
 
 
 def nica_covariance_rhs(x: SemigroupElement, y: SemigroupElement, e: SemigroupElement) -> WeightedBasis:
@@ -406,17 +405,16 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
     contribute z^z_exponent to the diagonal.  Computed by batch application of
     the monomial to every basis vector, not from any closed formula.
     """
-    levels = np.concatenate([np.full(x, x, dtype=np.int64) for x in range(1, n_max + 1)])
-    reps = np.concatenate([np.arange(x, dtype=np.int64) for x in range(1, n_max + 1)])
-    zeros = np.zeros_like(levels)
+    reps, levels = _fibered_window(n_max)
     null, r2, x2, w2 = x_monomial_apply_batch(
-        mono.m, mono.a, mono.b, mono.n, np.zeros_like(levels, dtype=bool), reps, levels, zeros
+        mono.m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels, np.zeros_like(levels)
     )
-    diag = (~null) & (r2 == reps) & (x2 == levels)
-    counts: dict[tuple[int, int], int] = {}
-    for x, w in zip(levels[diag].tolist(), w2[diag].tolist()):
-        counts[(x, w)] = counts.get((x, w), 0) + 1
-    return tuple(sorted((x, w, c) for (x, w), c in counts.items()))
+    diag = ~null & (r2 == reps) & (x2 == levels)
+    # tally (x, w) pairs through one integer key: x * (number of distinct w) + rank of w
+    w_vals, w_rank = np.unique(w2[diag], return_inverse=True)
+    width = w_vals.size
+    keys, counts = np.unique(levels[diag] * width + w_rank, return_counts=True)
+    return tuple(zip((keys // width).tolist(), w_vals[keys % width].tolist(), counts.tolist()))
 
 
 def trace_state(mono: Monomial, beta: float, z_angle: Fraction, n_max: int) -> TraceResult:
@@ -433,9 +431,10 @@ def trace_state(mono: Monomial, beta: float, z_angle: Fraction, n_max: int) -> T
         raise ValueError("zero monomial")
     norm = zeta(beta - 1)
     total = 0j
-    theta = 2.0 * math.pi * float(z_angle)
+    num, den = Fraction(z_angle).as_integer_ratio()
     for x, w, count in _diagonal_profile(mono, n_max):
-        total += count * x ** (-beta) * cmath.exp(1j * theta * w)
+        # w * z_angle reduced mod 1 in exact arithmetic before the float
+        total += count * x ** (-beta) * cmath.exp(2j * math.pi * (w * num % den / den))
     tail = n_max ** (2.0 - beta) / (beta - 2.0) / norm
     return TraceResult(total / norm, tail)
 
@@ -443,47 +442,24 @@ def trace_state(mono: Monomial, beta: float, z_angle: Fraction, n_max: int) -> T
 def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fraction(0)) -> bool:
     """Finite product of the complements of the range projections s^j v_p v_p* s*^j.
 
-    Applied vector by vector on the fibered model: it must fix e_(0,1) and kill
-    every e_(r, x) with x != 1 supported on `primes`.  Other vectors are
+    Applied to every fibered window vector at once: it must fix e_(0,1) and
+    kill every e_(r, x) with x != 1 supported on `primes`.  Other vectors are
     unconstrained.  The z-exponent bookkeeping is formal, so the verdict is
     the same for every unit parameter; `z_angle` is accepted so callers can
     name the fiber they have in mind.
     """
-    factors: list[tuple[list[GeneratorToken], list[GeneratorToken]]] = []
+    _check_window(primes, window)
+    reps, levels = _fibered_window(window)
+    r, x = reps.astype(object), levels.astype(object)
+    alive = np.ones(r.shape, bool)
     for p in primes:
-        for jshift in range(p):
-            left = ([_tok("s", power=jshift)] if jshift else []) + [_tok("v", p)]
-            right = [_tok("v", p, star=True)] + ([_tok("s", power=jshift, star=True)] if jshift else [])
-            factors.append((left, right))
-
-    def apply_q(e: XBasis) -> WeightedBasis:
-        out: WeightedBasis | None = WeightedBasis(0, e)
-        for left, right in factors:
-            if out.is_null:
-                return NULL
-            cur = out.basis
-            assert isinstance(cur, XBasis)
-            ranged = _apply_word_x(right, cur)
-            if not ranged.is_null:
-                ranged = _apply_word_x(left, ranged.basis).scaled(ranged.z_power)
+        for j in range(p):
+            null, r2, x2, w2 = _x_word(_projection_word(p, j), r, x)
+            fixed = ~null & (r2 == r) & (x2 == x) & (w2 == 0)
             # (1 - P) on a basis vector: either untouched or annihilated
-            if ranged.is_null:
-                continue
-            if ranged == WeightedBasis(0, cur):
-                out = NULL
-            else:
+            if np.any(alive & ~null & ~fixed):
                 raise AssertionError("range projection did not act as a projection on a basis vector")
-        return out
-
+            alive &= ~fixed
     support = set(primes)
-    for x in range(1, window + 1):
-        supported = all(p in support for p, _ in factorize(x)) if x > 1 else True
-        for r in range(x):
-            e = XBasis(r, x)
-            result = apply_q(e)
-            if x == 1:
-                if result != WeightedBasis(0, e):
-                    return False
-            elif supported and not result.is_null:
-                return False
-    return True
+    must_die = np.array([False] + [all(p in support for p, _ in factorize(v)) for v in range(2, window + 1)])
+    return bool(alive[0]) and not np.any(alive & must_die[levels - 1])

@@ -19,8 +19,6 @@ __all__ = [
     "SemigroupElement",
     "GroupElement",
     "Join",
-    "group_mul",
-    "group_inv",
     "leq",
     "euclid_smallest",
     "euclid_smallest_direct",
@@ -74,14 +72,6 @@ class GroupElement:
     @classmethod
     def identity(cls) -> "GroupElement":
         return cls(Fraction(0), Fraction(1))
-
-
-def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def group_inv(g: GroupElement) -> GroupElement:
-    return g.inverse()
 
 
 def _as_group(g: GroupElement | SemigroupElement) -> GroupElement:

@@ -118,7 +118,9 @@ def moment(mu: CircleMeasure, k: int) -> complex:
         return 1.0 + 0j if k == 0 else 0j
     total = 0j
     for theta, weight in mu.atoms:
-        total += float(weight) * cmath.exp(2j * math.pi * k * float(theta))
+        # k * theta reduced mod 1 in exact arithmetic before the float
+        den = theta.denominator
+        total += float(weight) * cmath.exp(2j * math.pi * (k * theta.numerator % den / den))
     return total
 
 
@@ -148,7 +150,8 @@ class Evaluation:
             raise ValueError("angle must lie in [0, 1)")
 
     def shift_moment(self, m: int, n: int) -> complex:
-        return cmath.exp(2j * math.pi * (m - n) * float(self.angle))
+        den = self.angle.denominator
+        return cmath.exp(2j * math.pi * ((m - n) * self.angle.numerator % den / den))
 
 
 ToeplitzState = VectorState | Evaluation

@@ -119,6 +119,12 @@ class TestSuiteCommands:
         report = json.loads(out)
         assert all(entry["pass"] for entry in report["relations"].values())
 
+    def test_rep_check_empty_window_exit_2(self, capsys):
+        code, out, err = run_capture(capsys, ["rep-check", "--model", "x", "--window", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bc_euler(self, capsys):
         code, out, _ = run_capture(
             capsys, ["bc", "--mode", "euler", "--primes", "3,5", "--beta", "1", "--truncation", "2000"]

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, monomial_mul
+from affinetoeplitz.algebra import ZERO, Monomial, monomial_mul
 from affinetoeplitz.numtheory import zeta
 from affinetoeplitz.representation import (
     NULL,
     WeightedBasis,
     XBasis,
+    _monomial_word,
+    _x_word,
     monomial_apply,
     nica_covariance_rhs,
     q_projector_check,
@@ -18,18 +22,32 @@ from affinetoeplitz.representation import (
     toeplitz_apply,
     toeplitz_monomial_apply_batch,
     trace_state,
-    x_apply,
     x_monomial_apply_batch,
-    z_apply,
 )
 from affinetoeplitz.semigroup import SemigroupElement, join, leq
+from affinetoeplitz.states import CircleMeasure, PsiBetaMu, evaluate
 
-S = GeneratorToken("s", None, 1, False)
-S_STAR = GeneratorToken("s", None, 1, True)
+S = Monomial.s_power(1)
+S_STAR = Monomial.s_power(-1)
 
 
-def V(p, star=False, power=1):
-    return GeneratorToken("v", p, power, star)
+def V(p, star=False):
+    return Monomial.v_star(p) if star else Monomial.v(p)
+
+
+def stepper_on_window(mono, rs, xs):
+    """The token stepper's (null, r, x, w) for a monomial on whole arrays of fibered vectors."""
+    return _x_word(_monomial_word(mono), np.asarray(rs).astype(object), np.asarray(xs).astype(object))
+
+
+def assert_same_action(batch, stepped):
+    """Batch and stepper agree on which lanes die, and on (r, x, w) of every surviving lane."""
+    null, r, x, w = batch
+    s_null, s_r, s_x, s_w = stepped
+    assert np.array_equal(null, s_null)
+    live = ~null
+    for got, want in ((r, s_r), (x, s_x), (w, s_w)):
+        assert np.array_equal(np.asarray(got)[live].astype(object), want[live])
 
 
 class TestToeplitzModel:
@@ -74,28 +92,28 @@ class TestToeplitzModel:
 
 class TestXModel:
     def test_shift_examples(self):
-        assert x_apply(S, XBasis(1, 3)) == WeightedBasis(0, XBasis(2, 3))
-        assert x_apply(S, XBasis(2, 3)) == WeightedBasis(1, XBasis(0, 3))
-        assert x_apply(V(2), XBasis(1, 3)) == WeightedBasis(0, XBasis(2, 6))
+        assert monomial_apply(S, XBasis(1, 3)) == WeightedBasis(0, XBasis(2, 3))
+        assert monomial_apply(S, XBasis(2, 3)) == WeightedBasis(1, XBasis(0, 3))
+        assert monomial_apply(V(2), XBasis(1, 3)) == WeightedBasis(0, XBasis(2, 6))
 
     def test_adjoint_shift(self):
-        assert x_apply(S_STAR, XBasis(0, 3)) == WeightedBasis(-1, XBasis(2, 3))
-        assert x_apply(S_STAR, XBasis(2, 3)) == WeightedBasis(0, XBasis(1, 3))
+        assert monomial_apply(S_STAR, XBasis(0, 3)) == WeightedBasis(-1, XBasis(2, 3))
+        assert monomial_apply(S_STAR, XBasis(2, 3)) == WeightedBasis(0, XBasis(1, 3))
 
     def test_v_star(self):
-        assert x_apply(V(2, star=True), XBasis(2, 6)) == WeightedBasis(0, XBasis(1, 3))
-        assert x_apply(V(2, star=True), XBasis(1, 6)).is_null
-        assert x_apply(V(2, star=True), XBasis(1, 3)).is_null
+        assert monomial_apply(V(2, star=True), XBasis(2, 6)) == WeightedBasis(0, XBasis(1, 3))
+        assert monomial_apply(V(2, star=True), XBasis(1, 6)).is_null
+        assert monomial_apply(V(2, star=True), XBasis(1, 3)).is_null
 
     def test_isometries(self):
         for x in range(1, 13):
             for r in range(x):
                 e = XBasis(r, x)
-                up = x_apply(S, e)
-                assert x_apply(S_STAR, up.basis).scaled(up.z_power) == WeightedBasis(0, e)
+                up = monomial_apply(S, e)
+                assert monomial_apply(S_STAR, up.basis).scaled(up.z_power) == WeightedBasis(0, e)
                 for p in (2, 3, 5):
-                    vp = x_apply(V(p), e)
-                    assert x_apply(V(p, star=True), vp.basis) == WeightedBasis(0, e)
+                    vp = monomial_apply(V(p), e)
+                    assert monomial_apply(V(p, star=True), vp.basis) == WeightedBasis(0, e)
 
     def test_monomial_apply_example(self):
         assert monomial_apply(Monomial(2, 3, 2, 1), XBasis(1, 2)) == WeightedBasis(0, XBasis(2, 3))
@@ -108,37 +126,40 @@ class TestXModel:
         names = set(report["relations"])
         assert "T5[p=5,k=4]" in names and "T3[p=2,q=3]" in names
 
+    def test_relation_suite_counterexamples_for_composite_indices(self):
+        # v_2 and v_4 are not doubly commuting: T3 fails at the first vector each way
+        report = relation_suite("x", [2, 4], 5)
+        failed = {name: entry["counterexample"] for name, entry in report["relations"].items() if not entry["pass"]}
+        assert failed == {"T3[p=2,q=4]": {"r": 0, "x": 1}, "T3[p=4,q=2]": {"r": 0, "x": 2}}
+
+    @pytest.mark.parametrize("model", ["x", "z"])
+    @pytest.mark.parametrize("primes, window", [([2, 3], 0), ([2, 3], -1), ([], 5), ([0, 2], 5)])
+    def test_relation_suite_rejects_empty_or_invalid_input(self, model, primes, window):
+        with pytest.raises(ValueError):
+            relation_suite(model, primes, window)
+
 
 class TestZModel:
     def test_examples(self):
-        assert z_apply(S, 4) == WeightedBasis(0, 5)
-        assert z_apply(V(2), -3) == WeightedBasis(0, -6)
-        assert z_apply(V(2, star=True), -6) == WeightedBasis(0, -3)
-        assert z_apply(V(2, star=True), 5).is_null
-        assert z_apply(S_STAR, 0) == WeightedBasis(0, -1)
+        assert monomial_apply(S, 4) == WeightedBasis(0, 5)
+        assert monomial_apply(V(2), -3) == WeightedBasis(0, -6)
+        assert monomial_apply(V(2, star=True), -6) == WeightedBasis(0, -3)
+        assert monomial_apply(V(2, star=True), 5).is_null
+        assert monomial_apply(S_STAR, 0) == WeightedBasis(0, -1)
 
     def test_q5_partition_membership(self):
         # e_4 sits in the k=0 branch for p=2, e_5 in the k=1 branch
         for n, expected_k in ((4, 0), (5, 1)):
-            hits = []
-            for k in range(2):
-                # apply s^k v_2 v_2* s*^k stepwise
-                cur = WeightedBasis(0, n)
-                for _ in range(k):
-                    cur = z_apply(S_STAR, cur.basis)
-                cur2 = z_apply(V(2, star=True), cur.basis)
-                if cur2.is_null:
-                    continue
-                cur2 = z_apply(V(2), cur2.basis)
-                for _ in range(k):
-                    cur2 = z_apply(S, cur2.basis)
-                if cur2 == WeightedBasis(0, n):
-                    hits.append(k)
+            hits = [k for k in range(2) if monomial_apply(Monomial(k, 2, 2, k), n) == WeightedBasis(0, n)]
             assert hits == [expected_k]
 
     def test_relation_suite(self):
         report = relation_suite("z", [2, 3, 5, 7, 11, 13], 200)
         assert all(entry["pass"] for entry in report["relations"].values())
+
+
+def _random_monomial(rng):
+    return Monomial(rng.randrange(0, 7), rng.randrange(1, 13), rng.randrange(1, 13), rng.randrange(0, 7))
 
 
 class TestBatchAppliers:
@@ -150,15 +171,9 @@ class TestBatchAppliers:
         zero = np.zeros(len(vectors), dtype=np.int64)
         false = np.zeros(len(vectors), dtype=bool)
         for _ in range(150):
-            mono = Monomial(rng.randrange(0, 7), rng.randrange(1, 13), rng.randrange(1, 13), rng.randrange(0, 7))
-            null, r2, x2, w2 = x_monomial_apply_batch(mono.m, mono.a, mono.b, mono.n, false, rs, xs, zero)
-            for i, (r, x) in enumerate(vectors):
-                step = monomial_apply(mono, XBasis(r, x))
-                if step.is_null:
-                    assert null[i]
-                else:
-                    assert not null[i]
-                    assert (step.basis.r, step.basis.x, step.z_power) == (int(r2[i]), int(x2[i]), int(w2[i]))
+            mono = _random_monomial(rng)
+            batch = x_monomial_apply_batch(mono.m, mono.a, mono.b, mono.n, false, rs, xs, zero)
+            assert_same_action(batch, stepper_on_window(mono, rs, xs))
 
     def test_toeplitz_batch_matches_stepwise(self):
         rng = random.Random(43)
@@ -167,7 +182,7 @@ class TestBatchAppliers:
         cs = np.array([v[1] for v in vectors])
         false = np.zeros(len(vectors), dtype=bool)
         for _ in range(150):
-            mono = Monomial(rng.randrange(0, 7), rng.randrange(1, 13), rng.randrange(1, 13), rng.randrange(0, 7))
+            mono = _random_monomial(rng)
             null, j2, c2 = toeplitz_monomial_apply_batch(mono.m, mono.a, mono.b, mono.n, false, js, cs)
             for i, (j, c) in enumerate(vectors):
                 step = monomial_apply(mono, SemigroupElement(j, c))
@@ -186,16 +201,62 @@ class TestBatchAppliers:
         vectors = [(r, x) for x in range(1, 6) for r in range(x)]
         rs = np.array([v[0] for v in vectors])
         xs = np.array([v[1] for v in vectors])
-        null, r2, x2, w2 = x_monomial_apply_batch(
+        batch = x_monomial_apply_batch(
             ms, as_, bs, ns, np.zeros(len(vectors), bool), rs, xs, np.zeros(len(vectors), np.int64)
         )
-        assert r2.shape == (len(monos), len(vectors))
+        assert batch[1].shape == (len(monos), len(vectors))
         for i, mono in enumerate(monos):
-            for k, (r, x) in enumerate(vectors):
-                step = monomial_apply(mono, XBasis(r, x))
-                assert (not step.is_null) == (not null[i, k])
-                if not step.is_null:
-                    assert (step.basis.r, step.basis.x, step.z_power) == (int(r2[i, k]), int(x2[i, k]), int(w2[i, k]))
+            assert_same_action(tuple(a[i] for a in batch), stepper_on_window(mono, rs, xs))
+
+    def test_batch_refuses_int64_overflow(self):
+        with pytest.raises(ValueError):
+            x_monomial_apply_batch(0, 2**40, 1, 0, [False], [0], [2**30], [0])
+        with pytest.raises(ValueError):
+            x_monomial_apply_batch(2**62, 1, 1, 2**62, [False], [0], [1], [0])
+        with pytest.raises(ValueError):
+            toeplitz_monomial_apply_batch(0, 2**40, 1, 0, [False], [0], [2**30])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mono=st.builds(
+            Monomial,
+            st.integers(0, 10**6),
+            st.integers(1, 720),
+            st.integers(1, 720),
+            st.integers(0, 10**6),
+        ),
+        vectors=st.lists(
+            st.integers(1, 10**6).flatmap(lambda x: st.tuples(st.integers(0, x - 1), st.just(x))),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_stepper_matches_batch_on_random_input(self, mono, vectors):
+        rs = np.array([v[0] for v in vectors], dtype=np.int64)
+        xs = np.array([v[1] for v in vectors], dtype=np.int64)
+        batch = x_monomial_apply_batch(
+            mono.m, mono.a, mono.b, mono.n, np.zeros(rs.shape, bool), rs, xs, np.zeros_like(rs)
+        )
+        assert_same_action(batch, stepper_on_window(mono, rs, xs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mono=st.builds(Monomial, st.integers(0, 10**30), st.integers(1, 720), st.integers(1, 720), st.integers(0, 10**30)),
+        level=st.integers(2**70, 2**90),
+        k=st.integers(min_value=0),
+    )
+    def test_stepper_exact_past_int64(self, mono, level, k):
+        # a vector the monomial does not kill: after s*^n its representative and level are multiples of b
+        x = level * mono.b
+        r = ((k % level) * mono.b + mono.n) % x
+        with pytest.raises(ValueError):
+            x_monomial_apply_batch(mono.m, mono.a, mono.b, mono.n, [False], [r], [x], [0])
+        null, r2, x2, w2 = stepper_on_window(mono, [r], [x])
+        assert not null[0]
+        assert x2[0] == x // mono.b * mono.a and 0 <= r2[0] < x2[0]
+        # the adjoint monomial undoes the action exactly, phase included
+        back = stepper_on_window(Monomial(mono.n, mono.b, mono.a, mono.m), r2, x2)
+        assert (bool(back[0][0]), back[1][0], back[2][0], back[3][0] + w2[0]) == (False, r, x, 0)
 
 
 class TestOracleEquivalence:
@@ -240,6 +301,13 @@ class TestTrace:
             res = trace_state(Monomial.s_power(1), 3.0, angle, 200)
             assert abs(res.value - z / zeta(2)) <= res.tail + 1e-12
 
+    def test_exact_phase_at_large_shift(self):
+        mono = Monomial.s_power(10**17)
+        res = trace_state(mono, 3.0, Fraction(1, 2), 100)
+        closed = evaluate(PsiBetaMu(3.0, CircleMeasure.point(Fraction(1, 2))), mono)
+        assert abs(res.value - closed) <= res.tail + 1e-12
+        assert abs(res.value.imag) < 1e-12  # every phase is +-1
+
     def test_rejects_low_beta(self):
         with pytest.raises(ValueError):
             trace_state(Monomial.identity(), 2.0, Fraction(0), 10)
@@ -256,3 +324,8 @@ class TestQProjector:
         # e_(1 mod 2, 2) dies for E = {2}; e_(0 mod 3, 3) survives
         factors_report = q_projector_check([2], 6)
         assert factors_report is True
+
+    @pytest.mark.parametrize("primes, window", [([2], 0), ([2], -3), ([], 8)])
+    def test_rejects_empty_input(self, primes, window):
+        with pytest.raises(ValueError):
+            q_projector_check(primes, window)

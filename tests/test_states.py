@@ -92,6 +92,14 @@ class TestMoments:
             for k in range(6):
                 assert abs(moment(mu, -k) - moment(mu, k).conjugate()) < 1e-15
 
+    def test_phase_exact_at_large_exponents(self):
+        omega = cmath.exp(2j * math.pi / 3)
+        assert moment(CircleMeasure.point(Fraction(1, 2)), 10**15) == 1
+        assert abs(moment(POINT_OMEGA, 3 * 10**17 + 1) - omega) < 1e-15
+        assert abs(Evaluation(Fraction(1, 3)).shift_moment(3 * 10**17 + 1, 0) - omega) < 1e-15
+        value = evaluate(PsiBetaMu(3, CircleMeasure.point(Fraction(1, 2))), Monomial.s_power(10**17))
+        assert abs(value.imag) < 1e-15
+
     def test_invalid_measures(self):
         with pytest.raises(ValueError):
             CircleMeasure.from_atoms([(0, Fraction(1, 2))])
