@@ -12,10 +12,8 @@ oracles), `spectrum` parametrises the character space of the diagonal,
 
 from . import bostconnes, numtheory, representation, semigroup, spectrum, states
 from .numtheory import (
-    Factorization,
     ResidueClass,
     SupernaturalNumber,
-    TruncatedAdele,
     crt_combine,
     crt_split,
     factorize,
@@ -53,10 +51,8 @@ from .algebra import (
 )
 
 __all__ = [
-    "Factorization",
     "ResidueClass",
     "SupernaturalNumber",
-    "TruncatedAdele",
     "crt_combine",
     "crt_split",
     "factorize",

@@ -123,7 +123,7 @@ def _neg_power(n: int, beta: float) -> float:
 def _check_disjoint(chi: DirichletCharacter, n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
-    if n > 1 and any(p in chi.prime_support for p, _ in factorize(n)):
+    if gcd(n, chi.modulus) != 1:
         raise ValueError(
             f"{n} shares a prime with the character modulus {chi.modulus}; "
             "the unit embedding is only evaluated off that support"
@@ -165,6 +165,8 @@ def char_euler_sum(
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
     ps = sorted(set(primes))
     for p in ps:
         if not is_prime(p):
@@ -183,7 +185,7 @@ def char_euler_sum(
     for p in ps:
         product /= 1.0 - float(p) ** (-beta) * chi(p)
     tail = zeta_e(beta, ps) - math.fsum(abs_terms)
-    return EulerSumResult(series, product, max(tail, 0.0), len(ns), ns[-1] if ns else 1)
+    return EulerSumResult(series, product, max(tail, 0.0), len(ns), ns[-1])
 
 
 def invariance_ratio(

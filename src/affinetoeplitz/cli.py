@@ -143,6 +143,8 @@ def _cmd_kms_check(args) -> tuple[int, dict]:
     phi = _state_from_args(args)
     beta = phi.beta if args.at_beta is None else _parse_beta(args.at_beta)
     monos = _grid_monomials(args.grid, args.mults)
+    if not monos:
+        raise ValueError("empty monomial grid: need --grid >= 0 and a non-empty --mults")
     tol = 2.0 ** (-args.precision)
     worst = 0.0
     witness = None
@@ -185,6 +187,8 @@ def _cmd_ground_check(args) -> tuple[int, dict]:
         raise ValueError("pass --vector, --evaluation or --state")
     tol = 2.0 ** (-args.precision)
     monos = [x for x in _grid_monomials(args.grid, args.mults) if x.a != 1 or x.b != 1]
+    if not monos:
+        raise ValueError("empty monomial grid: need --grid >= 0 and a --mults entry other than 1")
     for x in monos:
         if not states.ground_check(phi, x, tol):
             return 1, {"counterexample": x.to_json(), "tolerance": tol}
@@ -207,6 +211,8 @@ def _cmd_measure(args) -> tuple[int, dict]:
 
 
 def _cmd_reconstruct(args) -> tuple[int, dict]:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     phi = _state_from_args(args)
     window = PrimeWindow.of(args.primes)
     tol = 2.0 ** (-args.precision)
@@ -264,7 +270,7 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
         if not isinstance(point, spectrum.BPoint):
             raise ValueError("decompose applies to B-points")
         parts = spectrum.decompose(point, level=args.level)
-        return 0, {str(p): {"value": t.value, "level": t.level} for p, t in parts.items()}
+        return 0, {str(p): {"value": t.value, "level": t.modulus} for p, t in parts.items()}
     ok = spectrum.verify_hereditary_directed(point, args.bound)
     return (0 if ok else 1), {"hereditary_directed": ok, "bound": args.bound}
 

@@ -1,5 +1,12 @@
 """Integer, supernatural and zeta arithmetic shared by every other module.
 
+Factorizations are plain tuples of increasing (prime, exponent) pairs,
+residues are `ResidueClass` values (split into prime-power components and
+reassembled by the Chinese remainder theorem), and supernatural numbers are
+formal prime products with exponents in N union {inf}.  Whether an integer
+divides a supernatural number is decided by stripping the listed primes,
+without factoring the integer.
+
 All integer arithmetic is exact (Python integers).  Real values are IEEE
 doubles; series are accumulated with `math.fsum`, so the only error that
 matters is the stated truncation error, which every routine bounds
@@ -15,10 +22,8 @@ from math import gcd, inf, isqrt
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Factorization",
     "SupernaturalNumber",
     "ResidueClass",
-    "TruncatedAdele",
     "NABLA",
     "factorize",
     "is_prime",
@@ -95,40 +100,12 @@ def first_primes(k: int) -> list[int]:
     return ps[:k]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as an ordered tuple of (prime, exponent) pairs.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer by trial division.
 
-    The empty tuple represents 1.
+    Returns the (prime, exponent) pairs in increasing prime order; the empty
+    tuple represents 1.
     """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = 1
-        for p, e in self.factors:
-            if p <= last or not is_prime(p):
-                raise ValueError(f"factors must list primes in increasing order, got {p}")
-            if e < 1:
-                raise ValueError(f"exponent for {p} must be >= 1, got {e}")
-            last = p
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
@@ -151,7 +128,7 @@ def factorize(n: int) -> Factorization:
         f += 6
     if n > 1:
         out.append((n, 1))
-    return Factorization(tuple(out))
+    return tuple(out)
 
 
 def divisors(n: int) -> list[int]:
@@ -183,11 +160,9 @@ def smooth_numbers(primes: Iterable[int], *, count: int | None = None, limit: in
         raise ValueError("specify count or limit")
     out: list[int] = []
     for n in iter_smooth(primes):
-        if limit is not None and n > limit:
+        if (limit is not None and n > limit) or (count is not None and len(out) >= count):
             break
         out.append(n)
-        if count is not None and len(out) >= count:
-            break
     return out
 
 
@@ -225,7 +200,7 @@ class SupernaturalNumber:
 
     @classmethod
     def from_int(cls, n: int) -> "SupernaturalNumber":
-        return cls(tuple(factorize(n)), 0)
+        return cls(factorize(n), 0)
 
     @classmethod
     def nabla(cls) -> "SupernaturalNumber":
@@ -313,16 +288,23 @@ def sn_lcm(m: SupernaturalNumber, n: SupernaturalNumber) -> SupernaturalNumber:
 
 
 def int_divides_sn(a: int, n: SupernaturalNumber) -> bool:
-    """Whether the positive integer a divides the supernatural number n."""
+    """Whether the positive integer a divides the supernatural number n.
+
+    Strips n's listed primes from a, failing at the first finite exponent
+    that a exceeds; what is left must be 1 unless n's default exponent is inf.
+    """
     if a < 1:
         raise ValueError("a must be positive")
-    if a == 1:
-        return True
-    return all(e <= n.exponent(p) for p, e in factorize(a))
+    for p, e in n.listed:
+        if e != inf and a % p ** (e + 1) == 0:
+            return False
+        while a % p == 0:
+            a //= p
+    return n.default == inf or a == 1
 
 
 # --------------------------------------------------------------------------
-# residues, truncated adeles, CRT
+# residues and CRT
 # --------------------------------------------------------------------------
 
 
@@ -349,26 +331,6 @@ class ResidueClass:
         return f"{self.value} mod {self.modulus}"
 
 
-@dataclass(frozen=True)
-class TruncatedAdele:
-    """A finite-level truncation of an N-adic integer: a residue at a declared level."""
-
-    level: int
-    residue: ResidueClass
-
-    def __post_init__(self) -> None:
-        if self.residue.modulus != self.level:
-            raise ValueError("residue modulus must equal the level")
-
-    @classmethod
-    def of(cls, value: int, level: int) -> "TruncatedAdele":
-        return cls(level, ResidueClass(level, value % level))
-
-    @property
-    def value(self) -> int:
-        return self.residue.value
-
-
 def times_a_embed(n: ResidueClass, a: int) -> ResidueClass:
     """The injection Z/b -> Z/ab induced by multiplication by a.
 
@@ -381,30 +343,28 @@ def times_a_embed(n: ResidueClass, a: int) -> ResidueClass:
     return ResidueClass(a * n.modulus, a * n.value)
 
 
-def crt_split(r: TruncatedAdele) -> list[TruncatedAdele]:
+def crt_split(r: ResidueClass) -> list[ResidueClass]:
     """Reduce a residue mod N to its prime-power components."""
-    return [TruncatedAdele.of(r.value, p**e) for p, e in factorize(r.level)]
+    return [r.reduce(p**e) for p, e in factorize(r.modulus)]
 
 
-def crt_combine(parts: Iterable[TruncatedAdele]) -> TruncatedAdele:
-    """Inverse of `crt_split`: assemble a residue from pairwise coprime levels."""
+def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
+    """Inverse of `crt_split`: assemble a residue from pairwise coprime moduli."""
     parts = list(parts)
-    if not parts:
-        return TruncatedAdele.of(0, 1)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if gcd(parts[i].level, parts[j].level) != 1:
+            if gcd(parts[i].modulus, parts[j].modulus) != 1:
                 raise ValueError(
-                    f"moduli {parts[i].level} and {parts[j].level} are not coprime"
+                    f"moduli {parts[i].modulus} and {parts[j].modulus} are not coprime"
                 )
     modulus = 1
     for part in parts:
-        modulus *= part.level
+        modulus *= part.modulus
     value = 0
     for part in parts:
-        other = modulus // part.level
-        value = (value + part.value * other * pow(other, -1, part.level)) % modulus
-    return TruncatedAdele.of(value, modulus)
+        other = modulus // part.modulus
+        value = (value + part.value * other * pow(other, -1, part.modulus)) % modulus
+    return ResidueClass(modulus, value)
 
 
 # --------------------------------------------------------------------------

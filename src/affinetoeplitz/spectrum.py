@@ -23,14 +23,14 @@ from typing import Iterable, Mapping, Union
 
 from .numtheory import (
     NABLA,
+    ResidueClass,
     SupernaturalNumber,
-    TruncatedAdele,
     crt_combine,
     factorize,
     int_divides_sn,
     sn_divides,
 )
-from .semigroup import SemigroupElement, join, leq
+from .semigroup import SemigroupElement, join
 
 __all__ = [
     "LevelExceededError",
@@ -83,6 +83,8 @@ class ResidueFamily:
 
     @classmethod
     def from_residue(cls, value: int, level: int) -> "ResidueFamily":
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
         return cls(value=value % level, level=level)
 
     @property
@@ -183,7 +185,7 @@ def boundary_act(x: SemigroupElement, point: BPoint) -> BPoint:
     return BPoint(ResidueFamily.from_residue(new_value, fam.level), point.N)
 
 
-def decompose(point: BPoint, level: int | None = None) -> dict[int, TruncatedAdele]:
+def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueClass]:
     """Split a B-point into its prime-power residue components.
 
     For a finite modulus the components are the residues at the exact prime
@@ -196,18 +198,15 @@ def decompose(point: BPoint, level: int | None = None) -> dict[int, TruncatedAde
         level = point.N.to_int()
     if not int_divides_sn(level, point.N):
         raise ValueError(f"{level} does not divide the modulus")
-    out: dict[int, TruncatedAdele] = {}
-    for p, e in factorize(level):
-        q = p**e
-        out[p] = TruncatedAdele.of(point.r.at(q), q)
-    return out
+    residue = ResidueClass(level, point.r.at(level))
+    return {p: residue.reduce(p**e) for p, e in factorize(level)}
 
 
-def recompose(parts: Mapping[int, TruncatedAdele], N: SupernaturalNumber | None = None) -> BPoint:
+def recompose(parts: Mapping[int, ResidueClass], N: SupernaturalNumber | None = None) -> BPoint:
     """Inverse of `decompose` via the Chinese remainder theorem."""
     combined = crt_combine(parts.values())
-    modulus = N if N is not None else SupernaturalNumber.from_int(combined.level)
-    return BPoint(ResidueFamily.from_residue(combined.value, combined.level), modulus)
+    modulus = N if N is not None else SupernaturalNumber.from_int(combined.modulus)
+    return BPoint(ResidueFamily.from_residue(combined.value, combined.modulus), modulus)
 
 
 def verify_hereditary_directed(
@@ -218,8 +217,11 @@ def verify_hereditary_directed(
     Enumerates elements with m <= bound and a <= bound.  Hereditary: every
     window element below a member is a member.  Directed: every pair of
     members has a finite join, and the join is a member whenever its
-    coordinates fall inside the window.
+    coordinates fall inside the window.  Raises on bound < 1, whose window
+    is empty.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     if isinstance(members, (APoint, BPoint)):
         point = members
         window = [
@@ -237,9 +239,9 @@ def verify_hereditary_directed(
         for b in range(1, x.a + 1):
             if x.a % b != 0:
                 continue
+            # (m, b) lies below x: b divides x.a and x.m - m
             for m in range(x.m, -1, -b):
-                y = SemigroupElement(m, b)
-                if leq(y, x) and y not in member_set:
+                if SemigroupElement(m, b) not in member_set:
                     return False
     for x in window:
         for y in window:

@@ -215,10 +215,13 @@ class PrimeWindow:
         return cls(tuple(sorted(set(primes))))
 
     def supports(self, n: int) -> bool:
-        """Whether every prime factor of n lies in the window."""
-        if n == 1:
-            return True
-        return all(p in set(self.primes) for p, _ in factorize(n))
+        """Whether every prime factor of n >= 1 lies in the window."""
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        for p in self.primes:
+            while n % p == 0:
+                n //= p
+        return n == 1
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ and timings.  Tolerances and grids are fixed here, not configurable.
 """
 
 import cmath
+import functools
 import math
 import random
 import time
@@ -527,13 +528,14 @@ def _random_point(rng):
     )
 
 
+@functools.cache
 def _members(point, bound):
-    return {
+    return frozenset(
         SemigroupElement(m, a)
         for m in range(bound + 1)
         for a in range(1, bound + 1)
         if contains(point, SemigroupElement(m, a))
-    }
+    )
 
 
 def test_criterion_12_spectrum():

@@ -159,6 +159,34 @@ class TestSuiteCommands:
         assert code == 0
         assert json.loads(out)["2"] == {"value": 3, "level": 4}
 
+    def test_spectrum_level_zero_exit_2(self, capsys):
+        point = json.dumps({"kind": "B", "generator": 1, "N": {"factors": {"2": 2}, "default": 0}, "level": 0})
+        code, out, err = run_capture(capsys, ["spectrum", "--point", point, "--contains", "0", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bc", "--mode", "euler", "--truncation", "0"],
+            ["bc", "--mode", "euler", "--truncation", "-5"],
+            ["reconstruct", "--state", "psi_beta_mu", "--beta", "3", "--primes", "2,3", "--n", "-1"],
+            ["kms-check", "--state", "psi_beta", "--beta", "1.5", "--grid", "-1"],
+            ["kms-check", "--state", "psi_beta", "--beta", "1.5", "--mults", ""],
+            ["ground-check", "--vector", "0", "--grid", "-1"],
+            ["ground-check", "--vector", "0", "--mults", ""],
+            ["ground-check", "--vector", "0", "--mults", "1"],
+            ["spectrum", "--point", '{"kind":"A","k":4,"N":{"factors":{"2":2},"default":0}}', "--bound", "0"],
+            ["spectrum", "--point", '{"kind":"A","k":4,"N":{"factors":{"2":2},"default":0}}', "--bound", "-3"],
+        ],
+    )
+    def test_empty_window_exit_2(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bc_euler_cli(self, capsys):
         code, out, _ = run_capture(
             capsys, ["bc", "--mode", "euler", "--primes", "3,5,7", "--beta", "1", "--truncation", "3000"]

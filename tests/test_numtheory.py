@@ -3,12 +3,13 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetoeplitz.numtheory import (
     NABLA,
     ResidueClass,
     SupernaturalNumber,
-    TruncatedAdele,
     crt_combine,
     crt_split,
     divisors,
@@ -38,23 +39,60 @@ def test_primes_against_brute_force():
 
 
 def test_factorize_examples():
-    assert factorize(1).as_dict() == {}
-    assert factorize(12).as_dict() == {2: 2, 3: 1}
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
     # oracle: trial division from scratch plus primality of every factor
-    f97 = factorize(97)
-    assert f97.as_dict() == {97: 1}
+    assert dict(factorize(97)) == {97: 1}
     assert brute_is_prime(97)
+
+
+def _product(pairs):
+    out = 1
+    for p, e in pairs:
+        out *= p**e
+    return out
 
 
 def test_factorize_round_trip_and_errors():
     for n in range(1, 2000):
         fac = factorize(n)
-        assert fac.n == n
-        assert all(brute_is_prime(p) for p, _ in fac)
+        assert _product(fac) == n
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+        assert all(brute_is_prime(p) and e >= 1 for p, e in fac)
     with pytest.raises(ValueError):
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-3)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# integers up to 10^12: uniform ones (mostly with a large prime factor) and
+# products of small prime powers times a small cofactor (mostly smooth)
+big_ints = st.one_of(
+    st.integers(1, 10**12),
+    st.builds(
+        lambda exps, c: _product(zip(SMALL_PRIMES, exps)) * c,
+        st.lists(st.integers(0, 6), min_size=len(SMALL_PRIMES), max_size=len(SMALL_PRIMES)),
+        st.sampled_from([1, 1, 1, 17, 19, 10**6 + 3]),
+    ),
+)
+
+supernaturals = st.builds(
+    SupernaturalNumber.from_exponents,
+    st.dictionaries(st.sampled_from(SMALL_PRIMES), st.sampled_from([0, 1, 2, 3, 5, inf])),
+    st.sampled_from([0, inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_ints)
+def test_factorize_property(n):
+    fac = factorize(n)
+    primes = [p for p, _ in fac]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and e >= 1 for p, e in fac)
+    assert _product(fac) == n
 
 
 def test_divisors():
@@ -68,6 +106,7 @@ def test_smooth_numbers():
     assert smooth_numbers([2, 3], limit=20) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
     first = smooth_numbers([2], count=5)
     assert first == [1, 2, 4, 8, 16]
+    assert smooth_numbers([2], count=0) == []
     with pytest.raises(ValueError):
         smooth_numbers([2])
 
@@ -110,6 +149,17 @@ class TestSupernatural:
             assert sn.is_finite and sn.to_int() == n
         assert not NABLA.is_finite
 
+    @settings(max_examples=300, deadline=None)
+    @given(big_ints, supernaturals)
+    def test_int_divides_matches_factorization(self, a, n):
+        # reference: the definition by factorization
+        assert int_divides_sn(a, n) == all(e <= n.exponent(p) for p, e in factorize(a))
+
+    def test_int_divides_rejects_nonpositive(self):
+        for a in (0, -4):
+            with pytest.raises(ValueError):
+                int_divides_sn(a, NABLA)
+
     def test_int_divides(self):
         n = SupernaturalNumber.from_exponents({2: 2, 3: inf})
         assert int_divides_sn(12, n)
@@ -144,28 +194,38 @@ class TestResidues:
         assert r.reduce(6).value == 0
 
     def test_crt_split_values(self):
-        parts = crt_split(TruncatedAdele.of(7, 12))
-        assert [(t.value, t.level) for t in parts] == [(3, 4), (1, 3)]
-        assert crt_combine(parts) == TruncatedAdele.of(7, 12)
+        parts = crt_split(ResidueClass(12, 7))
+        assert [(t.value, t.modulus) for t in parts] == [(3, 4), (1, 3)]
+        assert crt_combine(parts) == ResidueClass(12, 7)
         # exhaustive oracle over 0..11 for the [1 mod 4, 1 mod 3] data
         matches = [v for v in range(12) if v % 4 == 1 and v % 3 == 1]
         assert matches == [1]
-        assert crt_combine([TruncatedAdele.of(1, 4), TruncatedAdele.of(1, 3)]).value == 1
+        assert crt_combine([ResidueClass(4, 1), ResidueClass(3, 1)]).value == 1
 
     def test_crt_zero(self):
-        parts = crt_split(TruncatedAdele.of(0, 360))
+        parts = crt_split(ResidueClass(360, 0))
         assert all(t.value == 0 for t in parts)
+        assert crt_split(ResidueClass(1, 0)) == []
+        assert crt_combine([]) == ResidueClass(1, 0)
 
     def test_crt_round_trip_all_moduli_to_1e4(self):
         rng = random.Random(1)
         for n in range(1, 10_001):
             for v in {0, n - 1, rng.randrange(n)}:
-                adele = TruncatedAdele.of(v, n)
-                assert crt_combine(crt_split(adele)) == adele
+                r = ResidueClass(n, v)
+                assert crt_combine(crt_split(r)) == r
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**8).flatmap(lambda n: st.builds(ResidueClass, st.just(n), st.integers(0, n - 1))))
+    def test_crt_round_trip_property(self, r):
+        parts = crt_split(r)
+        assert math.prod(t.modulus for t in parts) == r.modulus
+        assert all(t.value == r.value % t.modulus for t in parts)
+        assert crt_combine(parts) == r
 
     def test_crt_combine_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            crt_combine([TruncatedAdele.of(1, 4), TruncatedAdele.of(1, 6)])
+            crt_combine([ResidueClass(4, 1), ResidueClass(6, 1)])
 
 
 class TestZeta:

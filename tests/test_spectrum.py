@@ -3,7 +3,7 @@ from math import inf
 
 import pytest
 
-from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, TruncatedAdele
+from affinetoeplitz.numtheory import NABLA, ResidueClass, SupernaturalNumber
 from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import (
     APoint,
@@ -150,7 +150,7 @@ class TestDecompose:
     def test_example(self):
         b = BPoint(ResidueFamily.from_residue(7, 12), sn(12))
         parts = decompose(b)
-        assert {(p, t.value, t.level) for p, t in parts.items()} == {(2, 3, 4), (3, 1, 3)}
+        assert {(p, t.value, t.modulus) for p, t in parts.items()} == {(2, 3, 4), (3, 1, 3)}
         back = recompose(parts)
         assert back.r.at(12) == 7
 
@@ -160,7 +160,7 @@ class TestDecompose:
         assert recompose({}).r.at(1) == 0
 
     def test_crt_search_oracle(self):
-        parts = {2: TruncatedAdele.of(1, 4), 3: TruncatedAdele.of(1, 3)}
+        parts = {2: ResidueClass(4, 1), 3: ResidueClass(3, 1)}
         matches = [v for v in range(12) if v % 4 == 1 and v % 3 == 1]
         assert matches == [1]
         assert recompose(parts).r.at(12) == 1

@@ -5,9 +5,11 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_mul
-from affinetoeplitz.numtheory import divisors, first_primes, zeta, zeta_e
+from affinetoeplitz.numtheory import divisors, factorize, first_primes, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
     Evaluation,
@@ -251,6 +253,23 @@ class TestMeasureAndConditional:
             conditional_mass(1.0, PrimeWindow.of([2]))
         with pytest.raises(ValueError):
             PrimeWindow.of([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1),
+        st.lists(st.integers(0, 5), min_size=6, max_size=6),
+        st.sampled_from([1, 1, 5, 17, 10**6 + 3]),
+    )
+    def test_window_supports_matches_factorization(self, primes, exps, cofactor):
+        window = PrimeWindow.of(primes)
+        n = cofactor * math.prod(p**e for p, e in zip([2, 3, 5, 7, 11, 13], exps))
+        # reference: the definition by factorization
+        assert window.supports(n) == all(p in window.primes for p, _ in factorize(n))
+
+    def test_window_supports_rejects_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                PrimeWindow.of([2, 3]).supports(n)
 
     def test_conditional_moment_limit(self):
         # with every relevant prime in the window, the conditional moments
