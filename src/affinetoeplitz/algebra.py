@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .numtheory import is_prime
 from .semigroup import euclid_smallest
@@ -39,6 +41,8 @@ __all__ = [
     "covariance_reduce",
     "monomial_mul",
     "adjoint",
+    "monomial_grid",
+    "product_table",
     "parse_word",
     "reduce_word",
     "token_monomial",
@@ -171,6 +175,41 @@ def adjoint(x: Monomial) -> Monomial:
     if x.is_zero:
         return ZERO
     return Monomial(x.n, x.b, x.a, x.m)
+
+
+def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
+    """Every s^m v_a v_b* s*^n with m, n in [0, shift_max] and a, b in `mults`,
+    in (m, n, a, b) order."""
+    if any(c < 1 for c in mults):
+        raise ValueError("isometry indices must be >= 1")
+    return [
+        Monomial(m, a, b, n)
+        for m in range(shift_max + 1)
+        for n in range(shift_max + 1)
+        for a in mults
+        for b in mults
+    ]
+
+
+def product_table(left: Sequence[Monomial], right: Sequence[Monomial]) -> tuple[np.ndarray, ...]:
+    """All products left[i] * right[j], as (zero, m, a, b, n) arrays of shape
+    (len(left), len(right)).
+
+    zero marks the vanishing products; their entries carry the identity
+    components (0, 1, 1, 0), so the arrays stay valid monomial parameters,
+    and the mask is authoritative.  Components are int64, or Python ints in
+    object arrays when some component does not fit in int64.
+    """
+    rows = [(p.m, p.a, p.b, p.n) for p in (monomial_mul(x, y) for x in left for y in right)]
+    try:
+        comps = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        comps = np.array(rows, dtype=object)
+    m, a, b, n = np.ascontiguousarray(comps.T).reshape(4, len(left), len(right))
+    zero = a == 0
+    a[zero] = 1
+    b[zero] = 1
+    return zero, m, a, b, n
 
 
 # --------------------------------------------------------------------------

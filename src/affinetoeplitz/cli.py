@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import inf
+from math import inf, isnan
 
 from . import bostconnes, representation, spectrum, states
-from .algebra import Monomial, WordSyntaxError, reduce_word
+from .algebra import Monomial, WordSyntaxError, monomial_grid, product_table, reduce_word
 from .semigroup import SemigroupElement, euclid_smallest, join
 from .states import PrimeWindow
 
@@ -67,21 +67,14 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _parse_beta(text: str) -> float:
-    return inf if text == "inf" else float(text)
+    beta = inf if text == "inf" else float(text)
+    if isnan(beta):
+        raise ValueError("beta must be a number, got nan")
+    return beta
 
 
 def _parse_csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _grid_monomials(grid: int, mults: list[int]) -> list[Monomial]:
-    return [
-        Monomial(m, a, b, n)
-        for m in range(grid + 1)
-        for n in range(grid + 1)
-        for a in mults
-        for b in mults
-    ]
 
 
 def _state_from_args(args) -> states.StateSpec:
@@ -138,42 +131,23 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_kms_check(args) -> tuple[int, dict]:
-    from .algebra import monomial_mul
-
     phi = _state_from_args(args)
-    beta = phi.beta if args.at_beta is None else _parse_beta(args.at_beta)
-    monos = _grid_monomials(args.grid, args.mults)
+    beta = None if args.at_beta is None else _parse_beta(args.at_beta)
+    monos = monomial_grid(args.grid, args.mults)
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a non-empty --mults")
     tol = 2.0 ** (-args.precision)
-    worst = 0.0
-    witness = None
-    for x in monos:
-        defect = states.kms_characterisation_check(phi, x, beta=beta)
-        if defect > worst:
-            worst, witness = defect, {"kind": "characterisation", "x": x.to_json()}
-
-    values: dict[Monomial, complex] = {}
-
-    def value_of(mono: Monomial) -> complex:
-        if mono.is_zero:
-            return 0j
-        if mono not in values:
-            values[mono] = states.evaluate(phi, mono)
-        return values[mono]
-
-    for x in monos:
-        ax = states._a_pow(x.a, beta)
-        bx = states._a_pow(x.b, beta)
-        for y in monos:
-            defect = abs(ax * value_of(monomial_mul(x, y)) - bx * value_of(monomial_mul(y, x)))
-            if defect > worst:
-                worst, witness = defect, {"kind": "defect", "x": x.to_json(), "y": y.to_json()}
+    defect, (x, y), char, at = states.kms_grid(phi, monos, product_table(monos, monos), beta)
+    worst = max(defect, char)
     payload = {"max_defect": worst, "pairs": len(monos) ** 2, "tolerance": tol}
-    if worst > tol:
-        payload["counterexample"] = witness
-        return 1, payload
-    return 0, payload
+    if worst <= tol:
+        return 0, payload
+    # a tie reports the characterisation witness
+    if defect > char:
+        payload["counterexample"] = {"kind": "defect", "x": x.to_json(), "y": y.to_json()}
+    else:
+        payload["counterexample"] = {"kind": "characterisation", "x": at.to_json()}
+    return 1, payload
 
 
 def _cmd_ground_check(args) -> tuple[int, dict]:
@@ -186,7 +160,7 @@ def _cmd_ground_check(args) -> tuple[int, dict]:
     else:
         raise ValueError("pass --vector, --evaluation or --state")
     tol = 2.0 ** (-args.precision)
-    monos = [x for x in _grid_monomials(args.grid, args.mults) if x.a != 1 or x.b != 1]
+    monos = [x for x in monomial_grid(args.grid, args.mults) if x.a != 1 or x.b != 1]
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a --mults entry other than 1")
     for x in monos:
@@ -202,8 +176,9 @@ def _cmd_rep_check(args) -> tuple[int, dict]:
 
 
 def _cmd_measure(args) -> tuple[int, dict]:
-    value, tail = states.measure_cylinder(_parse_beta(args.beta), args.m, args.a)
-    closed = states._a_pow(args.a, -_parse_beta(args.beta)) if _parse_beta(args.beta) != 1 else 1.0 / args.a
+    beta = _parse_beta(args.beta)
+    value, tail = states.measure_cylinder(beta, args.m, args.a)
+    closed = float(args.a) ** -beta if beta != 1 else 1.0 / args.a
     payload = {"series": value, "tail": tail, "closed_form": closed}
     if abs(value - closed) > tail + 2.0 ** (-args.precision):
         return 1, payload
@@ -378,7 +353,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.fn(args)
-    except (WordSyntaxError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (WordSyntaxError, ValueError, KeyError, json.JSONDecodeError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Monomial, adjoint, monomial_mul
+from .algebra import Monomial, adjoint, monomial_mul, product_table
 from .numtheory import divisors, factorize, is_prime, zeta, zeta_e
 
 __all__ = [
@@ -45,8 +45,10 @@ __all__ = [
     "moment",
     "evaluate",
     "evaluate_exact",
+    "evaluate_batch",
     "kms_defect",
     "kms_characterisation_check",
+    "kms_grid",
     "ground_check",
     "no_kms_witness",
     "measure_cylinder",
@@ -276,6 +278,31 @@ def evaluate(phi: StateSpec, x: Monomial, tol: float = 1e-12) -> complex:
     raise TypeError(f"not a state specification: {phi!r}")
 
 
+def evaluate_batch(phi: StateSpec, zero, m, a, b, n) -> np.ndarray:
+    """`evaluate` over monomial component arrays, such as `algebra.product_table`'s.
+
+    Entries under the zero mask read 0.  Every distinct live monomial is
+    evaluated once, keyed on all four components, and its value is copied to
+    each entry holding it.
+    """
+    values = np.zeros(np.shape(zero), dtype=complex)
+    live = ~np.asarray(zero, dtype=bool)
+    comps = np.stack([np.asarray(c)[live] for c in (m, a, b, n)])
+    if comps.size and comps.min() < 0:
+        raise ValueError("monomial components must be >= 0")
+    # one mixed-radix key per monomial, in Python ints where it would pass int64
+    spans = [int(c.max(initial=0)) + 1 for c in comps]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        comps = comps.astype(object)
+    key = comps[0]
+    for comp, span in zip(comps[1:], spans[1:]):
+        key = key * span + comp
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    distinct = [evaluate(phi, Monomial(*c)) for c in comps[:, first].T.tolist()]
+    values[live] = np.array(distinct, dtype=complex)[inverse.reshape(-1)]
+    return values
+
+
 def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
     """Exact rational value where one exists: psi_beta at integer (or infinite)
     beta, and ground states over a shift-model vector state."""
@@ -337,6 +364,29 @@ def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None =
         power = Monomial.s_power((x.m - x.n) // x.a)
         rhs = _a_pow(x.a, -beta) * evaluate(phi, power, tol)
     return abs(value - rhs)
+
+
+def kms_grid(phi: StateSpec, monos: Sequence[Monomial], table: tuple, beta: float | None = None) -> tuple:
+    """`kms_defect` over every pair (x, y) and `kms_characterisation_check` over
+    every x of a grid, at a finite beta (the state's own by default).
+
+    `table` is `algebra.product_table(monos, monos)`: the x y products are its
+    entries and the y x products its transpose.  Returns (worst pair defect,
+    its (x, y), worst characterisation defect, its x), each witness the first
+    maximum in x-major order.
+    """
+    if beta is None:
+        beta = _beta_of(phi)
+    if not math.isfinite(beta):
+        raise ValueError(f"the equilibrium condition is checked at a finite beta, got {beta}")
+    values = evaluate_batch(phi, *table)
+    weight_a = np.array([_a_pow(x.a, beta) for x in monos])[:, None]
+    weight_b = np.array([_a_pow(x.b, beta) for x in monos])[:, None]
+    defects = np.abs(weight_a * values - weight_b * values.T)
+    i, j = np.unravel_index(np.argmax(defects), defects.shape)
+    chars = [kms_characterisation_check(phi, x, beta) for x in monos]
+    k = chars.index(max(chars))
+    return float(defects[i, j]), (monos[i], monos[j]), chars[k], monos[k]
 
 
 def ground_check(phi: StateSpec, x: Monomial, tol: float = 1e-9) -> bool:
@@ -474,7 +524,7 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int, tol: float = 1e-
 # --------------------------------------------------------------------------
 
 
-def gram_matrix(phi: StateSpec, xs: Sequence[Monomial], tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def gram_matrix(phi: StateSpec, xs: Sequence[Monomial]) -> tuple[np.ndarray, float]:
     """Gram matrix G[i][j] = phi(x_i* x_j) and its least eigenvalue.
 
     Positive semidefiniteness of G certifies positivity of the state formula
@@ -484,12 +534,7 @@ def gram_matrix(phi: StateSpec, xs: Sequence[Monomial], tol: float = 1e-12) -> t
         raise ValueError("need between 1 and 64 monomials")
     if any(x.is_zero for x in xs):
         raise ValueError("zero monomial in family")
-    size = len(xs)
-    gram = np.zeros((size, size), dtype=complex)
-    for i, xi in enumerate(xs):
-        for j, xj in enumerate(xs):
-            prod = monomial_mul(adjoint(xi), xj)
-            gram[i, j] = 0j if prod.is_zero else evaluate(phi, prod, tol)
+    gram = evaluate_batch(phi, *product_table([adjoint(x) for x in xs], xs))
     eigs = np.linalg.eigvalsh(gram)
     return gram, float(eigs[0])
 

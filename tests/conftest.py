@@ -1,9 +1,9 @@
 import time
 
-import numpy as np
 import pytest
 
-from affinetoeplitz.algebra import Monomial, monomial_mul
+from affinetoeplitz import algebra
+from affinetoeplitz.algebra import Monomial
 
 GRID_MULTS = (1, 2, 3, 4, 6)
 GRID_SHIFT = range(6)
@@ -25,28 +25,11 @@ def grid_monomials():
 def product_table(grid_monomials):
     """All pairwise products of the grid, as component arrays.
 
-    Returns (seconds, zero, m, a, b, n); the arrays have shape (900, 900) and
-    entry [i, j] describes monomial_mul(grid[i], grid[j]), with zero[i, j]
-    marking the vanishing products.  Vanished entries carry the identity
-    components (0, 1, 1, 0) so the arrays stay valid batch-applier
-    parameters; the mask is authoritative.  `seconds` is the build time,
-    charged to the runtime budget of every criterion using the table.
+    Returns (seconds, zero, m, a, b, n): `algebra.product_table` of the grid
+    with itself, whose (900, 900) entry [i, j] describes
+    monomial_mul(grid[i], grid[j]).  `seconds` is the build time, charged to
+    the runtime budget of every criterion using the table.
     """
     start = time.monotonic()
-    size = len(grid_monomials)
-    zero = np.zeros((size, size), dtype=bool)
-    comps = [np.zeros((size, size), dtype=np.int64) for _ in range(4)]
-    comps[1][:] = 1
-    comps[2][:] = 1
-    for i, left in enumerate(grid_monomials):
-        row_zero = zero[i]
-        for j, right in enumerate(grid_monomials):
-            prod = monomial_mul(left, right)
-            if prod.is_zero:
-                row_zero[j] = True
-            else:
-                comps[0][i, j] = prod.m
-                comps[1][i, j] = prod.a
-                comps[2][i, j] = prod.b
-                comps[3][i, j] = prod.n
-    return time.monotonic() - start, zero, *comps
+    table = algebra.product_table(grid_monomials, grid_monomials)
+    return time.monotonic() - start, *table

@@ -52,7 +52,7 @@ from affinetoeplitz.states import (
     evaluate_exact,
     gram_matrix,
     ground_check,
-    kms_characterisation_check,
+    kms_grid,
     measure_cylinder,
     moment,
     no_kms_witness,
@@ -311,45 +311,15 @@ def test_criterion_03_rewriter_vs_representation(grid_monomials, product_table):
 # --------------------------------------------------------------------------
 
 
-def _state_values_on_products(phi, zero, pm, pa, pb, pn, tol=1e-12):
-    """Vectorised evaluate() over the product component arrays."""
-    if isinstance(phi, PsiBeta):
-        diag = (~zero) & (pa == pb) & (pm == pn)
-        vals = np.where(diag, pa.astype(float), 1.0) ** (-phi.beta)
-        return np.where(diag, vals, 0.0).astype(complex)
-    diff = pm - pn
-    live = (~zero) & (pa == pb) & (diff % np.where(pa > 0, pa, 1) == 0)
-    values = np.zeros(zero.shape, dtype=complex)
-    keys = np.unique(np.stack([pa[live], diff[live]], axis=1), axis=0)
-    lookup = {}
-    for a, k in keys:
-        a, k = int(a), int(k)
-        mono = Monomial(max(k, 0), a, a, max(-k, 0))
-        lookup[(a, k)] = evaluate(phi, mono, tol)
-    flat_a = pa[live]
-    flat_k = diff[live]
-    values[live] = [lookup[(int(a), int(k))] for a, k in zip(flat_a, flat_k)]
-    return values
-
-
 def test_criterion_04_kms_identity_grid(grid_monomials, product_table):
     start = time.monotonic()
-    build_seconds, zero, pm, pa, pb, pn = product_table
-    a_col = np.array([float(x.a) for x in grid_monomials])[:, None]
-    b_col = np.array([float(x.b) for x in grid_monomials])[:, None]
+    build_seconds, *table = product_table
     worst_defect = 0.0
     worst_char = 0.0
-    culprit = None
     for phi in KMS_STATES:
-        beta = phi.beta
-        values = _state_values_on_products(phi, zero, pm, pa, pb, pn)
-        defect = np.abs(a_col**beta * values - b_col**beta * values.T)
-        state_worst = float(defect.max())
-        if state_worst > worst_defect:
-            worst_defect = state_worst
-            culprit = (phi, tuple(int(v) for v in np.argwhere(defect == state_worst)[0]))
-        for x in grid_monomials:
-            worst_char = max(worst_char, kms_characterisation_check(phi, x))
+        defect, _, char, _ = kms_grid(phi, grid_monomials, table)
+        worst_defect = max(worst_defect, defect)
+        worst_char = max(worst_char, char)
     elapsed = time.monotonic() - start + build_seconds
     ok = worst_defect <= 1e-9 and worst_char <= 1e-9 and elapsed < 120.0
     report(

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from affinetoeplitz.algebra import (
@@ -14,8 +15,10 @@ from affinetoeplitz.algebra import (
     covariance_reduce,
     expectation_coaction,
     expectation_dual_action,
+    monomial_grid,
     monomial_mul,
     parse_word,
+    product_table,
     reduce_word,
     sigma_analytic_factor,
     sigma_phase,
@@ -125,6 +128,28 @@ class TestMonomialMul:
         assert adjoint(Monomial(2, 2, 1, 0)) == Monomial(0, 1, 2, 2)
         assert adjoint(ZERO) == ZERO
         assert adjoint(adjoint(Monomial(1, 2, 3, 4))) == Monomial(1, 2, 3, 4)
+
+    def test_grid_order_and_contract(self):
+        head = [Monomial(0, 1, 1, 0), Monomial(0, 1, 2, 0), Monomial(0, 2, 1, 0), Monomial(0, 2, 2, 0)]
+        assert monomial_grid(1, (1, 2))[:5] == head + [Monomial(0, 1, 1, 1)]
+        assert len(monomial_grid(2, (1, 2, 3))) == 81
+        assert monomial_grid(-1, (1, 2)) == [] and monomial_grid(2, ()) == []
+        with pytest.raises(ValueError):
+            monomial_grid(0, (0, 1))
+
+    def test_product_table_matches_monomial_mul(self):
+        left = monomial_grid(1, (1, 2, 3, 6))
+        right = left[::3]
+        # a shift past int64 turns the components into Python ints
+        for extra, dtype in (([], np.int64), ([Monomial(2**63, 2, 3, 5)], object)):
+            rows = left + extra
+            zero, m, a, b, n = product_table(rows, right)
+            assert m.dtype == dtype and zero.shape == (len(rows), len(right))
+            for i, x in enumerate(rows):
+                for j, y in enumerate(right):
+                    p = monomial_mul(x, y)
+                    want = (0, 1, 1, 0) if p.is_zero else (p.m, p.a, p.b, p.n)
+                    assert (zero[i, j], m[i, j], a[i, j], b[i, j], n[i, j]) == (p.is_zero, *want)
 
 
 class TestRelations:

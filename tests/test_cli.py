@@ -179,6 +179,14 @@ class TestSuiteCommands:
             ["ground-check", "--vector", "0", "--mults", "1"],
             ["spectrum", "--point", '{"kind":"A","k":4,"N":{"factors":{"2":2},"default":0}}', "--bound", "0"],
             ["spectrum", "--point", '{"kind":"A","k":4,"N":{"factors":{"2":2},"default":0}}', "--bound", "-3"],
+            ["kms-check", "--state", "psi_beta", "--grid", "1"],
+            ["kms-check", "--state", "psi_beta", "--beta", "2", "--at-beta", "inf", "--grid", "1"],
+            ["kms-check", "--state", "psi_beta", "--beta", "2", "--at-beta", "nan", "--grid", "1"],
+            ["kms-check", "--state", "psi_beta", "--beta", "1000", "--grid", "1"],
+            ["kms-check", "--state", '{"variant":"ground","omega":{"vector":0}}', "--grid", "1"],
+            ["ground-check", "--evaluation", "1/0"],
+            ["ground-check", "--state", '{"variant":"ground","omega":{"evaluation":"1/0"}}'],
+            ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[["1/0","1"]]}', "--grid", "1"],
         ],
     )
     def test_empty_window_exit_2(self, capsys, argv):

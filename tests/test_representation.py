@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, Monomial, monomial_mul
+from affinetoeplitz.algebra import ZERO, Monomial, monomial_grid, monomial_mul
 from affinetoeplitz.numtheory import zeta
 from affinetoeplitz.representation import (
     NULL,
@@ -262,13 +262,7 @@ class TestBatchAppliers:
 class TestOracleEquivalence:
     def test_product_matches_composition_sampled(self):
         rng = random.Random(47)
-        monos = [
-            Monomial(m, a, b, n)
-            for m in range(3)
-            for n in range(3)
-            for a in (1, 2, 3, 4, 6)
-            for b in (1, 2, 3, 4, 6)
-        ]
+        monos = monomial_grid(2, (1, 2, 3, 4, 6))
         x_vectors = [XBasis(r, x) for x in range(1, 13) for r in range(x)]
         t_vectors = [SemigroupElement(j, c) for j in range(8) for c in (1, 2, 3, 4, 6)]
         for _ in range(400):
@@ -282,6 +276,23 @@ class TestOracleEquivalence:
                     composed = monomial_apply(left, inner.basis).scaled(inner.z_power)
                 direct = monomial_apply(product, e) if not product.is_zero else NULL
                 assert composed == direct, (left, right, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.builds(Monomial, st.integers(0, 10**15), st.integers(1, 10**3), st.integers(1, 10**3), st.integers(0, 10**15)),
+        y=st.builds(Monomial, st.integers(0, 10**15), st.integers(1, 10**3), st.integers(1, 10**3), st.integers(0, 10**15)),
+        t=st.integers(0, 10**15),
+        u=st.integers(1, 10**3),
+    )
+    def test_product_matches_composition_property(self, x, y, t, u):
+        product = monomial_mul(x, y)
+        # vectors that w does not kill: after s*^n both components are multiples of b
+        w = y if product.is_zero else product
+        level = u * w.b
+        for e in (XBasis((t * w.b + w.n) % level, level), SemigroupElement(w.n + t * w.b, level)):
+            inner = monomial_apply(y, e)
+            composed = NULL if inner.is_null else monomial_apply(x, inner.basis).scaled(inner.z_power)
+            assert monomial_apply(product, e) == composed, (x, y, e)
 
 
 class TestTrace:

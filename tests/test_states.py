@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_mul
+from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul, product_table
 from affinetoeplitz.numtheory import divisors, factorize, first_primes, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
@@ -21,11 +22,13 @@ from affinetoeplitz.states import (
     conditional_mass,
     conditional_moment,
     evaluate,
+    evaluate_batch,
     evaluate_exact,
     gram_matrix,
     ground_check,
     kms_characterisation_check,
     kms_defect,
+    kms_grid,
     measure_cylinder,
     moment,
     moments_from_state,
@@ -41,18 +44,9 @@ POINT_I = CircleMeasure.point(Fraction(1, 4))
 POINT_OMEGA = CircleMeasure.point(Fraction(1, 3))
 TWO_ATOM = CircleMeasure.from_atoms([(Fraction(1, 8), Fraction(1, 4)), (Fraction(2, 3), Fraction(3, 4))])
 LEBESGUE = CircleMeasure.lebesgue()
+MEASURES = (POINT_ONE, POINT_I, POINT_OMEGA, LEBESGUE, TWO_ATOM)
 
 GRID_MULTS = (1, 2, 3, 4, 6)
-
-
-def grid_monomials(mmax=3):
-    return [
-        Monomial(m, a, b, n)
-        for m in range(mmax + 1)
-        for n in range(mmax + 1)
-        for a in GRID_MULTS
-        for b in GRID_MULTS
-    ]
 
 
 def brute_psi_beta_mu(beta, mu, mono, cutoff=10**5):
@@ -135,7 +129,7 @@ class TestEvaluate:
         for mu in (POINT_ONE, POINT_I, TWO_ATOM, LEBESGUE):
             for beta in (2.5, 3.0):
                 phi = PsiBetaMu(beta, mu)
-                for mono in grid_monomials(3):
+                for mono in monomial_grid(3, GRID_MULTS):
                     want, tail = brute_psi_beta_mu(beta, mu, mono)
                     assert abs(evaluate(phi, mono) - want) <= tail + 1e-9
 
@@ -167,14 +161,35 @@ class TestEvaluate:
 
     def test_lebesgue_matches_psi_beta(self):
         for beta in (2.5, 3.0, 5.0):
-            for mono in grid_monomials(3):
+            for mono in monomial_grid(3, GRID_MULTS):
                 lhs = evaluate(PsiBetaMu(beta, LEBESGUE), mono)
                 rhs = evaluate(PsiBeta(beta), mono)
                 assert abs(lhs - rhs) < 1e-12
 
     def test_infinite_lebesgue_matches_psi_infinity(self):
-        for mono in grid_monomials(3):
+        for mono in monomial_grid(3, GRID_MULTS):
             assert evaluate(PsiBetaMu(inf, LEBESGUE), mono) == evaluate(PsiBeta(inf), mono)
+
+    def test_evaluate_batch_matches_evaluate(self):
+        monos = monomial_grid(2, GRID_MULTS)
+        zero, m, a, b, n = product_table(monos[::5], monos)
+        # products s^k s*^k with k > 1, where the vector states below differ
+        assert (~zero & (a == 1) & (b == 1) & (m == n) & (m > 1)).any()
+        phis = [PsiBeta(1.0), PsiBeta(1.5), PsiBeta(inf)]
+        phis += [PsiBetaMu(beta, mu) for beta in (2.5, inf) for mu in MEASURES]
+        phis += [Ground(VectorState(k)) for k in (0, 1, 2)]
+        phis += [Ground(Evaluation(Fraction(1, 3))), Ground(Evaluation(Fraction(3, 8)))]
+        # the second table's components pass int64 and arrive as object arrays
+        for left in (monos[::5], [Monomial(2**64, 3, 3, 2**64 + 6), Monomial(2**70, 1, 1, 2**70)]):
+            table = product_table(left, monos)
+            products = [[monomial_mul(x, y) for y in monos] for x in left]
+            for phi in phis:
+                want = [[0j if p.is_zero else evaluate(phi, p) for p in row] for row in products]
+                assert np.array_equal(evaluate_batch(phi, *table), want), phi
+        # one monomial: s^2 s*^2 under the vector states at e_1 and e_2
+        one = [np.array([v]) for v in (False, 2, 1, 1, 2)]
+        assert evaluate_batch(Ground(VectorState(1)), *one)[0] == 0
+        assert evaluate_batch(Ground(VectorState(2)), *one)[0] == 1
 
 
 class TestKms:
@@ -196,12 +211,41 @@ class TestKms:
         assert bad == pytest.approx(0.25)
 
     def test_kms_grid_small(self):
-        monos = grid_monomials(2)
+        monos = monomial_grid(2, GRID_MULTS)
         for phi in (PsiBeta(1), PsiBeta(1.5), PsiBetaMu(2.5, TWO_ATOM)):
             for x in monos[:: 7]:
                 for y in monos[:: 11]:
                     assert kms_defect(phi, x, y) < 1e-9
                 assert kms_characterisation_check(phi, x) < 1e-9
+
+    @pytest.mark.parametrize(
+        "phi, beta",
+        [
+            (PsiBeta(1.5), None),
+            (PsiBetaMu(2.5, TWO_ATOM), None),
+            (PsiBetaMu(3.0, POINT_I), None),
+            (PsiBeta(2.0), 1.5),
+            (Ground(VectorState(0)), 3.0),
+        ],
+    )
+    def test_kms_grid_matches_scalar_loop(self, phi, beta):
+        monos = monomial_grid(1, (1, 2, 3, 6))
+        pairs = [(kms_defect(phi, x, y, beta), (x, y)) for x in monos for y in monos]
+        chars = [(kms_characterisation_check(phi, x, beta), x) for x in monos]
+        # max keeps the first of equal maxima: the witnesses come first in x-major order
+        worst, pair = max(pairs, key=lambda t: t[0])
+        worst_char, at = max(chars, key=lambda t: t[0])
+        assert kms_grid(phi, monos, product_table(monos, monos), beta) == (worst, pair, worst_char, at)
+        # the states checked at a temperature not their own fail
+        assert (worst > 0.1) == (beta is not None)
+
+    def test_kms_grid_needs_finite_beta(self):
+        monos = monomial_grid(0, (1, 2))
+        table = product_table(monos, monos)
+        cases = [(PsiBeta(inf), None), (PsiBeta(2), inf), (PsiBeta(2), math.nan), (Ground(VectorState(0)), None)]
+        for phi, beta in cases:
+            with pytest.raises(ValueError):
+                kms_grid(phi, monos, table, beta)
 
 
 class TestGround:
@@ -220,7 +264,7 @@ class TestGround:
         # phi(Y X) = 0 whenever X's multiplicative parts satisfy a < b
         rng = random.Random(31)
         grounds = [Ground(VectorState(k)) for k in range(4)] + [Ground(Evaluation(Fraction(1, 3)))]
-        monos = grid_monomials(2)
+        monos = monomial_grid(2, GRID_MULTS)
         for _ in range(3000):
             x, y = rng.choice(monos), rng.choice(monos)
             if x.a < x.b:
@@ -331,6 +375,18 @@ class TestGramAndPartition:
             gram, least = gram_matrix(phi, [Monomial.identity()])
             assert gram[0][0] == 1 and least == pytest.approx(1.0)
 
+    def test_gram_matches_entrywise_loop(self):
+        rng = random.Random(5)
+        monos = monomial_grid(3, GRID_MULTS)
+        phis = (PsiBeta(1.5), PsiBetaMu(2.5, TWO_ATOM), PsiBetaMu(inf, POINT_I), Ground(VectorState(1)))
+        for phi in phis + (Ground(Evaluation(Fraction(1, 4))),):
+            xs = rng.sample(monos, 12)
+            products = ((monomial_mul(adjoint(xi), xj) for xj in xs) for xi in xs)
+            want = np.array([[0j if p.is_zero else evaluate(phi, p) for p in row] for row in products])
+            gram, least = gram_matrix(phi, xs)
+            assert np.array_equal(gram, want)
+            assert least == np.linalg.eigvalsh(want)[0]
+
     def test_partition_function(self):
         value, tail = partition_sum(3.0, 10**4)
         assert abs(value - zeta(2)) <= tail
@@ -344,7 +400,7 @@ class TestGramAndPartition:
 
 class TestWeakStarLimit:
     def test_convergence_to_infinite_temperature(self):
-        monos = grid_monomials(3)
+        monos = monomial_grid(3, GRID_MULTS)
         for mu in (POINT_ONE, POINT_I, TWO_ATOM, LEBESGUE):
             infinite = PsiBetaMu(inf, mu)
             defects = []
