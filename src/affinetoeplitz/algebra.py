@@ -122,6 +122,8 @@ class Monomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Monomial":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a monomial is a JSON object, got {obj!r}")
         if obj.get("kind") == "zero":
             return ZERO
         if obj.get("kind") == "mono":
@@ -191,25 +193,20 @@ def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
     ]
 
 
-def product_table(left: Sequence[Monomial], right: Sequence[Monomial]) -> tuple[np.ndarray, ...]:
-    """All products left[i] * right[j], as (zero, m, a, b, n) arrays of shape
-    (len(left), len(right)).
+def product_table(left: Sequence[Monomial], right: Sequence[Monomial]) -> tuple[list[Monomial], np.ndarray]:
+    """All products left[i] * right[j], as (distinct, index).
 
-    zero marks the vanishing products; their entries carry the identity
-    components (0, 1, 1, 0), so the arrays stay valid monomial parameters,
-    and the mask is authoritative.  Components are int64, or Python ints in
-    object arrays when some component does not fit in int64.
+    distinct lists each product once, in first-seen order, ZERO included when
+    some product vanishes; index is an intp array of shape
+    (len(left), len(right)) with distinct[index[i, j]] = left[i] * right[j].
     """
-    rows = [(p.m, p.a, p.b, p.n) for p in (monomial_mul(x, y) for x in left for y in right)]
-    try:
-        comps = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        comps = np.array(rows, dtype=object)
-    m, a, b, n = np.ascontiguousarray(comps.T).reshape(4, len(left), len(right))
-    zero = a == 0
-    a[zero] = 1
-    b[zero] = 1
-    return zero, m, a, b, n
+    slots: dict[Monomial, int] = {}
+    index = np.fromiter(
+        (slots.setdefault(monomial_mul(x, y), len(slots)) for x in left for y in right),
+        dtype=np.intp,
+        count=len(left) * len(right),
+    )
+    return list(slots), index.reshape(len(left), len(right))
 
 
 # --------------------------------------------------------------------------

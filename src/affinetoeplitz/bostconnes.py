@@ -217,12 +217,10 @@ def invariance_ratio(
     return out
 
 
-def bc_reconstruct_check(
-    primes: list[int],
-    beta: float,
-    k: int,
-    truncation: int = 10**5,
-) -> float:
+_RECONSTRUCT_TERMS = 10**5
+
+
+def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
     """Reconstruction defect for the model equilibrium values on mu_k mu_k*.
 
     The model state assigns phi(mu_k mu_k*) = k^-beta (and phi(1) = 1 at
@@ -231,7 +229,7 @@ def bc_reconstruct_check(
     compression by Q_E = prod (1 - mu_p mu_p*) has values computed by
     inclusion-exclusion over subsets S of E:
         phi(Q_E mu_k' mu_k'*) = sum_S (-1)^|S| lcm(prod S, k')^-beta.
-    The check sums the first `truncation` window-supported n and returns
+    The check sums the first `_RECONSTRUCT_TERMS` window-supported n and returns
     |phi(mu_k mu_k*) - sum_n (n^-beta / zeta_E(beta)) phi_{Q_E}(...)| plus
     nothing else; the dropped tail is geometric and far below the comparison
     tolerances for beta > 1.
@@ -259,7 +257,7 @@ def bc_reconstruct_check(
     terms = []
     for count, n in enumerate(iter_smooth(ps)):
         weight = _neg_power(n, beta)
-        if count >= truncation or weight < 1e-18:
+        if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
             break  # |conditional values| <= zeta_window, so the tail is negligible
         kp = k // gcd(k, n)
         terms.append(weight / zeta_window * q_compressed(kp))
@@ -279,5 +277,7 @@ def character_to_json(chi: DirichletCharacter) -> dict:
 
 
 def character_from_json(obj: dict) -> DirichletCharacter:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a character is a JSON object, got {obj!r}")
     angles = {int(u): Fraction(str(t)) for u, t in obj["values"].items()}
     return DirichletCharacter.from_angles(int(obj["modulus"]), angles)

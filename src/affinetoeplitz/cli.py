@@ -120,7 +120,7 @@ def _cmd_euclid(args) -> tuple[int, dict]:
 
 def _cmd_state_eval(args) -> tuple[int, dict]:
     phi = _state_from_args(args)
-    if args.word is not None:
+    if args.monomial is None:
         mono = reduce_word(args.word, expand_composite=args.expand_composite)
     else:
         mono = Monomial.from_json(json.loads(args.monomial))
@@ -290,8 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("state-eval", _cmd_state_eval, help="evaluate a state on a word or monomial")
     state_flags(p)
-    p.add_argument("--word", default=None)
-    p.add_argument("--monomial", default=None, help="monomial JSON")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--word")
+    target.add_argument("--monomial", help="monomial JSON")
     p.add_argument("--expand-composite", action="store_true")
 
     p = add("kms-check", _cmd_kms_check, help="equilibrium defect over a monomial grid")

@@ -254,6 +254,8 @@ class SupernaturalNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupernaturalNumber":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a supernatural number is a JSON object, got {obj!r}")
         default = inf if obj.get("default") == "inf" else 0
         exps: dict[int, int | float] = {}
         for key, val in obj.get("factors", {}).items():
@@ -372,8 +374,11 @@ def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
 # --------------------------------------------------------------------------
 
 
-def zeta(s: float, tol: float = 1e-12) -> float:
-    """Riemann zeta for s > 1 within absolute error `tol`.
+_ZETA_TOL = 1e-12
+
+
+def zeta(s: float) -> float:
+    """Riemann zeta for s > 1 within absolute error `_ZETA_TOL`.
 
     Direct series plus an integral tail correction; two Euler-Maclaurin
     correction terms keep the cutoff small near s = 1.  The remainder after
@@ -384,10 +389,8 @@ def zeta(s: float, tol: float = 1e-12) -> float:
         return 1.0
     if s <= 1:
         raise ValueError(f"zeta series requires s > 1, got {s}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     c = s * (s + 1) * (s + 2) / 720.0
-    n = max(16, math.ceil((c / (0.5 * tol)) ** (1.0 / (s + 3))))
+    n = max(16, math.ceil((c / (0.5 * _ZETA_TOL)) ** (1.0 / (s + 3))))
     head = math.fsum(k**-s for k in range(1, n))
     tail = n ** (1 - s) / (s - 1) + 0.5 * n**-s + (s / 12.0) * n ** (-s - 1)
     return head + tail

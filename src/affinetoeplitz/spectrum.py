@@ -278,6 +278,8 @@ def point_to_json(point: SpectrumPoint) -> dict:
 
 
 def point_from_json(obj: dict) -> SpectrumPoint:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spectrum point is a JSON object, got {obj!r}")
     N = SupernaturalNumber.from_json(obj["N"])
     if obj["kind"] == "A":
         return APoint(int(obj["k"]), N)

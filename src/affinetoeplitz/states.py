@@ -238,7 +238,7 @@ def _a_pow(a: int, exponent: float) -> float:
     return float(a) ** exponent
 
 
-def evaluate(phi: StateSpec, x: Monomial, tol: float = 1e-12) -> complex:
+def evaluate(phi: StateSpec, x: Monomial) -> complex:
     """Value of the state on a spanning monomial.
 
     psi_beta vanishes off the diagonal (a = b, m = n) and gives a^-beta on
@@ -265,7 +265,7 @@ def evaluate(phi: StateSpec, x: Monomial, tol: float = 1e-12) -> complex:
         k = x.m - x.n
         if k == 0:
             return complex(_a_pow(x.a, -phi.beta))
-        norm = x.a * zeta(phi.beta - 1, tol)
+        norm = x.a * zeta(phi.beta - 1)
         total = 0j
         for d in divisors(abs(k)):
             if d % x.a == 0:
@@ -278,29 +278,12 @@ def evaluate(phi: StateSpec, x: Monomial, tol: float = 1e-12) -> complex:
     raise TypeError(f"not a state specification: {phi!r}")
 
 
-def evaluate_batch(phi: StateSpec, zero, m, a, b, n) -> np.ndarray:
-    """`evaluate` over monomial component arrays, such as `algebra.product_table`'s.
-
-    Entries under the zero mask read 0.  Every distinct live monomial is
-    evaluated once, keyed on all four components, and its value is copied to
-    each entry holding it.
-    """
-    values = np.zeros(np.shape(zero), dtype=complex)
-    live = ~np.asarray(zero, dtype=bool)
-    comps = np.stack([np.asarray(c)[live] for c in (m, a, b, n)])
-    if comps.size and comps.min() < 0:
-        raise ValueError("monomial components must be >= 0")
-    # one mixed-radix key per monomial, in Python ints where it would pass int64
-    spans = [int(c.max(initial=0)) + 1 for c in comps]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        comps = comps.astype(object)
-    key = comps[0]
-    for comp, span in zip(comps[1:], spans[1:]):
-        key = key * span + comp
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    distinct = [evaluate(phi, Monomial(*c)) for c in comps[:, first].T.tolist()]
-    values[live] = np.array(distinct, dtype=complex)[inverse.reshape(-1)]
-    return values
+def evaluate_batch(phi: StateSpec, distinct: Sequence[Monomial], index: np.ndarray) -> np.ndarray:
+    """`evaluate` over a table of monomials given as `algebra.product_table`'s
+    (distinct, index): each distinct monomial is evaluated once (ZERO reads 0)
+    and entry [i, j] is the value of distinct[index[i, j]]."""
+    values = np.array([0j if x.is_zero else evaluate(phi, x) for x in distinct], dtype=complex)
+    return values[index]
 
 
 def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
@@ -329,7 +312,7 @@ def _beta_of(phi: StateSpec) -> float:
     raise ValueError("ground states have no inverse temperature")
 
 
-def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = None, tol: float = 1e-12) -> float:
+def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = None) -> float:
     """|a^beta phi(x y) - b^beta phi(y x)| for x = s^m v_a v_b* s*^n.
 
     Zero (up to roundoff) for every pair exactly when phi satisfies the
@@ -341,12 +324,12 @@ def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = No
         beta = _beta_of(phi)
     xy = monomial_mul(x, y)
     yx = monomial_mul(y, x)
-    left = 0j if xy.is_zero else evaluate(phi, xy, tol)
-    right = 0j if yx.is_zero else evaluate(phi, yx, tol)
+    left = 0j if xy.is_zero else evaluate(phi, xy)
+    right = 0j if yx.is_zero else evaluate(phi, yx)
     return abs(_a_pow(x.a, beta) * left - _a_pow(x.b, beta) * right)
 
 
-def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None = None, tol: float = 1e-12) -> float:
+def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None = None) -> float:
     """Defect of the one-monomial equilibrium characterisation.
 
     The state must vanish unless a = b and m = n mod a, and on the surviving
@@ -357,12 +340,12 @@ def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None =
         raise ValueError("zero monomial")
     if beta is None:
         beta = _beta_of(phi)
-    value = evaluate(phi, x, tol)
+    value = evaluate(phi, x)
     if x.a != x.b or (x.m - x.n) % x.a != 0:
         rhs = 0j
     else:
         power = Monomial.s_power((x.m - x.n) // x.a)
-        rhs = _a_pow(x.a, -beta) * evaluate(phi, power, tol)
+        rhs = _a_pow(x.a, -beta) * evaluate(phi, power)
     return abs(value - rhs)
 
 
@@ -420,7 +403,10 @@ def no_kms_witness(beta: float, a: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def measure_cylinder(beta: float, m: int, a: int, tol: float = 1e-12) -> tuple[float, float]:
+_CYLINDER_TOL = 1e-12  # target truncation error of each per-prime series
+
+
+def measure_cylinder(beta: float, m: int, a: int) -> tuple[float, float]:
     """Mass of the cylinder m + a*(completed integers) under the product measure.
 
     Returns (series_value, tail_bound).  For beta > 1 the value is computed
@@ -442,7 +428,7 @@ def measure_cylinder(beta: float, m: int, a: int, tol: float = 1e-12) -> tuple[f
     tail = 0.0
     for p, e in factorize(a):
         ratio = p ** (1.0 - beta)
-        cutoff = e + max(8, math.ceil((math.log(tol) - math.log(10)) / math.log(ratio)))
+        cutoff = e + max(8, math.ceil((math.log(_CYLINDER_TOL) - math.log(10)) / math.log(ratio)))
         partial = math.fsum(ratio**k for k in range(e, cutoff + 1))
         factor = (1.0 - ratio) * partial * p ** (-float(e))
         # dropped terms of the geometric series, per factor
@@ -464,7 +450,7 @@ def conditional_mass(beta: float, window: PrimeWindow) -> float:
     return out
 
 
-def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int, tol: float = 1e-12) -> complex:
+def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int) -> complex:
     """Value of the conditional state on s^k (s*^|k| for k < 0).
 
     The compression by the window projection keeps exactly the fibered basis
@@ -485,7 +471,7 @@ def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int, tol: float =
         return 1.0 + 0j
     if phi.beta == inf:
         return moment(phi.mu, k)
-    scale = zeta_e(beta - 1.0, window.primes) / zeta(beta - 1.0, tol)
+    scale = zeta_e(beta - 1.0, window.primes) / zeta(beta - 1.0)
     total = 0j
     for d in divisors(abs(k)):
         if not any(d % p == 0 for p in window.primes):
@@ -493,7 +479,7 @@ def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int, tol: float =
     return scale * total
 
 
-def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int, tol: float = 1e-12) -> float:
+def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
     """Defect of the reconstruction of phi(s^n) from its conditional state.
 
     The identity:  phi(s^n) = (1/zeta_E(beta-1)) *
@@ -508,13 +494,13 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int, tol: float = 1e-
         raise ValueError("reconstruction requires beta > 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    lhs = evaluate(phi, Monomial.s_power(n), tol)
+    lhs = evaluate(phi, Monomial.s_power(n))
     if n == 0:
         return abs(1.0 - lhs)
     rhs = 0j
     for a in divisors(n):
         if window.supports(a):
-            rhs += a ** (1.0 - beta) * conditional_moment(phi, window, n // a, tol)
+            rhs += a ** (1.0 - beta) * conditional_moment(phi, window, n // a)
     rhs /= zeta_e(beta - 1.0, window.primes)
     return abs(rhs - lhs)
 
@@ -552,7 +538,7 @@ def partition_sum(beta: float, n_max: int) -> tuple[float, float]:
     return value, n_max ** (2.0 - beta) / (beta - 2.0)
 
 
-def moments_from_state(phi: StateSpec, k_max: int, tol: float = 1e-12) -> list[complex]:
+def moments_from_state(phi: StateSpec, k_max: int) -> list[complex]:
     """Recover the circle-measure moments from the state's values on powers of s.
 
     The divisor system zeta(beta-1) phi(s^k) = sum_{x | k} x^(1-beta) m(k/x)
@@ -561,10 +547,10 @@ def moments_from_state(phi: StateSpec, k_max: int, tol: float = 1e-12) -> list[c
     beta = _beta_of(phi)
     if not (2 < beta < inf):
         raise ValueError("moment recovery applies to finite beta > 2")
-    norm = zeta(beta - 1.0, tol)
+    norm = zeta(beta - 1.0)
     moments: dict[int, complex] = {0: 1.0 + 0j}
     for k in range(1, k_max + 1):
-        total = norm * evaluate(phi, Monomial.s_power(k), tol)
+        total = norm * evaluate(phi, Monomial.s_power(k))
         for d in divisors(k):
             if d > 1:
                 total -= d ** (1.0 - beta) * moments[k // d]
@@ -584,6 +570,8 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> CircleMeasure:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a circle measure is a JSON object, got {obj!r}")
     if obj.get("lebesgue"):
         return CircleMeasure.lebesgue()
     return CircleMeasure.from_atoms((Fraction(t), Fraction(w)) for t, w in obj["atoms"])
@@ -609,6 +597,8 @@ def state_to_json(phi: StateSpec) -> dict:
 
 
 def state_from_json(obj: dict) -> StateSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state is a JSON object, got {obj!r}")
     variant = obj.get("variant")
     if variant == "psi_beta":
         beta = obj["beta"]
@@ -618,6 +608,8 @@ def state_from_json(obj: dict) -> StateSpec:
         return PsiBetaMu(inf if beta == "inf" else float(beta), measure_from_json(obj["mu"]))
     if variant == "ground":
         omega = obj["omega"]
+        if not isinstance(omega, dict):
+            raise ValueError(f"omega is a JSON object, got {omega!r}")
         if "vector" in omega:
             return Ground(VectorState(int(omega["vector"])))
         return Ground(Evaluation(Fraction(str(omega["evaluation"]))))

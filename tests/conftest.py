@@ -23,11 +23,11 @@ def grid_monomials():
 
 @pytest.fixture(scope="session")
 def product_table(grid_monomials):
-    """All pairwise products of the grid, as component arrays.
+    """All pairwise products of the grid, each distinct product stored once.
 
-    Returns (seconds, zero, m, a, b, n): `algebra.product_table` of the grid
-    with itself, whose (900, 900) entry [i, j] describes
-    monomial_mul(grid[i], grid[j]).  `seconds` is the build time, charged to
+    Returns (seconds, distinct, index): `algebra.product_table` of the grid
+    with itself, where distinct[index[i, j]] is monomial_mul(grid[i], grid[j])
+    for the (900, 900) index array.  `seconds` is the build time, charged to
     the runtime budget of every criterion using the table.
     """
     start = time.monotonic()

@@ -205,7 +205,7 @@ def test_criterion_03_rewriter_vs_representation(grid_monomials, product_table):
     basis vectors.  The codes are exact, including the formal z-exponent.
     """
     start = time.monotonic()
-    build_seconds, zero, pm, pa, pb, pn = product_table
+    build_seconds, distinct, pinv = product_table
     size = len(grid_monomials)
     params = {
         name: np.array([[getattr(x, name)] for x in grid_monomials], dtype=np.int32)
@@ -225,18 +225,10 @@ def test_criterion_03_rewriter_vs_representation(grid_monomials, product_table):
     def t_apply_codes(m, a, b, n, null, j, c):
         return _pack_t(*toeplitz_monomial_apply_batch(m, a, b, n, null, j, c))
 
-    # deduplicate the 810k products, then act with each distinct one once
-    # (components all fit under 64; vanished entries get a high flag bit)
-    packed_products = ((pm * 64 + pa) * 64 + pb) * 64 + pn + np.where(zero, 1 << 40, 0)
-    uniq, pinv = np.unique(packed_products, return_inverse=True)
-    pinv = pinv.reshape(zero.shape)
-    uz = uniq >= (1 << 40)
-    rem = uniq % (1 << 40)
-    upn = rem % 64
-    upb = (rem // 64) % 64
-    upa = (rem // (64 * 64)) % 64
-    ur_ = rem // (64 * 64 * 64)
-    col = lambda arr: arr.astype(np.int32)[:, None]
+    # act with each distinct product once; ZERO acts as the identity here and
+    # its rows are overwritten with the annihilated code below
+    uz = np.array([p.is_zero for p in distinct])
+    products = np.array([(p.m, p.a or 1, p.b or 1, p.n) for p in distinct], dtype=np.int32)
 
     mismatch = None
     for window, apply_codes, rest in (
@@ -250,7 +242,7 @@ def test_criterion_03_rewriter_vs_representation(grid_monomials, product_table):
         nvec = base[1].shape[0]
 
         # left side: distinct products applied to the window
-        lhs_table = apply_codes(col(ur_), col(upa), col(upb), col(upn), *base)
+        lhs_table = apply_codes(*products.T[:, :, None], *base)
         lhs_table[uz.nonzero()[0], :] = -1
 
         # right side: distinct intermediates, then every left factor on them

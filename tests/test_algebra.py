@@ -140,16 +140,18 @@ class TestMonomialMul:
     def test_product_table_matches_monomial_mul(self):
         left = monomial_grid(1, (1, 2, 3, 6))
         right = left[::3]
-        # a shift past int64 turns the components into Python ints
-        for extra, dtype in (([], np.int64), ([Monomial(2**63, 2, 3, 5)], object)):
-            rows = left + extra
-            zero, m, a, b, n = product_table(rows, right)
-            assert m.dtype == dtype and zero.shape == (len(rows), len(right))
-            for i, x in enumerate(rows):
-                for j, y in enumerate(right):
-                    p = monomial_mul(x, y)
-                    want = (0, 1, 1, 0) if p.is_zero else (p.m, p.a, p.b, p.n)
-                    assert (zero[i, j], m[i, j], a[i, j], b[i, j], n[i, j]) == (p.is_zero, *want)
+        # a shift past int64 is held exactly; identity rows give no vanishing product
+        for rows in (left, left + [Monomial(2**63, 2, 3, 5)], [Monomial.identity()]):
+            distinct, index = product_table(rows, right)
+            assert index.dtype == np.intp and index.shape == (len(rows), len(right))
+            products = [[monomial_mul(x, y) for y in right] for x in rows]
+            assert [[distinct[k] for k in row] for row in index.tolist()] == products
+            assert len(set(distinct)) == len(distinct)
+            assert (ZERO in distinct) == any(p.is_zero for row in products for p in row)
+        assert ZERO in product_table(left, right)[0]
+        for rows, cols in (([], right), (left, [])):
+            distinct, index = product_table(rows, cols)
+            assert distinct == [] and index.shape == (len(rows), len(cols))
 
 
 class TestRelations:

@@ -195,6 +195,25 @@ class TestSuiteCommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state-eval", "--state", "psi_beta", "--beta", "2"],
+            ["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "s", "--monomial", "{}"],
+            ["state-eval", "--state", "psi_beta", "--beta", "2", "--monomial", "[1]"],
+            ["state-eval", "--state", '{"variant":"ground","omega":5}', "--word", "s"],
+            ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", "[]", "--grid", "0"],
+            ["spectrum", "--point", "[]"],
+            ["spectrum", "--point", '{"kind":"A","k":1,"N":5}'],
+            ["bc", "--mode", "euler", "--character", "[]"],
+        ],
+    )
+    def test_malformed_input_exit_2(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+
     def test_bc_euler_cli(self, capsys):
         code, out, _ = run_capture(
             capsys, ["bc", "--mode", "euler", "--primes", "3,5,7", "--beta", "1", "--truncation", "3000"]

@@ -247,8 +247,10 @@ class TestZeta:
         assert zeta_e(inf, [2, 3]) == 1.0
 
     def test_zeta_truncation_agreement(self):
-        for s in (1.5, 2.0, 3.0):
-            assert abs(zeta(s, 1e-10) - zeta(s, 1e-14)) < 1e-10 + 1e-14
+        # the series stays within its 1e-12 truncation bound of known values
+        known = {1.5: 2.612375348685488, 2.0: math.pi**2 / 6, 3.0: 1.2020569031595942}
+        for s, value in known.items():
+            assert abs(zeta(s) - value) < 1e-12
 
     def test_zeta_e_examples(self):
         assert zeta_e(1, [2]) == 2.0

@@ -69,6 +69,19 @@ def brute_psi_beta_mu(beta, mu, mono, cutoff=10**5):
     return total / norm, 0.0
 
 
+RATIONAL_ANGLES = st.builds(lambda p, q: Fraction(p % q, q), st.integers(0, 10**6), st.integers(1, 1000))
+CIRCLE_MEASURES = st.one_of(
+    st.builds(CircleMeasure.point, RATIONAL_ANGLES),
+    st.builds(
+        lambda t, shift, w: CircleMeasure.from_atoms([(t, w), ((t + shift) % 1, 1 - w)]),
+        RATIONAL_ANGLES,
+        RATIONAL_ANGLES.filter(bool),
+        st.builds(Fraction, st.integers(1, 99), st.just(100)),
+    ),
+    st.just(LEBESGUE),
+)
+
+
 class TestMoments:
     def test_point_mass(self):
         assert moment(CircleMeasure.point(0), 5) == 1
@@ -133,6 +146,23 @@ class TestEvaluate:
                     want, tail = brute_psi_beta_mu(beta, mu, mono)
                     assert abs(evaluate(phi, mono) - want) <= tail + 1e-9
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(2, 6, exclude_min=True),
+        CIRCLE_MEASURES,
+        st.integers(1, 60),
+        st.integers(-2 * 10**4, 2 * 10**4),
+        st.booleans(),
+        st.integers(0, 50),
+    )
+    def test_psi_beta_mu_against_brute_property(self, beta, mu, a, k, multiple, base):
+        # half the draws round m - n to a multiple of a, where the divisor sum is not empty
+        if multiple:
+            k = a * (k // a)
+        mono = Monomial(base + max(k, 0), a, a, base + max(-k, 0))
+        want, tail = brute_psi_beta_mu(beta, mu, mono)
+        assert abs(evaluate(PsiBetaMu(beta, mu), mono) - want) <= tail + 1e-9
+
     def test_psi_infinity_mu(self):
         phi = PsiBetaMu(inf, POINT_I)
         assert evaluate(phi, Monomial(0, 2, 2, 0)) == 0
@@ -172,14 +202,14 @@ class TestEvaluate:
 
     def test_evaluate_batch_matches_evaluate(self):
         monos = monomial_grid(2, GRID_MULTS)
-        zero, m, a, b, n = product_table(monos[::5], monos)
+        distinct, _ = product_table(monos[::5], monos)
         # products s^k s*^k with k > 1, where the vector states below differ
-        assert (~zero & (a == 1) & (b == 1) & (m == n) & (m > 1)).any()
+        assert any(p.a == p.b == 1 and p.m == p.n > 1 for p in distinct)
         phis = [PsiBeta(1.0), PsiBeta(1.5), PsiBeta(inf)]
         phis += [PsiBetaMu(beta, mu) for beta in (2.5, inf) for mu in MEASURES]
         phis += [Ground(VectorState(k)) for k in (0, 1, 2)]
         phis += [Ground(Evaluation(Fraction(1, 3))), Ground(Evaluation(Fraction(3, 8)))]
-        # the second table's components pass int64 and arrive as object arrays
+        # the second table's products have shifts past int64
         for left in (monos[::5], [Monomial(2**64, 3, 3, 2**64 + 6), Monomial(2**70, 1, 1, 2**70)]):
             table = product_table(left, monos)
             products = [[monomial_mul(x, y) for y in monos] for x in left]
@@ -187,9 +217,9 @@ class TestEvaluate:
                 want = [[0j if p.is_zero else evaluate(phi, p) for p in row] for row in products]
                 assert np.array_equal(evaluate_batch(phi, *table), want), phi
         # one monomial: s^2 s*^2 under the vector states at e_1 and e_2
-        one = [np.array([v]) for v in (False, 2, 1, 1, 2)]
-        assert evaluate_batch(Ground(VectorState(1)), *one)[0] == 0
-        assert evaluate_batch(Ground(VectorState(2)), *one)[0] == 1
+        one = ([Monomial(2, 1, 1, 2)], np.zeros((1, 1), dtype=np.intp))
+        assert evaluate_batch(Ground(VectorState(1)), *one)[0, 0] == 0
+        assert evaluate_batch(Ground(VectorState(2)), *one)[0, 0] == 1
 
 
 class TestKms:
