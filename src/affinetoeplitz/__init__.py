@@ -35,19 +35,13 @@ from .semigroup import (
 )
 from .algebra import (
     ZERO,
-    AlgebraElement,
-    GaussianRational,
     Monomial,
     WordSyntaxError,
     adjoint,
     covariance_reduce,
-    expectation_coaction,
-    expectation_dual_action,
     monomial_mul,
     parse_word,
     reduce_word,
-    sigma_analytic_factor,
-    sigma_phase,
 )
 
 __all__ = [
@@ -70,17 +64,11 @@ __all__ = [
     "join",
     "leq",
     "ZERO",
-    "AlgebraElement",
-    "GaussianRational",
     "Monomial",
     "WordSyntaxError",
     "adjoint",
     "covariance_reduce",
-    "expectation_coaction",
-    "expectation_dual_action",
     "monomial_mul",
     "parse_word",
     "reduce_word",
-    "sigma_analytic_factor",
-    "sigma_phase",
 ]

@@ -18,13 +18,11 @@ closure property everything else relies on.
 
 from __future__ import annotations
 
-import cmath
-import math
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,8 +32,6 @@ from .semigroup import euclid_smallest
 __all__ = [
     "Monomial",
     "ZERO",
-    "GaussianRational",
-    "AlgebraElement",
     "GeneratorToken",
     "WordSyntaxError",
     "covariance_reduce",
@@ -46,10 +42,6 @@ __all__ = [
     "parse_word",
     "reduce_word",
     "token_monomial",
-    "sigma_phase",
-    "sigma_analytic_factor",
-    "expectation_coaction",
-    "expectation_dual_action",
 ]
 
 
@@ -58,27 +50,26 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "m a b n")):
     """Canonical spanning element s^m v_a v_b* s*^n, or the zero element.
 
-    Zero is encoded by the reserved tuple (0, 0, 0, 0); genuine monomials
-    have a, b >= 1 and m, n >= 0, and distinct tuples denote distinct
-    spanning elements.
+    An immutable tuple of four ints, equal to (and hashing like) the plain
+    tuple of its components.  Zero is encoded by the reserved tuple
+    (0, 0, 0, 0); genuine monomials have a, b >= 1 and m, n >= 0, and
+    distinct tuples denote distinct spanning elements.  The constructor
+    validates; the rewriter builds its results with tuple.__new__, since
+    they are derived from operands that already passed.
     """
 
-    m: int
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.m, self.a, self.b, self.n) == (0, 0, 0, 0):
-            return
-        if self.m < 0 or self.n < 0:
-            raise ValueError("shift exponents must be >= 0")
-        if self.a < 1 or self.b < 1:
-            raise ValueError("isometry indices must be >= 1")
+    def __new__(cls, m: int, a: int, b: int, n: int) -> "Monomial":
+        if m or a or b or n:
+            if m < 0 or n < 0:
+                raise ValueError("shift exponents must be >= 0")
+            if a < 1 or b < 1:
+                raise ValueError("isometry indices must be >= 1")
+        return tuple.__new__(cls, (m, a, b, n))
 
     @property
     def is_zero(self) -> bool:
@@ -147,7 +138,7 @@ def covariance_reduce(a: int, m: int, n: int, b: int) -> Monomial:
     if (n - m) % g != 0:
         return ZERO
     alpha, beta = euclid_smallest(a // g, b // g, (n - m) // g)
-    return Monomial(alpha, b // g, a // g, beta)
+    return tuple.__new__(Monomial, (alpha, b // g, a // g, beta))
 
 
 def monomial_mul(left: Monomial, right: Monomial) -> Monomial:
@@ -158,25 +149,21 @@ def monomial_mul(left: Monomial, right: Monomial) -> Monomial:
     s^(m + beta*a) v_(a*c') v_(d*b')* s*^(r + gamma*d) with b' = b/g, c' = c/g,
     g = gcd(b, c) and (beta, gamma) solving (q - n)/g = beta*b' - gamma*c'.
     """
-    if left.is_zero or right.is_zero:
+    m, a, b, n = left
+    q, c, d, r = right
+    if a == 0 or c == 0:
         return ZERO
-    mid = covariance_reduce(left.b, left.n, right.m, right.a)
-    if mid.is_zero:
+    beta, c1, b1, gamma = covariance_reduce(b, n, q, c)
+    if c1 == 0:
         return ZERO
-    beta, c1, b1, gamma = mid.m, mid.a, mid.b, mid.n
-    return Monomial(
-        left.m + beta * left.a,
-        left.a * c1,
-        right.b * b1,
-        right.n + gamma * right.b,
-    )
+    return tuple.__new__(Monomial, (m + beta * a, a * c1, d * b1, r + gamma * d))
 
 
 def adjoint(x: Monomial) -> Monomial:
     """Formal star: (s^m v_a v_b* s*^n)* = s^n v_b v_a* s*^m."""
     if x.is_zero:
         return ZERO
-    return Monomial(x.n, x.b, x.a, x.m)
+    return tuple.__new__(Monomial, (x.n, x.b, x.a, x.m))
 
 
 def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
@@ -207,167 +194,6 @@ def product_table(left: Sequence[Monomial], right: Sequence[Monomial]) -> tuple[
         count=len(left) * len(right),
     )
     return list(slots), index.reshape(len(left), len(right))
-
-
-# --------------------------------------------------------------------------
-# exact scalars and finite linear combinations
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    def __add__(self, other) -> "Scalar":
-        if isinstance(other, (complex, float)):
-            return complex(self) + other  # float mode wins
-        other = _exact(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "Scalar":
-        return self + (-other if isinstance(other, (complex, float)) else -_exact(other))
-
-    def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (complex, float)):
-            return complex(self) * other
-        other = _exact(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        return f"{self.re}+{self.im}i"
-
-
-Scalar = Union[GaussianRational, complex]
-
-
-def _exact(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(Fraction(c))
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
-def _as_scalar(c) -> Scalar:
-    """Exact scalars stay exact; floats and complex drop to float mode."""
-    if isinstance(c, (GaussianRational, complex)):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(Fraction(c))
-    if isinstance(c, float):
-        return complex(c)
-    raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
-
-
-def _conj(c: Scalar) -> Scalar:
-    return c.conjugate()
-
-
-class AlgebraElement:
-    """Finite linear combination of spanning monomials.
-
-    Coefficients are exact Gaussian rationals by default; passing a float or
-    complex coefficient switches the affected terms to float mode.  Zero
-    coefficients are never stored, and the zero monomial is never a key.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
-        self._terms: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                self._add_term(mono, _as_scalar(coeff))
-
-    def _add_term(self, mono: Monomial, coeff: Scalar) -> None:
-        if mono.is_zero or not coeff:
-            return
-        cur = self._terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self._terms[mono] = new
-        else:
-            self._terms.pop(mono, None)
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial, coeff=1) -> "AlgebraElement":
-        return cls({mono: coeff} if not mono.is_zero else None)
-
-    def terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].m, kv[0].a, kv[0].b, kv[0].n))
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(mono, GaussianRational(Fraction(0)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = AlgebraElement()
-        for mono, coeff in self._terms.items():
-            out._add_term(mono, coeff)
-        for mono, coeff in other._terms.items():
-            out._add_term(mono, coeff)
-        return out
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = AlgebraElement()
-        for lm, lc in self._terms.items():
-            for rm, rc in other._terms.items():
-                out._add_term(monomial_mul(lm, rm), lc * rc)
-        return out
-
-    def scaled(self, coeff) -> "AlgebraElement":
-        out = AlgebraElement()
-        c = _as_scalar(coeff)
-        for mono, cur in self._terms.items():
-            out._add_term(mono, cur * c)
-        return out
-
-    def adjoint(self) -> "AlgebraElement":
-        out = AlgebraElement()
-        for mono, coeff in self._terms.items():
-            out._add_term(adjoint(mono), _conj(coeff))
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({coeff})*{mono}" for mono, coeff in self.terms())
 
 
 # --------------------------------------------------------------------------
@@ -476,39 +302,3 @@ def reduce_word(word: str | Iterable[GeneratorToken], expand_composite: bool = F
             return ZERO
     return out
 
-
-# --------------------------------------------------------------------------
-# dynamics and expectations
-# --------------------------------------------------------------------------
-
-
-def sigma_phase(x: Monomial, t: float) -> complex:
-    """Eigenvalue of the time evolution at time t: (a/b)^(it)."""
-    if x.is_zero:
-        raise ValueError("zero has no dynamical phase")
-    return cmath.exp(1j * t * (math.log(x.a) - math.log(x.b)))
-
-
-def sigma_analytic_factor(x: Monomial, beta: float) -> float:
-    """Scalar with sigma_{i*beta}(x) = (a/b)^(-beta) * x."""
-    if x.is_zero:
-        raise ValueError("zero has no dynamical phase")
-    return (x.a / x.b) ** (-beta)
-
-
-def expectation_coaction(x: AlgebraElement) -> AlgebraElement:
-    """Projection onto the diagonal monomials (a = b and m = n)."""
-    out = AlgebraElement()
-    for mono, coeff in x.terms():
-        if mono.a == mono.b and mono.m == mono.n:
-            out._add_term(mono, coeff)
-    return out
-
-
-def expectation_dual_action(x: AlgebraElement) -> AlgebraElement:
-    """Projection onto the fixed points of the dynamics (a = b)."""
-    out = AlgebraElement()
-    for mono, coeff in x.terms():
-        if mono.a == mono.b:
-            out._add_term(mono, coeff)
-    return out

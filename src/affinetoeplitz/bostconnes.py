@@ -279,5 +279,8 @@ def character_to_json(chi: DirichletCharacter) -> dict:
 def character_from_json(obj: dict) -> DirichletCharacter:
     if not isinstance(obj, dict):
         raise ValueError(f"a character is a JSON object, got {obj!r}")
-    angles = {int(u): Fraction(str(t)) for u, t in obj["values"].items()}
+    values = obj["values"]
+    if not isinstance(values, dict) or not isinstance(obj["modulus"], (int, float, str)):
+        raise ValueError(f"a character is {{'modulus': int, 'values': {{unit: angle}}}}, got {obj!r}")
+    angles = {int(u): Fraction(str(t)) for u, t in values.items()}
     return DirichletCharacter.from_angles(int(obj["modulus"]), angles)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, inf, isqrt
 from typing import Iterable, Iterator
 
@@ -257,8 +258,11 @@ class SupernaturalNumber:
         if not isinstance(obj, dict):
             raise ValueError(f"a supernatural number is a JSON object, got {obj!r}")
         default = inf if obj.get("default") == "inf" else 0
+        factors = obj.get("factors", {})
+        if not isinstance(factors, dict) or not all(isinstance(v, (int, float, str)) for v in factors.values()):
+            raise ValueError(f"factors are a JSON object of prime -> exponent, got {factors!r}")
         exps: dict[int, int | float] = {}
-        for key, val in obj.get("factors", {}).items():
+        for key, val in factors.items():
             exps[int(key)] = inf if val == "inf" else int(val)
         return cls.from_exponents(exps, default)
 
@@ -377,13 +381,15 @@ def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
 _ZETA_TOL = 1e-12
 
 
+@lru_cache(maxsize=256)
 def zeta(s: float) -> float:
     """Riemann zeta for s > 1 within absolute error `_ZETA_TOL`.
 
     Direct series plus an integral tail correction; two Euler-Maclaurin
     correction terms keep the cutoff small near s = 1.  The remainder after
     the B_2 term is bounded by the first omitted term
-    s(s+1)(s+2)/720 * N^(-s-3), which fixes the cutoff N.
+    s(s+1)(s+2)/720 * N^(-s-3), which fixes the cutoff N.  Memoised: the
+    states evaluate the same zeta(beta - 1) on every off-diagonal monomial.
     """
     if s == inf:
         return 1.0

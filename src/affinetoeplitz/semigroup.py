@@ -177,6 +177,4 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
         return None
     a1, b1 = a // g, b // g
     alpha, beta = euclid_smallest(a1, b1, (n - m) // g)
-    l = m + a * alpha
-    assert l == n + b * beta
-    return Join(l=l, lcm=a * b // g, alpha=alpha, beta=beta, a_prime=a1, b_prime=b1)
+    return Join(l=m + a * alpha, lcm=a * b // g, alpha=alpha, beta=beta, a_prime=a1, b_prime=b1)

@@ -574,7 +574,13 @@ def measure_from_json(obj: dict) -> CircleMeasure:
         raise ValueError(f"a circle measure is a JSON object, got {obj!r}")
     if obj.get("lebesgue"):
         return CircleMeasure.lebesgue()
-    return CircleMeasure.from_atoms((Fraction(t), Fraction(w)) for t, w in obj["atoms"])
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float, str)) for v in pair)
+        for pair in atoms
+    ):
+        raise ValueError(f"atoms are a JSON list of [angle, weight] pairs, got {atoms!r}")
+    return CircleMeasure.from_atoms((Fraction(t), Fraction(w)) for t, w in atoms)
 
 
 def state_to_json(phi: StateSpec) -> dict:

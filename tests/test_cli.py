@@ -206,6 +206,9 @@ class TestSuiteCommands:
             ["spectrum", "--point", "[]"],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":5}'],
             ["bc", "--mode", "euler", "--character", "[]"],
+            ["bc", "--mode", "euler", "--character", '{"modulus":4,"values":[]}'],
+            ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":[]}}'],
+            ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":5}', "--grid", "1"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):
