@@ -18,9 +18,6 @@ from .numtheory import (
     crt_split,
     factorize,
     sn_divides,
-    sn_gcd,
-    sn_lcm,
-    times_a_embed,
     zeta,
     zeta_e,
 )
@@ -51,9 +48,6 @@ __all__ = [
     "crt_split",
     "factorize",
     "sn_divides",
-    "sn_gcd",
-    "sn_lcm",
-    "times_a_embed",
     "zeta",
     "zeta_e",
     "GroupElement",

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import is_prime
+from .numtheory import is_prime, json_number
 from .semigroup import euclid_smallest
 
 __all__ = [
@@ -118,7 +118,7 @@ class Monomial(namedtuple("Monomial", "m a b n")):
         if obj.get("kind") == "zero":
             return ZERO
         if obj.get("kind") == "mono":
-            return cls(int(obj["m"]), int(obj["a"]), int(obj["b"]), int(obj["n"]))
+            return cls(*(json_number(obj[key]) for key in ("m", "a", "b", "n")))
         raise ValueError(f"not a monomial object: {obj!r}")
 
 

@@ -18,11 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numtheory import factorize, first_primes, is_prime, iter_smooth, smooth_numbers, zeta_e
+from .numtheory import (
+    factorize,
+    first_primes,
+    float_power,
+    is_prime,
+    iter_smooth,
+    json_number,
+    smooth_numbers,
+    zeta_e,
+)
 
 __all__ = [
     "DirichletCharacter",
-    "char_at_un",
     "char_euler_sum",
     "EulerSumResult",
     "invariance_ratio",
@@ -92,10 +100,6 @@ class DirichletCharacter:
         """The unique nontrivial character mod 4 (value -1 at 3)."""
         return cls.from_angles(4, {1: 0, 3: Fraction(1, 2)})
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(t % 1 == 0 for _, t in self.values)
-
     def angle(self, u: int) -> Fraction:
         u %= self.modulus
         u = u or self.modulus
@@ -112,14 +116,6 @@ class DirichletCharacter:
         return {p for p, _ in factorize(self.modulus)}
 
 
-def _neg_power(n: int, beta: float) -> float:
-    """n^-beta, falling back to exp/log (hence 0.0 on underflow) for huge n."""
-    try:
-        return float(n) ** (-beta)
-    except OverflowError:
-        return math.exp(-beta * math.log(n))
-
-
 def _check_disjoint(chi: DirichletCharacter, n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
@@ -128,17 +124,6 @@ def _check_disjoint(chi: DirichletCharacter, n: int) -> None:
             f"{n} shares a prime with the character modulus {chi.modulus}; "
             "the unit embedding is only evaluated off that support"
         )
-
-
-def char_at_un(chi: DirichletCharacter, n: int) -> complex:
-    """chi at the unit u_n attached to n.
-
-    u_n agrees with n at every prime away from n, so when n's support is
-    disjoint from the character's modulus, chi(u_n) = chi(n mod m); anything
-    else is outside the supported regime and raises.
-    """
-    _check_disjoint(chi, n)
-    return chi(n)
 
 
 @dataclass(frozen=True)
@@ -177,13 +162,13 @@ def char_euler_sum(
     abs_terms = []
     for n in ns:
         # support of n lies in ps, already checked disjoint, so chi(u_n) = chi(n mod m)
-        weight = _neg_power(n, beta)
+        weight = float_power(n, -beta)
         terms.append(weight * chi(n))
         abs_terms.append(weight)
     series = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     product = 1.0 + 0j
     for p in ps:
-        product /= 1.0 - float(p) ** (-beta) * chi(p)
+        product /= 1.0 - float_power(p, -beta) * chi(p)
     tail = zeta_e(beta, ps) - math.fsum(abs_terms)
     return EulerSumResult(series, product, max(tail, 0.0), len(ns), ns[-1])
 
@@ -211,8 +196,9 @@ def invariance_ratio(
     numerator = 1.0 + 0j
     denominator = 1.0
     for p in admissible:
-        numerator /= 1.0 - float(p) ** (-beta) * chi(p)
-        denominator *= 1.0 / (1.0 - float(p) ** (-beta))
+        weight = float_power(p, -beta)
+        numerator /= 1.0 - weight * chi(p)
+        denominator *= 1.0 / (1.0 - weight)
         out.append(abs(numerator) / denominator)
     return out
 
@@ -250,13 +236,13 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
         for s in subsets:
             ns = math.prod(s)
             l = ns * kp // gcd(ns, kp)
-            total += (-1.0) ** len(s) * float(l) ** (-beta)
+            total += (-1.0) ** len(s) * float_power(l, -beta)
         return total * zeta_window  # conditional state: normalised compression
 
-    lhs = float(k) ** (-beta)
+    lhs = float_power(k, -beta)
     terms = []
     for count, n in enumerate(iter_smooth(ps)):
-        weight = _neg_power(n, beta)
+        weight = float_power(n, -beta)
         if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
             break  # |conditional values| <= zeta_window, so the tail is negligible
         kp = k // gcd(k, n)
@@ -280,7 +266,7 @@ def character_from_json(obj: dict) -> DirichletCharacter:
     if not isinstance(obj, dict):
         raise ValueError(f"a character is a JSON object, got {obj!r}")
     values = obj["values"]
-    if not isinstance(values, dict) or not isinstance(obj["modulus"], (int, float, str)):
+    if not isinstance(values, dict):
         raise ValueError(f"a character is {{'modulus': int, 'values': {{unit: angle}}}}, got {obj!r}")
     angles = {int(u): Fraction(str(t)) for u, t in values.items()}
-    return DirichletCharacter.from_angles(int(obj["modulus"]), angles)
+    return DirichletCharacter.from_angles(json_number(obj["modulus"]), angles)

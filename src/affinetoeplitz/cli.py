@@ -18,6 +18,7 @@ from math import inf, isnan
 
 from . import bostconnes, representation, spectrum, states
 from .algebra import Monomial, WordSyntaxError, monomial_grid, product_table, reduce_word
+from .numtheory import float_power
 from .semigroup import SemigroupElement, euclid_smallest, join
 from .states import PrimeWindow
 
@@ -178,7 +179,7 @@ def _cmd_rep_check(args) -> tuple[int, dict]:
 def _cmd_measure(args) -> tuple[int, dict]:
     beta = _parse_beta(args.beta)
     value, tail = states.measure_cylinder(beta, args.m, args.a)
-    closed = float(args.a) ** -beta if beta != 1 else 1.0 / args.a
+    closed = 1 / args.a if beta == 1 else float_power(args.a, -beta)
     payload = {"series": value, "tail": tail, "closed_form": closed}
     if abs(value - closed) > tail + 2.0 ** (-args.precision):
         return 1, payload

@@ -16,6 +16,7 @@ explicitly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,12 +34,11 @@ __all__ = [
     "divisors",
     "smooth_numbers",
     "sn_divides",
-    "sn_gcd",
-    "sn_lcm",
     "int_divides_sn",
     "crt_split",
     "crt_combine",
-    "times_a_embed",
+    "float_power",
+    "json_number",
     "zeta",
     "zeta_e",
 ]
@@ -155,15 +155,23 @@ def iter_smooth(primes: Iterable[int]) -> Iterator[int]:
                 heapq.heappush(heap, m)
 
 
-def smooth_numbers(primes: Iterable[int], *, count: int | None = None, limit: int | None = None) -> list[int]:
-    """The first `count` smooth numbers over `primes`, or all of them <= `limit`."""
-    if count is None and limit is None:
-        raise ValueError("specify count or limit")
-    out: list[int] = []
-    for n in iter_smooth(primes):
-        if (limit is not None and n > limit) or (count is not None and len(out) >= count):
-            break
-        out.append(n)
+def smooth_numbers(primes: Iterable[int], *, count: int) -> list[int]:
+    """The first `count` smooth numbers over `primes`."""
+    return list(itertools.islice(iter_smooth(primes), count))
+
+
+def json_number(value, kind: type = int):
+    """An integer (`kind` int) or real (`kind` float) leaf of a JSON input.
+
+    Accepts a JSON number or a numeric string ("inf" for a real) whose value
+    `kind` represents exactly; anything else -- null, a boolean, a container,
+    0.5 where an integer is due -- raises ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    out = kind(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
     return out
 
 
@@ -202,11 +210,6 @@ class SupernaturalNumber:
     @classmethod
     def from_int(cls, n: int) -> "SupernaturalNumber":
         return cls(factorize(n), 0)
-
-    @classmethod
-    def nabla(cls) -> "SupernaturalNumber":
-        """The largest supernatural number (every exponent infinite)."""
-        return cls((), inf)
 
     @classmethod
     def from_exponents(cls, exps: dict[int, int | float], default: int | float = 0) -> "SupernaturalNumber":
@@ -257,40 +260,22 @@ class SupernaturalNumber:
     def from_json(cls, obj: dict) -> "SupernaturalNumber":
         if not isinstance(obj, dict):
             raise ValueError(f"a supernatural number is a JSON object, got {obj!r}")
-        default = inf if obj.get("default") == "inf" else 0
+        default = inf if obj.get("default") == "inf" else json_number(obj.get("default", 0))
         factors = obj.get("factors", {})
-        if not isinstance(factors, dict) or not all(isinstance(v, (int, float, str)) for v in factors.values()):
+        if not isinstance(factors, dict):
             raise ValueError(f"factors are a JSON object of prime -> exponent, got {factors!r}")
-        exps: dict[int, int | float] = {}
-        for key, val in factors.items():
-            exps[int(key)] = inf if val == "inf" else int(val)
+        exps = {int(key): inf if val == "inf" else json_number(val) for key, val in factors.items()}
         return cls.from_exponents(exps, default)
 
 
-NABLA = SupernaturalNumber.nabla()
-
-
-def _exp_pairs(m: SupernaturalNumber, n: SupernaturalNumber) -> Iterator[tuple[int, int | float, int | float]]:
-    primes = sorted({p for p, _ in m.listed} | {p for p, _ in n.listed})
-    for p in primes:
-        yield p, m.exponent(p), n.exponent(p)
+NABLA = SupernaturalNumber((), inf)  # the largest: every exponent infinite
 
 
 def sn_divides(m: SupernaturalNumber, n: SupernaturalNumber) -> bool:
     """Pointwise exponent comparison e_p(m) <= e_p(n)."""
     if m.default > n.default:
         return False
-    return all(em <= en for _, em, en in _exp_pairs(m, n))
-
-
-def sn_gcd(m: SupernaturalNumber, n: SupernaturalNumber) -> SupernaturalNumber:
-    exps = {p: min(em, en) for p, em, en in _exp_pairs(m, n)}
-    return SupernaturalNumber.from_exponents(exps, min(m.default, n.default))
-
-
-def sn_lcm(m: SupernaturalNumber, n: SupernaturalNumber) -> SupernaturalNumber:
-    exps = {p: max(em, en) for p, em, en in _exp_pairs(m, n)}
-    return SupernaturalNumber.from_exponents(exps, max(m.default, n.default))
+    return all(m.exponent(p) <= n.exponent(p) for p, _ in m.listed + n.listed)
 
 
 def int_divides_sn(a: int, n: SupernaturalNumber) -> bool:
@@ -337,18 +322,6 @@ class ResidueClass:
         return f"{self.value} mod {self.modulus}"
 
 
-def times_a_embed(n: ResidueClass, a: int) -> ResidueClass:
-    """The injection Z/b -> Z/ab induced by multiplication by a.
-
-    The image is exactly the classes divisible by a, and reducing the result
-    mod b' recovers the multiplication-by-a semantics of the short exact
-    sequence 0 -> Z/b -> Z/ab -> Z/a -> 0.
-    """
-    if a < 1:
-        raise ValueError("a must be positive")
-    return ResidueClass(a * n.modulus, a * n.value)
-
-
 def crt_split(r: ResidueClass) -> list[ResidueClass]:
     """Reduce a residue mod N to its prime-power components."""
     return [r.reduce(p**e) for p, e in factorize(r.modulus)]
@@ -374,8 +347,21 @@ def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
 
 
 # --------------------------------------------------------------------------
-# zeta values
+# powers and zeta values
 # --------------------------------------------------------------------------
+
+
+def float_power(n: int, s: float) -> float:
+    """n^s as a float for an integer n >= 1 of any size.
+
+    IEEE pow wherever n fits a double (so 1^s = 1 and n^-inf = 0 for n >= 2;
+    an overflowing result raises OverflowError), and exp(s log n) beyond.
+    """
+    try:
+        base = float(n)
+    except OverflowError:
+        return math.exp(s * math.log(n))
+    return base**s
 
 
 _ZETA_TOL = 1e-12

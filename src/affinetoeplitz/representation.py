@@ -334,7 +334,7 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
         for p in primes:
             check(f"T1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
             check(f"T4[p={p}]", [_tok("s", star=True), _tok("v", p)],
-                  [_tok("s", power=p - 1), _tok("v", p), _tok("s", star=True)] if p > 1 else None)
+                  [_tok("s", power=p - 1), _tok("v", p), _tok("s", star=True)])
             for k in range(1, p):
                 check(f"T5[p={p},k={k}]", [_tok("v", p, star=True), _tok("s", power=k), _tok("v", p)], None)
         for p in primes:

@@ -45,10 +45,6 @@ class SemigroupElement:
     def to_group(self) -> "GroupElement":
         return GroupElement(Fraction(self.m), Fraction(self.a))
 
-    @classmethod
-    def identity(cls) -> "SemigroupElement":
-        return cls(0, 1)
-
 
 @dataclass(frozen=True)
 class GroupElement:

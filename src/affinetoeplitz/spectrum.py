@@ -8,26 +8,25 @@ The nonempty hereditary directed subsets of the monoid come in two families:
   coherent residue family r over the divisors of the (possibly supernatural)
   modulus N -- the sets lying at additive infinity.
 
-Residue families are represented either by an integer generator (defined at
-every level) or by a residue at a declared finite level; queries beyond the
-declared level raise `LevelExceededError` rather than guess.  The boundary
-consists of the B-points with every exponent infinite, where the monoid acts
-by (m, a) . r = m + a r.
+A residue family is one (value, level) pair: an integer family a -> value
+mod a (level None, defined at every level) or a residue at a declared finite
+level; queries beyond the declared level raise `LevelExceededError` rather
+than guess.  The boundary consists of the B-points with every exponent
+infinite, where the monoid acts by (m, a) . r = m + a r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Iterable, Mapping, Union
 
 from .numtheory import (
-    NABLA,
     ResidueClass,
     SupernaturalNumber,
     crt_combine,
     factorize,
     int_divides_sn,
+    json_number,
     sn_divides,
 )
 from .semigroup import SemigroupElement, join
@@ -38,7 +37,6 @@ __all__ = [
     "APoint",
     "BPoint",
     "SpectrumPoint",
-    "BoundaryPoint",
     "contains",
     "includes",
     "boundary_act",
@@ -58,51 +56,34 @@ class LevelExceededError(ValueError):
 class ResidueFamily:
     """A coherent family of residues, one for each finite level.
 
-    Either `generator` is set (the family a -> generator mod a, defined at
-    every level) or (`value`, `level`) pin a residue mod `level`, which
-    determines the family exactly at the divisors of `level`.
+    With `level` None this is the integer family a -> value mod a, defined at
+    every level; otherwise `value` is a residue mod `level` (reduced on
+    construction), which determines the family exactly at the divisors of
+    `level`.
     """
 
-    generator: int | None = None
-    value: int | None = None
+    value: int
     level: int | None = None
 
     def __post_init__(self) -> None:
-        if self.generator is not None:
-            if self.value is not None or self.level is not None:
-                raise ValueError("generator excludes an explicit table")
-        else:
-            if self.value is None or self.level is None:
-                raise ValueError("need either a generator or value+level")
-            if self.level < 1 or not 0 <= self.value < self.level:
-                raise ValueError("value must lie in [0, level)")
+        if self.level is not None:
+            if self.level < 1:
+                raise ValueError(f"level must be >= 1, got {self.level}")
+            object.__setattr__(self, "value", self.value % self.level)
 
     @classmethod
     def from_int(cls, g: int) -> "ResidueFamily":
-        return cls(generator=g)
+        return cls(g)
 
     @classmethod
     def from_residue(cls, value: int, level: int) -> "ResidueFamily":
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        return cls(value=value % level, level=level)
-
-    @property
-    def max_level(self) -> int | float:
-        return inf if self.generator is not None else self.level
-
-    def defined_at(self, a: int) -> bool:
-        if self.generator is not None:
-            return True
-        return self.level % a == 0
+        return cls(value, level)
 
     def at(self, a: int) -> int:
         """The residue mod a; raises LevelExceededError when undetermined."""
         if a < 1:
             raise ValueError("level must be positive")
-        if self.generator is not None:
-            return self.generator % a
-        if self.level % a != 0:
+        if self.level is not None and self.level % a != 0:
             raise LevelExceededError(
                 f"residue mod {a} is not determined by a table at level {self.level}"
             )
@@ -130,11 +111,6 @@ class BPoint:
 
 
 SpectrumPoint = Union[APoint, BPoint]
-
-
-def BoundaryPoint(r: ResidueFamily) -> BPoint:
-    """A point of the boundary: a residue family with every exponent infinite."""
-    return BPoint(r, NABLA)
 
 
 def contains(w: SpectrumPoint, x: SemigroupElement) -> bool:
@@ -174,15 +150,11 @@ def includes(w1: SpectrumPoint, w2: SpectrumPoint, level: int) -> bool:
 def boundary_act(x: SemigroupElement, point: BPoint) -> BPoint:
     """The action (m, a) . r = m + a r on boundary points.
 
-    An integer generator stays an integer generator (every level remains
-    available); a level-L table yields a level-L table, since m + a r mod l
-    is determined by r mod l for every l | L.
+    The level is kept: an integer family stays an integer family, and a
+    level-L family yields a level-L family, since m + a r mod l is
+    determined by r mod l for every l | L.
     """
-    fam = point.r
-    if fam.generator is not None:
-        return BPoint(ResidueFamily.from_int(x.m + x.a * fam.generator), point.N)
-    new_value = (x.m + x.a * fam.value) % fam.level
-    return BPoint(ResidueFamily.from_residue(new_value, fam.level), point.N)
+    return BPoint(ResidueFamily(x.m + x.a * point.r.value, point.r.level), point.N)
 
 
 def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueClass]:
@@ -261,19 +233,14 @@ def verify_hereditary_directed(
 def point_to_json(point: SpectrumPoint) -> dict:
     """{"kind":"A","k":..,"N":..} or {"kind":"B","generator":..,"N":..[,"level":..]}.
 
-    A B-point with a declared level records the generating residue together
-    with that level; an integer-generated family omits the level (defined
-    everywhere).
+    A B-point writes its family's value as "generator", plus the level when
+    one is declared; an integer family (defined everywhere) omits it.
     """
     if isinstance(point, APoint):
         return {"kind": "A", "k": point.k, "N": point.N.to_json()}
-    fam = point.r
-    obj: dict = {"kind": "B", "N": point.N.to_json()}
-    if fam.generator is not None:
-        obj["generator"] = fam.generator
-    else:
-        obj["generator"] = fam.value
-        obj["level"] = fam.level
+    obj = {"kind": "B", "generator": point.r.value, "N": point.N.to_json()}
+    if point.r.level is not None:
+        obj["level"] = point.r.level
     return obj
 
 
@@ -282,11 +249,8 @@ def point_from_json(obj: dict) -> SpectrumPoint:
         raise ValueError(f"a spectrum point is a JSON object, got {obj!r}")
     N = SupernaturalNumber.from_json(obj["N"])
     if obj["kind"] == "A":
-        return APoint(int(obj["k"]), N)
+        return APoint(json_number(obj["k"]), N)
     if obj["kind"] == "B":
-        if "level" in obj:
-            fam = ResidueFamily.from_residue(int(obj["generator"]), int(obj["level"]))
-        else:
-            fam = ResidueFamily.from_int(int(obj["generator"]))
-        return BPoint(fam, N)
+        level = json_number(obj["level"]) if "level" in obj else None
+        return BPoint(ResidueFamily(json_number(obj["generator"]), level), N)
     raise ValueError(f"unknown spectrum point kind {obj.get('kind')!r}")

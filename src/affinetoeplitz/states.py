@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Monomial, adjoint, monomial_mul, product_table
-from .numtheory import divisors, factorize, is_prime, zeta, zeta_e
+from .numtheory import divisors, factorize, float_power, is_prime, json_number, zeta, zeta_e
 
 __all__ = [
     "CircleMeasure",
@@ -231,13 +231,6 @@ class PrimeWindow:
 # --------------------------------------------------------------------------
 
 
-def _a_pow(a: int, exponent: float) -> float:
-    """a^exponent with the infinite-temperature conventions."""
-    if exponent == -inf:
-        return 1.0 if a == 1 else 0.0
-    return float(a) ** exponent
-
-
 def evaluate(phi: StateSpec, x: Monomial) -> complex:
     """Value of the state on a spanning monomial.
 
@@ -254,7 +247,7 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
     if isinstance(phi, PsiBeta):
         if x.a != x.b or x.m != x.n:
             return 0j
-        return complex(_a_pow(x.a, -phi.beta))
+        return complex(float_power(x.a, -phi.beta))
     if isinstance(phi, PsiBetaMu):
         if phi.beta == inf:
             if x.a != 1 or x.b != 1:
@@ -264,12 +257,12 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
             return 0j
         k = x.m - x.n
         if k == 0:
-            return complex(_a_pow(x.a, -phi.beta))
+            return complex(float_power(x.a, -phi.beta))
         norm = x.a * zeta(phi.beta - 1)
         total = 0j
         for d in divisors(abs(k)):
             if d % x.a == 0:
-                total += d ** (1.0 - phi.beta) * moment(phi.mu, k // d)
+                total += float_power(d, 1.0 - phi.beta) * moment(phi.mu, k // d)
         return total / norm
     if isinstance(phi, Ground):
         if x.a != 1 or x.b != 1:
@@ -326,7 +319,7 @@ def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = No
     yx = monomial_mul(y, x)
     left = 0j if xy.is_zero else evaluate(phi, xy)
     right = 0j if yx.is_zero else evaluate(phi, yx)
-    return abs(_a_pow(x.a, beta) * left - _a_pow(x.b, beta) * right)
+    return abs(float_power(x.a, beta) * left - float_power(x.b, beta) * right)
 
 
 def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None = None) -> float:
@@ -345,7 +338,7 @@ def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None =
         rhs = 0j
     else:
         power = Monomial.s_power((x.m - x.n) // x.a)
-        rhs = _a_pow(x.a, -beta) * evaluate(phi, power)
+        rhs = float_power(x.a, -beta) * evaluate(phi, power)
     return abs(value - rhs)
 
 
@@ -363,8 +356,8 @@ def kms_grid(phi: StateSpec, monos: Sequence[Monomial], table: tuple, beta: floa
     if not math.isfinite(beta):
         raise ValueError(f"the equilibrium condition is checked at a finite beta, got {beta}")
     values = evaluate_batch(phi, *table)
-    weight_a = np.array([_a_pow(x.a, beta) for x in monos])[:, None]
-    weight_b = np.array([_a_pow(x.b, beta) for x in monos])[:, None]
+    weight_a = np.array([float_power(x.a, beta) for x in monos])[:, None]
+    weight_b = np.array([float_power(x.b, beta) for x in monos])[:, None]
     defects = np.abs(weight_a * values - weight_b * values.T)
     i, j = np.unravel_index(np.argmax(defects), defects.shape)
     chars = [kms_characterisation_check(phi, x, beta) for x in monos]
@@ -421,7 +414,7 @@ def measure_cylinder(beta: float, m: int, a: int) -> tuple[float, float]:
     if a < 1 or m < 0:
         raise ValueError("need a >= 1 and m >= 0")
     if beta == 1:
-        return 1.0 / a, 0.0
+        return 1 / a, 0.0
     if beta == inf:
         return (1.0 if a == 1 else 0.0), 0.0
     value = 1.0
@@ -607,16 +600,14 @@ def state_from_json(obj: dict) -> StateSpec:
         raise ValueError(f"a state is a JSON object, got {obj!r}")
     variant = obj.get("variant")
     if variant == "psi_beta":
-        beta = obj["beta"]
-        return PsiBeta(inf if beta == "inf" else float(beta))
+        return PsiBeta(json_number(obj["beta"], float))
     if variant == "psi_beta_mu":
-        beta = obj["beta"]
-        return PsiBetaMu(inf if beta == "inf" else float(beta), measure_from_json(obj["mu"]))
+        return PsiBetaMu(json_number(obj["beta"], float), measure_from_json(obj["mu"]))
     if variant == "ground":
         omega = obj["omega"]
         if not isinstance(omega, dict):
             raise ValueError(f"omega is a JSON object, got {omega!r}")
         if "vector" in omega:
-            return Ground(VectorState(int(omega["vector"])))
+            return Ground(VectorState(json_number(omega["vector"])))
         return Ground(Evaluation(Fraction(str(omega["evaluation"]))))
     raise ValueError(f"unknown state variant {variant!r}")

@@ -3,22 +3,14 @@ import time
 import pytest
 
 from affinetoeplitz import algebra
-from affinetoeplitz.algebra import Monomial
 
 GRID_MULTS = (1, 2, 3, 4, 6)
-GRID_SHIFT = range(6)
 
 
 @pytest.fixture(scope="session")
 def grid_monomials():
-    """The verification grid: m, n <= 5 and a, b in {1, 2, 3, 4, 6}."""
-    return [
-        Monomial(m, a, b, n)
-        for m in GRID_SHIFT
-        for a in GRID_MULTS
-        for b in GRID_MULTS
-        for n in GRID_SHIFT
-    ]
+    """The verification grid: m, n <= 5 and a, b in {1, 2, 3, 4, 6}, in (m, a, b, n) order."""
+    return sorted(algebra.monomial_grid(5, GRID_MULTS))
 
 
 @pytest.fixture(scope="session")

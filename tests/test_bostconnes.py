@@ -7,7 +7,6 @@ import pytest
 from affinetoeplitz.bostconnes import (
     DirichletCharacter,
     bc_reconstruct_check,
-    char_at_un,
     char_euler_sum,
     character_from_json,
     character_to_json,
@@ -20,15 +19,9 @@ CHI4 = DirichletCharacter.quadratic_mod4()
 
 class TestCharacter:
     def test_values(self):
-        assert abs(char_at_un(CHI4, 3) + 1) < 1e-15
-        assert char_at_un(CHI4, 1) == 1
-        assert abs(char_at_un(CHI4, 9) - 1) < 1e-15
-
-    def test_rejects_overlapping_support(self):
-        with pytest.raises(ValueError):
-            char_at_un(CHI4, 6)
-        with pytest.raises(ValueError):
-            char_at_un(CHI4, 2)
+        assert abs(CHI4(3) + 1) < 1e-15
+        assert CHI4(1) == 1
+        assert abs(CHI4(9) - 1) < 1e-15
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -45,7 +38,7 @@ class TestCharacter:
         )
         assert abs(chi(2) - 1j) < 1e-15
         assert abs(chi(4) + 1) < 1e-15
-        assert not chi.is_trivial
+        assert any(abs(chi(u) - 1) > 0.5 for u in range(1, 5))  # nontrivial
         assert DirichletCharacter.from_generator(5, 2, Fraction(1, 4)) == chi
         assert DirichletCharacter.from_generator(4, 3, Fraction(1, 2)) == CHI4
         with pytest.raises(ValueError):
@@ -56,8 +49,8 @@ class TestCharacter:
         admissible = [n for n in range(1, 4000) if n % 2 == 1]
         for _ in range(1000):
             a, b = rng.choice(admissible), rng.choice(admissible)
-            lhs = char_at_un(CHI4, a * b)
-            rhs = char_at_un(CHI4, a) * char_at_un(CHI4, b)
+            lhs = CHI4(a * b)
+            rhs = CHI4(a) * CHI4(b)
             assert abs(lhs - rhs) < 1e-14
 
     def test_json_round_trip(self):
@@ -65,6 +58,9 @@ class TestCharacter:
             assert character_from_json(character_to_json(chi)) == chi
         obj = character_to_json(CHI4)
         assert obj == {"modulus": 4, "values": {"1": 0, "3": "1/2"}}
+        for modulus in (4.5, None, [4]):
+            with pytest.raises(ValueError):
+                character_from_json({**obj, "modulus": modulus})
 
 
 class TestEulerSum:
@@ -142,9 +138,8 @@ class TestReconstruction:
 
 
 def test_smooth_enumeration_is_sorted_and_complete():
-    got = smooth_numbers([3, 5], limit=100)
     want = sorted(n for n in range(1, 101) if all(p in (3, 5) for p in _factors(n)))
-    assert got == want
+    assert smooth_numbers([3, 5], count=len(want)) == want
 
 
 def _factors(n):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,24 @@ class TestStateCommands:
         assert code == 0
         assert float(json.loads(out)["closed_form"]) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "argv, path, want",
+        [
+            (["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "v2^1100 v2^1100*"], ("value", "re"), 0.0),
+            # psi_{3,delta_0}(s^k) = sum_{d | k} d^-2 / zeta(2): k = 2^1100 gives (4/3) / zeta(2) = 8/pi^2
+            (["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--word", f"s^{2**1100}"], ("value", "re"),
+             8 / math.pi**2),
+            (["measure", "--beta", "2", "0", str(2**1100)], ("closed_form",), 0.0),
+        ],
+    )
+    def test_indices_beyond_doubles(self, capsys, argv, path, want):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0, err
+        got = json.loads(out)
+        for key in path:
+            got = got[key]
+        assert float(got) == pytest.approx(want, abs=1e-12)
+
     def test_reconstruct(self, capsys):
         code, out, _ = run_capture(
             capsys,
@@ -118,6 +137,11 @@ class TestSuiteCommands:
         assert code == 0
         report = json.loads(out)
         assert all(entry["pass"] for entry in report["relations"].values())
+
+    def test_rep_check_index_one(self, capsys):
+        code, out, _ = run_capture(capsys, ["rep-check", "--model", "x", "--primes", "1", "--window", "4"])
+        assert code == 0
+        assert json.loads(out)["relations"]["T4[p=1]"] == {"pass": True}
 
     def test_rep_check_empty_window_exit_2(self, capsys):
         code, out, err = run_capture(capsys, ["rep-check", "--model", "x", "--window", "-1"])
@@ -209,6 +233,13 @@ class TestSuiteCommands:
             ["bc", "--mode", "euler", "--character", '{"modulus":4,"values":[]}'],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":[]}}'],
             ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":5}', "--grid", "1"],
+            ["spectrum", "--point", '{"kind":"A","k":[1],"N":{"factors":{}}}', "--contains", "0", "1"],
+            ["spectrum", "--point", '{"kind":"B","generator":null,"N":{"factors":{}}}', "--contains", "0", "1"],
+            ["state-eval", "--state", "psi_beta", "--beta", "2", "--monomial", '{"kind":"mono","m":[0],"a":1,"b":1,"n":0}'],
+            ["kms-check", "--state", '{"variant":"psi_beta","beta":[2]}', "--grid", "0"],
+            ["kms-check", "--state", '{"variant":"ground","omega":{"vector":[1]}}', "--at-beta", "2", "--grid", "0"],
+            ["state-eval", "--state", "psi_beta", "--beta", "2", "--monomial", '{"kind":"mono","m":0.5,"a":1,"b":1,"n":0}'],
+            ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"2":1.5}}}', "--contains", "0", "2"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):

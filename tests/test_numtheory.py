@@ -15,14 +15,13 @@ from affinetoeplitz.numtheory import (
     divisors,
     factorize,
     first_primes,
+    float_power,
     int_divides_sn,
     is_prime,
+    json_number,
     primes_upto,
     smooth_numbers,
     sn_divides,
-    sn_gcd,
-    sn_lcm,
-    times_a_embed,
     zeta,
     zeta_e,
 )
@@ -103,12 +102,10 @@ def test_divisors():
 
 
 def test_smooth_numbers():
-    assert smooth_numbers([2, 3], limit=20) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
+    assert smooth_numbers([2, 3], count=10) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
     first = smooth_numbers([2], count=5)
     assert first == [1, 2, 4, 8, 16]
     assert smooth_numbers([2], count=0) == []
-    with pytest.raises(ValueError):
-        smooth_numbers([2])
 
 
 class TestSupernatural:
@@ -120,28 +117,19 @@ class TestSupernatural:
         assert sn_divides(twelve, mixed)
         assert not sn_divides(mixed, twelve)
 
-    def test_gcd_example(self):
-        m = SupernaturalNumber.from_exponents({2: inf, 3: 1})
-        n = SupernaturalNumber.from_exponents({2: 2, 5: 1})
-        assert sn_gcd(m, n) == SupernaturalNumber.from_int(4)
+    @settings(max_examples=300, deadline=None)
+    @given(supernaturals, supernaturals)
+    def test_divides_matches_exponents(self, m, n):
+        # reference: compare every exponent up to 17, one prime past the listed ones
+        assert sn_divides(m, n) == all(m.exponent(p) <= n.exponent(p) for p in primes_upto(17))
 
-    def test_gcd_lcm_invariants(self):
-        rng = random.Random(7)
-        primes = [2, 3, 5, 7, 11]
-
-        def random_sn():
-            default = rng.choice([0, inf])
-            exps = {}
-            for p in primes:
-                if rng.random() < 0.5:
-                    exps[p] = rng.choice([0, 1, 2, 3, inf])
-            return SupernaturalNumber.from_exponents(exps, default)
-
-        for _ in range(300):
-            m, n = random_sn(), random_sn()
-            g, l = sn_gcd(m, n), sn_lcm(m, n)
-            assert sn_divides(g, m) and sn_divides(g, n)
-            assert sn_divides(m, l) and sn_divides(n, l)
+    def test_json_rejects_inexact_exponents(self):
+        for bad in (1.5, "1.5", None, [2], True):
+            with pytest.raises(ValueError):
+                SupernaturalNumber.from_json({"factors": {"2": bad}})
+        for default in (5, None, "nabla"):
+            with pytest.raises(ValueError):
+                SupernaturalNumber.from_json({"factors": {}, "default": default})
 
     def test_finite_round_trip(self):
         for n in (1, 2, 360, 97):
@@ -184,15 +172,6 @@ class TestResidues:
         with pytest.raises(ValueError):
             ResidueClass(0, 0)
 
-    def test_times_a_embed(self):
-        assert times_a_embed(ResidueClass(3, 1), 2) == ResidueClass(6, 2)
-        assert times_a_embed(ResidueClass(5, 0), 7) == ResidueClass(35, 0)
-        assert times_a_embed(ResidueClass(3, 2), 5) == ResidueClass(15, 10)
-        # image is the classes divisible by a; quotient map recovers 0 mod a
-        r = times_a_embed(ResidueClass(9, 4), 6)
-        assert r.value % 6 == 0
-        assert r.reduce(6).value == 0
-
     def test_crt_split_values(self):
         parts = crt_split(ResidueClass(12, 7))
         assert [(t.value, t.modulus) for t in parts] == [(3, 4), (1, 3)]
@@ -226,6 +205,38 @@ class TestResidues:
     def test_crt_combine_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             crt_combine([ResidueClass(4, 1), ResidueClass(6, 1)])
+
+
+class TestPowers:
+    def test_float_power_matches_pow(self):
+        for n in (1, 2, 3, 10**6, 2**60):
+            for exponent in (-3.5, -1.0, 0.0, 2.0):
+                assert float_power(n, exponent) == float(n) ** exponent
+
+    def test_float_power_conventions(self):
+        assert float_power(1, -inf) == 1.0
+        assert float_power(2, -inf) == 0.0
+        with pytest.raises(OverflowError):
+            float_power(6, 1000.0)
+
+    def test_float_power_beyond_doubles(self):
+        big = 2**1100
+        assert float_power(big, -2.0) == 0.0
+        assert float_power(big, -inf) == 0.0
+        assert float_power(big, 0.0) == 1.0
+        assert math.isclose(float_power(big, -0.5), 2.0**-550)
+        with pytest.raises(OverflowError):
+            float_power(big, 1.0)
+
+    def test_json_number(self):
+        assert json_number(3) == 3 and json_number(2.0) == 2 and json_number("7") == 7
+        assert json_number(2, float) == 2.0 and json_number("inf", float) == inf
+        for bad in (0.5, "0.5", None, [1], {}, True, "x"):
+            with pytest.raises(ValueError):
+                json_number(bad)
+        for bad in (None, [2], False, "x", math.nan):
+            with pytest.raises(ValueError):
+                json_number(bad, float)
 
 
 class TestZeta:

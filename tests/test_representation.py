@@ -126,6 +126,12 @@ class TestXModel:
         names = set(report["relations"])
         assert "T5[p=5,k=4]" in names and "T3[p=2,q=3]" in names
 
+    def test_relation_suite_index_one(self):
+        # v_1 is the identity, so T4 at p = 1 reads s* = s^0 v_1 s*, with no special case
+        report = relation_suite("x", [1, 2], 4)
+        assert "T4[p=1]" in report["relations"]
+        assert all(entry["pass"] for entry in report["relations"].values())
+
     def test_relation_suite_counterexamples_for_composite_indices(self):
         # v_2 and v_4 are not doubly commuting: T3 fails at the first vector each way
         report = relation_suite("x", [2, 4], 5)

@@ -8,7 +8,6 @@ from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import (
     APoint,
     BPoint,
-    BoundaryPoint,
     LevelExceededError,
     ResidueFamily,
     boundary_act,
@@ -44,7 +43,7 @@ class TestContains:
         assert contains(w, SemigroupElement(4, 4))
 
     def test_b_point_on_boundary(self):
-        w = BoundaryPoint(ResidueFamily.from_int(1))
+        w = BPoint(ResidueFamily.from_int(1), NABLA)
         assert contains(w, SemigroupElement(3, 2))
         assert not contains(w, SemigroupElement(2, 2))
         assert contains(w, SemigroupElement(7, 6))
@@ -56,26 +55,29 @@ class TestContains:
             contains(w, SemigroupElement(1, 8))
 
     def test_family_level_bookkeeping(self):
-        table = ResidueFamily.from_residue(5, 12)
-        assert table.max_level == 12
-        assert table.defined_at(6) and not table.defined_at(8)
+        table = ResidueFamily.from_residue(17, 12)
+        assert table == ResidueFamily(5, 12)
+        assert table.at(6) == 5
+        with pytest.raises(LevelExceededError):
+            table.at(8)
         generated = ResidueFamily.from_int(5)
-        assert generated.max_level == inf
-        assert generated.defined_at(8) and generated.at(8) == 5
+        assert generated.level is None and generated.at(8) == 5
         with pytest.raises(ValueError):
             ResidueFamily.from_int(5).at(0)
+        with pytest.raises(ValueError):
+            ResidueFamily.from_residue(1, 0)
 
 
 class TestIncludes:
     def test_b_in_b(self):
         small = BPoint(ResidueFamily.from_int(1), SupernaturalNumber.from_exponents({2: inf}))
-        big = BoundaryPoint(ResidueFamily.from_int(1))
+        big = BPoint(ResidueFamily.from_int(1), NABLA)
         assert includes(big, small, 64)
         assert not includes(small, big, 64)
 
     def test_b_never_in_a(self):
         a = APoint(10, NABLA)
-        b = BoundaryPoint(ResidueFamily.from_int(0))
+        b = BPoint(ResidueFamily.from_int(0), NABLA)
         assert not includes(a, b, 20)
         assert includes(b, APoint(0, sn(1)), 20)  # A(0,1) = {(0,1)} sits in everything containing (0,1)
 
@@ -118,13 +120,13 @@ class TestIncludes:
 
 class TestBoundaryAction:
     def test_identity_and_example(self):
-        r = BoundaryPoint(ResidueFamily.from_int(5))
+        r = BPoint(ResidueFamily.from_int(5), NABLA)
         assert boundary_act(SemigroupElement(0, 1), r) == r
-        moved = boundary_act(SemigroupElement(1, 2), BoundaryPoint(ResidueFamily.from_int(0)))
+        moved = boundary_act(SemigroupElement(1, 2), BPoint(ResidueFamily.from_int(0), NABLA))
         assert all(moved.r.at(level) == 1 % level for level in range(1, 20))
 
     def test_action_axiom(self):
-        r = BoundaryPoint(ResidueFamily.from_int(3))
+        r = BPoint(ResidueFamily.from_int(3), NABLA)
         two = SemigroupElement(0, 2)
         four = SemigroupElement(0, 4)
         assert boundary_act(two, boundary_act(two, r)) == boundary_act(four, r)
@@ -134,7 +136,7 @@ class TestBoundaryAction:
         for _ in range(200):
             x = SemigroupElement(rng.randrange(0, 11), rng.randrange(1, 11))
             y = SemigroupElement(rng.randrange(0, 11), rng.randrange(1, 11))
-            r = BoundaryPoint(ResidueFamily.from_int(rng.randrange(0, 1000)))
+            r = BPoint(ResidueFamily.from_int(rng.randrange(0, 1000)), NABLA)
             lhs = boundary_act(x, boundary_act(y, r))
             rhs = boundary_act(x * y, r)
             assert all(lhs.r.at(level) == rhs.r.at(level) for level in range(1, 51))
@@ -187,7 +189,7 @@ class TestDecompose:
 class TestHereditaryDirected:
     def test_examples(self):
         assert verify_hereditary_directed(APoint(4, sn(12)), 12)
-        assert verify_hereditary_directed(BoundaryPoint(ResidueFamily.from_int(1)), 10)
+        assert verify_hereditary_directed(BPoint(ResidueFamily.from_int(1), NABLA), 10)
         adhoc = {SemigroupElement(0, 1), SemigroupElement(1, 1), SemigroupElement(0, 2), SemigroupElement(1, 2)}
         assert not verify_hereditary_directed(adhoc, 2)
 
@@ -221,3 +223,17 @@ class TestJson:
         assert obj == {"kind": "A", "k": 4, "N": {"factors": {"2": 2, "3": 1}, "default": 0}}
         obj = point_to_json(BPoint(ResidueFamily.from_residue(7, 12), sn(12)))
         assert obj["kind"] == "B" and obj["generator"] == 7 and obj["level"] == 12
+        obj = point_to_json(BPoint(ResidueFamily.from_int(-3), NABLA))
+        assert obj == {"kind": "B", "generator": -3, "N": {"factors": {}, "default": "inf"}}
+
+    def test_rejects_inexact_leaves(self):
+        n = {"factors": {}, "default": "inf"}
+        for obj in (
+            {"kind": "A", "k": [1], "N": n},
+            {"kind": "A", "k": 0.5, "N": n},
+            {"kind": "B", "generator": None, "N": n},
+            {"kind": "B", "generator": 1, "level": 1.5, "N": n},
+            {"kind": "B", "generator": 1, "level": 0, "N": n},
+        ):
+            with pytest.raises(ValueError):
+                point_from_json(obj)

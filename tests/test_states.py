@@ -38,6 +38,7 @@ from affinetoeplitz.states import (
     state_from_json,
     state_to_json,
 )
+from conftest import GRID_MULTS
 
 POINT_ONE = CircleMeasure.point(0)
 POINT_I = CircleMeasure.point(Fraction(1, 4))
@@ -45,9 +46,6 @@ POINT_OMEGA = CircleMeasure.point(Fraction(1, 3))
 TWO_ATOM = CircleMeasure.from_atoms([(Fraction(1, 8), Fraction(1, 4)), (Fraction(2, 3), Fraction(3, 4))])
 LEBESGUE = CircleMeasure.lebesgue()
 MEASURES = (POINT_ONE, POINT_I, POINT_OMEGA, LEBESGUE, TWO_ATOM)
-
-GRID_MULTS = (1, 2, 3, 4, 6)
-
 
 def brute_psi_beta_mu(beta, mu, mono, cutoff=10**5):
     """Independent divisor-sum evaluation of the measure state.
