@@ -214,6 +214,9 @@ class GeneratorToken:
     star: bool
 
 
+_MAX_INDEX_BITS = 1 << 20  # bound on k * bitlength(p) for a word's term v_p^k
+
+
 class WordSyntaxError(ValueError):
     """Malformed word; `position` is the zero-based offset of the offence."""
 
@@ -228,11 +231,11 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
     base := "s" | "v" uint ; power := "^" uint ; star := "*".  The star
     applies to the whole powered term.  v-subscripts must be prime unless
     `expand_composite` is set, in which case any integer >= 1 is accepted
-    and expanded through its prime factorization (v1 is the identity).
+    and expanded through its prime factorization (v1 is the identity).  A
+    term v_p^k with k * bitlength(p) past `_MAX_INDEX_BITS` is refused.
     """
     tokens: list[GeneratorToken] = []
     i, size = 0, len(text)
-    saw_term = False
     while i < size:
         if text[i].isspace():
             i += 1
@@ -271,6 +274,8 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
                 raise WordSyntaxError("expected digits after '^'", i)
             power = int(text[i:j])
             i = j
+        if kind == "v" and power * index.bit_length() > _MAX_INDEX_BITS:
+            raise WordSyntaxError(f"{text[start:i]} builds an index past {_MAX_INDEX_BITS} bits", start)
         star = False
         if i < size and text[i] == "*":
             star = True
@@ -278,8 +283,7 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
         if i < size and not text[i].isspace():
             raise WordSyntaxError(f"unexpected character {text[i]!r}", i)
         tokens.append(GeneratorToken(kind, index, power, star))
-        saw_term = True
-    if not saw_term:
+    if not tokens:
         raise WordSyntaxError("empty word", 0)
     return tokens
 

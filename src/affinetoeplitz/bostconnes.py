@@ -16,18 +16,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
-from .numtheory import (
-    factorize,
-    first_primes,
-    float_power,
-    is_prime,
-    iter_smooth,
-    json_number,
-    smooth_numbers,
-    zeta_e,
-)
+from .numtheory import factorize, first_primes, float_power, is_prime, iter_smooth, json_number, zeta_e
 
 __all__ = [
     "DirichletCharacter",
@@ -157,7 +149,7 @@ def char_euler_sum(
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         _check_disjoint(chi, p)
-    ns = smooth_numbers(ps, count=truncation)
+    ns = list(islice(iter_smooth(ps), truncation))
     terms = []
     abs_terms = []
     for n in ns:
@@ -179,19 +171,18 @@ def invariance_ratio(
     """|twisted Euler product| / zeta_E(beta) over growing admissible windows.
 
     E runs through the first k admissible primes (those away from the
-    character's modulus) for k = 1..k_max.  For the trivial character the
-    ratio is identically 1; for a nontrivial one at beta <= 1 the numerator
-    converges while the denominator diverges, so the sequence decays to 0.
+    character's modulus) for k = 1..k_max, k_max >= 1.  For the trivial
+    character the ratio is identically 1; for a nontrivial one at beta <= 1
+    the numerator converges while the denominator diverges, so the sequence
+    decays to 0.
     """
     if not (0 < beta <= 1):
         raise ValueError(f"invariance ratio applies to beta in (0, 1], got {beta}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     support = chi.prime_support
-    admissible: list[int] = []
-    k = k_max + len(support) + 8
-    while len(admissible) < k_max:
-        admissible = [p for p in first_primes(k) if p not in support]
-        k *= 2
-    admissible = admissible[:k_max]
+    # removing the support leaves at least k_max of these primes
+    admissible = [p for p in first_primes(k_max + len(support)) if p not in support][:k_max]
     out: list[float] = []
     numerator = 1.0 + 0j
     denominator = 1.0
@@ -268,5 +259,5 @@ def character_from_json(obj: dict) -> DirichletCharacter:
     values = obj["values"]
     if not isinstance(values, dict):
         raise ValueError(f"a character is {{'modulus': int, 'values': {{unit: angle}}}}, got {obj!r}")
-    angles = {int(u): Fraction(str(t)) for u, t in values.items()}
+    angles = {int(u): json_number(t, Fraction) for u, t in values.items()}
     return DirichletCharacter.from_angles(json_number(obj["modulus"]), angles)

@@ -11,6 +11,7 @@ field; exact rationals are "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -49,22 +50,23 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _render(payload: dict, fmt: str) -> str:
+    """The payload as one JSON line or as CSV `path,value` lines."""
     payload = _jsonable({**payload, "precision": REAL_DIGITS})
-    if fmt == "csv":
-        def walk(prefix, value):
-            if isinstance(value, dict):
-                for k in sorted(value):
-                    walk(f"{prefix}.{k}" if prefix else k, value[k])
-            elif isinstance(value, list):
-                for i, v in enumerate(value):
-                    walk(f"{prefix}[{i}]", v)
-            else:
-                print(f"{prefix},{value}")
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True)
 
-        walk("", payload)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                yield from walk(f"{prefix}.{k}" if prefix else k, value[k])
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                yield from walk(f"{prefix}[{i}]", v)
+        else:
+            yield f"{prefix},{value}"
+
+    return "\n".join(walk("", payload))
 
 
 def _parse_beta(text: str) -> float:
@@ -104,14 +106,7 @@ def _cmd_join(args) -> tuple[int, dict]:
     result = join(SemigroupElement(args.m, args.a), SemigroupElement(args.n, args.b))
     if result is None:
         return 0, {"infinite": True}
-    return 0, {
-        "l": result.l,
-        "lcm": result.lcm,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "a_prime": result.a_prime,
-        "b_prime": result.b_prime,
-    }
+    return 0, dataclasses.asdict(result)
 
 
 def _cmd_euclid(args) -> tuple[int, dict]:
@@ -125,9 +120,7 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
         mono = reduce_word(args.word, expand_composite=args.expand_composite)
     else:
         mono = Monomial.from_json(json.loads(args.monomial))
-    if mono.is_zero:
-        return 0, {"monomial": mono.to_json(), "value": _fmt_complex(0j)}
-    value = states.evaluate(phi, mono)
+    value = 0j if mono.is_zero else states.evaluate(phi, mono)
     return 0, {"monomial": mono.to_json(), "value": _fmt_complex(value)}
 
 
@@ -282,11 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("c", "d", "k"):
         p.add_argument(name, type=int)
 
-    def state_flags(p, need_state=True):
-        if need_state:
-            p.add_argument("--state", required=True, help="psi_beta | psi_beta_mu | a state JSON object")
-            p.add_argument("--beta", default="inf")
-            p.add_argument("--mu", default=None, help="circle measure JSON")
+    def state_flags(p):
+        p.add_argument("--state", required=True, help="psi_beta | psi_beta_mu | a state JSON object")
+        p.add_argument("--beta", default="inf")
+        p.add_argument("--mu", default=None, help="circle measure JSON")
         p.add_argument("--precision", type=int, default=30, help="tolerance bits")
 
     p = add("state-eval", _cmd_state_eval, help="evaluate a state on a word or monomial")
@@ -355,10 +347,12 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.fn(args)
+        # an int past Python's int-to-str digit limit fails here, before any output
+        text = _render(payload, args.format)
     except (WordSyntaxError, ValueError, KeyError, json.JSONDecodeError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    print(text)
     return code
 
 

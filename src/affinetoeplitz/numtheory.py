@@ -19,8 +19,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, isqrt
+from math import inf, isqrt
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
     "primes_upto",
     "first_primes",
     "divisors",
-    "smooth_numbers",
+    "iter_smooth",
     "sn_divides",
     "int_divides_sn",
     "crt_split",
@@ -90,15 +91,8 @@ def primes_upto(n: int) -> list[int]:
 
 
 def first_primes(k: int) -> list[int]:
-    """The first k primes."""
-    if k <= 0:
-        return []
-    bound = max(16, int(k * (math.log(k + 1) + math.log(math.log(k + 3)) + 2)))
-    ps = primes_upto(bound)
-    while len(ps) < k:
-        bound *= 2
-        ps = primes_upto(bound)
-    return ps[:k]
+    """The first k primes (none for k <= 0)."""
+    return list(itertools.islice(filter(is_prime, itertools.count(2)), max(k, 0)))
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -155,20 +149,19 @@ def iter_smooth(primes: Iterable[int]) -> Iterator[int]:
                 heapq.heappush(heap, m)
 
 
-def smooth_numbers(primes: Iterable[int], *, count: int) -> list[int]:
-    """The first `count` smooth numbers over `primes`."""
-    return list(itertools.islice(iter_smooth(primes), count))
-
-
 def json_number(value, kind: type = int):
-    """An integer (`kind` int) or real (`kind` float) leaf of a JSON input.
+    """An integer (`kind` int), real (`kind` float) or rational (`kind`
+    Fraction) leaf of a JSON input.
 
-    Accepts a JSON number or a numeric string ("inf" for a real) whose value
-    `kind` represents exactly; anything else -- null, a boolean, a container,
-    0.5 where an integer is due -- raises ValueError.
+    Accepts a JSON number or a numeric string ("inf" for a real, "p/q" for a
+    rational) whose value `kind` represents exactly; a rational reads a float
+    by its decimal text, so 0.1 is 1/10.  Anything else -- null, a boolean, a
+    container, 0.5 where an integer is due -- raises ValueError.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    if kind is Fraction:
+        return Fraction(str(value))
     out = kind(value)
     if not isinstance(value, str) and out != value:
         raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
@@ -240,16 +233,6 @@ class SupernaturalNumber:
         """All positive integers a <= bound with a | self."""
         return [a for a in range(1, bound + 1) if int_divides_sn(a, self)]
 
-    def __str__(self) -> str:
-        if self.default == inf and not self.listed:
-            return "nabla"
-        parts = []
-        for p, e in self.listed:
-            parts.append(f"{p}^inf" if e == inf else (f"{p}^{e}" if e > 1 else f"{p}"))
-        if self.default == inf:
-            parts.append("(rest)^inf")
-        return "*".join(parts) if parts else "1"
-
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -281,16 +264,19 @@ def sn_divides(m: SupernaturalNumber, n: SupernaturalNumber) -> bool:
 def int_divides_sn(a: int, n: SupernaturalNumber) -> bool:
     """Whether the positive integer a divides the supernatural number n.
 
-    Strips n's listed primes from a, failing at the first finite exponent
-    that a exceeds; what is left must be 1 unless n's default exponent is inf.
+    Strips n's listed primes from a, failing at the first exponent that a's
+    multiplicity exceeds (counted by division, so O(log a) however large the
+    exponent); what is left must be 1 unless n's default exponent is inf.
     """
     if a < 1:
         raise ValueError("a must be positive")
     for p, e in n.listed:
-        if e != inf and a % p ** (e + 1) == 0:
-            return False
+        count = 0
         while a % p == 0:
             a //= p
+            count += 1
+        if count > e:
+            return False
     return n.default == inf or a == 1
 
 
@@ -318,9 +304,6 @@ class ResidueClass:
             raise ValueError(f"{modulus} does not divide {self.modulus}")
         return ResidueClass(modulus, self.value % modulus)
 
-    def __str__(self) -> str:
-        return f"{self.value} mod {self.modulus}"
-
 
 def crt_split(r: ResidueClass) -> list[ResidueClass]:
     """Reduce a residue mod N to its prime-power components."""
@@ -330,15 +313,10 @@ def crt_split(r: ResidueClass) -> list[ResidueClass]:
 def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
     """Inverse of `crt_split`: assemble a residue from pairwise coprime moduli."""
     parts = list(parts)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if gcd(parts[i].modulus, parts[j].modulus) != 1:
-                raise ValueError(
-                    f"moduli {parts[i].modulus} and {parts[j].modulus} are not coprime"
-                )
-    modulus = 1
-    for part in parts:
-        modulus *= part.modulus
+    moduli = [part.modulus for part in parts]
+    modulus = math.prod(moduli)
+    if modulus != math.lcm(*moduli):
+        raise ValueError(f"moduli {moduli} are not pairwise coprime")
     value = 0
     for part in parts:
         other = modulus // part.modulus

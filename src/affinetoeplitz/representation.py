@@ -13,15 +13,15 @@ model's unit parameter z) or annihilates it.  The three models:
 
 The fibered and shift models each have one stepper (`_x_step`, `_z_step`)
 that applies one generator power to a whole array of basis vectors, from that
-generator's own definition.  The arrays hold Python integers (dtype=object),
-so indices stay exact at any size.  `relation_suite`, `q_projector_check` and
-`monomial_apply` all run on these steppers.  Independently of them, the batch
-appliers evaluate closed per-generator-block formulas for a whole spanning
-monomial over int64 arrays, for the big verification sweeps and the
-`trace_state` profile; the test suite checks the two paths against each
-other.  Phases are tracked as integer exponents of z, so all comparisons are
-exact in the cyclotomic field; conversion to complex happens only at the
-edge (`trace_state`).
+generator's own definition, and one word runner (`_run_word`) drives either.
+The arrays hold Python integers (dtype=object), so indices stay exact at any
+size.  `relation_suite`, `q_projector_check` and `monomial_apply` all run on
+these steppers.  Independently of them, the batch appliers evaluate closed
+per-generator-block formulas for a whole spanning monomial over int64 arrays,
+for the big verification sweeps and the `trace_state` profile; the test suite
+checks the two paths against each other.  Phases are tracked as integer
+exponents of z, so all comparisons are exact in the cyclotomic field;
+conversion to complex happens only at the edge (`trace_state`).
 """
 
 from __future__ import annotations
@@ -144,19 +144,12 @@ def _tok(kind: str, index: int | None = None, power: int = 1, star: bool = False
     return GeneratorToken(kind, index, power, star)
 
 
-def _x_word(word: list[GeneratorToken], r, x):
-    """(null, r, x, w) after a word in operator order (rightmost token first) acts on e_(r, x)."""
-    state = (np.zeros(r.shape, bool), r, x, np.zeros(r.shape, dtype=object))
+def _run_word(step, word: list[GeneratorToken], *basis):
+    """(null, *basis) after a word in operator order (rightmost token first) acts
+    through a model's stepper on basis vectors held in object arrays."""
+    state = (np.zeros(basis[0].shape, bool), *basis)
     for tok in reversed(word):
-        state = _x_step(tok, *state)
-    return state
-
-
-def _z_word(word: list[GeneratorToken], n):
-    """(null, n) after a word in operator order (rightmost token first) acts on e_n."""
-    state = (np.zeros(n.shape, bool), n)
-    for tok in reversed(word):
-        state = _z_step(tok, *state)
+        state = step(tok, *state)
     return state
 
 
@@ -183,9 +176,9 @@ def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
             e = out.basis
         return WeightedBasis(0, e)
     if isinstance(e, XBasis):
-        null, r, x, w = _x_word(word, np.array([e.r], dtype=object), np.array([e.x], dtype=object))
+        null, r, x, w = _run_word(_x_step, word, *(np.array([v], dtype=object) for v in (e.r, e.x, 0)))
         return NULL if null[0] else WeightedBasis(w[0], XBasis(r[0], x[0]))
-    null, n = _z_word(word, np.array([e], dtype=object))
+    null, n = _run_word(_z_step, word, np.array([e], dtype=object))
     return NULL if null[0] else WeightedBasis(0, n[0])
 
 
@@ -319,18 +312,28 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
             entry["counterexample"] = counterexample(int(hits[0]))
         report["relations"][name] = entry
 
+    # each model: its stepper, its window basis, and where a window index points
     if model == "x":
         r, x = (a.astype(object) for a in _fibered_window(window))
+        step, basis = _x_step, (r, x, np.zeros(r.shape, dtype=object))
+        locate = lambda i: {"r": r[i], "x": x[i]}
+    else:
+        n = np.arange(-window, window + 1).astype(object)
+        step, basis = _z_step, (n,)
+        locate = lambda i: {"n": n[i]}
 
-        def check(name: str, lhs: list[GeneratorToken], rhs) -> None:
-            null, r1, x1, w1 = _x_word(lhs, r, x)
-            if rhs is None:
-                bad = ~null
-            else:
-                null2, r2, x2, w2 = _x_word(rhs, r, x)
-                bad = (null != null2) | (~null & ((r1 != r2) | (x1 != x2) | (w1 != w2)))
-            record(name, bad, lambda i: {"r": r[i], "x": x[i]})
+    def check(name: str, lhs: list[GeneratorToken], rhs: list[GeneratorToken] | None) -> None:
+        """lhs and rhs act alike on every window vector; rhs None means lhs kills them all."""
+        null, *out = _run_word(step, lhs, *basis)
+        if rhs is None:
+            bad = ~null
+        else:
+            null2, *out2 = _run_word(step, rhs, *basis)
+            moved = np.logical_or.reduce([got != want for got, want in zip(out, out2)])
+            bad = (null != null2) | (~null & moved)
+        record(name, bad, locate)
 
+    if model == "x":
         for p in primes:
             check(f"T1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
             check(f"T4[p={p}]", [_tok("s", star=True), _tok("v", p)],
@@ -346,24 +349,17 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
                           [_tok("v", q), _tok("v", p, star=True)])
         return report
 
-    n = np.arange(-window, window + 1).astype(object)
-
-    def check_z(name: str, lhs: list[GeneratorToken], rhs: list[GeneratorToken]) -> None:
-        null, n1 = _z_word(lhs, n)
-        null2, n2 = _z_word(rhs, n)
-        record(name, (null != null2) | (~null & (n1 != n2)), lambda i: {"n": n[i]})
-
     for p in primes:
-        check_z(f"Q1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
+        check(f"Q1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
     for p in primes:
         for q in primes:
             if p < q:
-                check_z(f"Q2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
-    check_z("Q6", [_tok("s"), _tok("s", star=True)], [])
+                check(f"Q2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
+    check("Q6", [_tok("s"), _tok("s", star=True)], [])
     for p in primes:
         hits = np.zeros(n.shape, dtype=np.int64)
         for k in range(p):
-            null, moved = _z_word(_projection_word(p, k), n)
+            null, moved = _run_word(step, _projection_word(p, k), *basis)
             hits += ~null & (moved == n)
         record(f"Q5[p={p}]", hits != 1, lambda i: {"n": n[i], "hits": int(hits[i])})
     return report
@@ -450,11 +446,11 @@ def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fracti
     """
     _check_window(primes, window)
     reps, levels = _fibered_window(window)
-    r, x = reps.astype(object), levels.astype(object)
+    r, x, w = reps.astype(object), levels.astype(object), np.zeros(reps.shape, dtype=object)
     alive = np.ones(r.shape, bool)
     for p in primes:
         for j in range(p):
-            null, r2, x2, w2 = _x_word(_projection_word(p, j), r, x)
+            null, r2, x2, w2 = _run_word(_x_step, _projection_word(p, j), r, x, w)
             fixed = ~null & (r2 == r) & (x2 == x) & (w2 == 0)
             # (1 - P) on a basis vector: either untouched or annihilated
             if np.any(alive & ~null & ~fixed):

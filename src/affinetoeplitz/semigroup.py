@@ -108,6 +108,27 @@ def _euclid_iterative(c: int, d: int, k: int) -> tuple[int, int]:
         beta += beta_n
 
 
+def _smallest(route, c: int, d: int, k: int) -> tuple[int, int]:
+    """Check gcd(c, d) = 1, then solve with `route` (k >= 0) or with the roles swapped (k < 0)."""
+    if c < 1 or d < 1:
+        raise ValueError("c and d must be positive")
+    if gcd(c, d) != 1:
+        raise ValueError(f"gcd({c}, {d}) != 1")
+    if k >= 0:
+        return route(c, d, k)
+    beta, alpha = route(d, c, -k)
+    return alpha, beta
+
+
+def _euclid_modular(c: int, d: int, k: int) -> tuple[int, int]:
+    """Modular-inverse formula for k >= 0, gcd(c, d) = 1: alpha is the least
+    residue of k/c mod d, lifted by multiples of d until alpha*c >= k."""
+    alpha = (k % d) * pow(c % d, -1, d) % d if d > 1 else 0
+    if alpha * c < k:
+        alpha += d * (-(-(k - alpha * c) // (c * d)))
+    return alpha, (alpha * c - k) // d
+
+
 def euclid_smallest(c: int, d: int, k: int) -> tuple[int, int]:
     """Smallest non-negative (alpha, beta) with k = alpha*c - beta*d.
 
@@ -115,33 +136,12 @@ def euclid_smallest(c: int, d: int, k: int) -> tuple[int, int]:
     swap: (beta, alpha) is the smallest non-negative solution of
     -k = beta*d - alpha*c.  Requires gcd(c, d) = 1.
     """
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive")
-    if gcd(c, d) != 1:
-        raise ValueError(f"gcd({c}, {d}) != 1")
-    if k >= 0:
-        return _euclid_iterative(c, d, k)
-    beta, alpha = _euclid_iterative(d, c, -k)
-    return alpha, beta
+    return _smallest(_euclid_iterative, c, d, k)
 
 
 def euclid_smallest_direct(c: int, d: int, k: int) -> tuple[int, int]:
     """Modular-inverse route to the same smallest solution (cross-check path)."""
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive")
-    if gcd(c, d) != 1:
-        raise ValueError(f"gcd({c}, {d}) != 1")
-    if k >= 0:
-        alpha = (k % d) * pow(c % d, -1, d) % d if d > 1 else 0
-        if alpha * c < k:
-            deficit = k - alpha * c
-            alpha += d * (-(-deficit // (c * d)))
-        return alpha, (alpha * c - k) // d
-    beta = ((-k) % c) * pow(d % c, -1, c) % c if c > 1 else 0
-    if beta * d < -k:
-        deficit = -k - beta * d
-        beta += c * (-(-deficit // (d * c)))
-    return (k + beta * d) // c, beta
+    return _smallest(_euclid_modular, c, d, k)
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,10 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
         k = x.m - x.n
         if k == 0:
             return complex(float_power(x.a, -phi.beta))
-        norm = x.a * zeta(phi.beta - 1)
+        try:
+            norm = x.a * zeta(phi.beta - 1)
+        except OverflowError:
+            return 0j  # a >= 2^1024: the value is at most a^-beta, below every double
         total = 0j
         for d in divisors(abs(k)):
             if d % x.a == 0:
@@ -568,12 +571,9 @@ def measure_from_json(obj: dict) -> CircleMeasure:
     if obj.get("lebesgue"):
         return CircleMeasure.lebesgue()
     atoms = obj["atoms"]
-    if not isinstance(atoms, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float, str)) for v in pair)
-        for pair in atoms
-    ):
+    if not isinstance(atoms, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in atoms):
         raise ValueError(f"atoms are a JSON list of [angle, weight] pairs, got {atoms!r}")
-    return CircleMeasure.from_atoms((Fraction(t), Fraction(w)) for t, w in atoms)
+    return CircleMeasure.from_atoms((json_number(t, Fraction), json_number(w, Fraction)) for t, w in atoms)
 
 
 def state_to_json(phi: StateSpec) -> dict:
@@ -609,5 +609,5 @@ def state_from_json(obj: dict) -> StateSpec:
             raise ValueError(f"omega is a JSON object, got {omega!r}")
         if "vector" in omega:
             return Ground(VectorState(json_number(omega["vector"])))
-        return Ground(Evaluation(Fraction(str(omega["evaluation"]))))
+        return Ground(Evaluation(json_number(omega["evaluation"], Fraction)))
     raise ValueError(f"unknown state variant {variant!r}")

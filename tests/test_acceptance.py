@@ -573,3 +573,41 @@ def test_criterion_13_character_machinery():
         ok,
         f"euler gap {euler_gap:.2e}, ratio(40) {ratios[39]:.3f}, reconstruct {worst_rec:.2e}",
     )
+
+
+# --------------------------------------------------------------------------
+# 14. the KMS_1 state factors through Cuntz's Q_N
+# --------------------------------------------------------------------------
+
+
+def test_criterion_14_kms1_factors_through_qn():
+    # e_p = 1 - sum_{k<p} s^k v_p v_p* s*^k is the defect of the Q_N relation at p.
+    # Its summands are pairwise orthogonal projections (by T5), so e_p is a
+    # projection; psi_1(e_p) = 1 - p * p^-1 = 0 exactly, so psi_1 factors
+    # through Q_N, while every state with beta > 1 charges e_p.
+    ranges = {p: [reduce_word(f"s^{k} v{p} v{p}* s^{k}*") for k in range(p)] for p in primes_upto(47)}
+    bad = None
+    for p, proj in ranges.items():
+        for j, x in enumerate(proj):
+            if adjoint(x) != x or monomial_mul(x, x) != x:
+                bad = bad or ("not a projection", p, j)
+            for k in range(j + 1, p):
+                if monomial_mul(x, proj[k]) != ZERO or monomial_mul(proj[k], x) != ZERO:
+                    bad = bad or ("not orthogonal", p, j, k)
+
+    def charge(value, p):
+        """value(e_p) for a linear functional given on monomials."""
+        return value(Monomial.identity()) - sum(value(x) for x in ranges[p])
+
+    at_1 = [charge(functools.partial(evaluate_exact, PsiBeta(1)), p) for p in ranges]
+    at_2 = [charge(functools.partial(evaluate_exact, PsiBeta(2)), p) for p in ranges]
+    above_1 = [phi for phi in KMS_STATES if phi.beta > 1]
+    floats = [charge(functools.partial(evaluate, phi), p).real for phi in above_1 for p in ranges]
+    ok = bad is None and not any(at_1) and min(at_2) > 0 and min(floats) > 0
+    report(
+        14,
+        "KMS_1 factors through Q_N",
+        ok,
+        f"{len(ranges)} primes, max |psi_1(e_p)| {max(map(abs, at_1))}, min psi_2(e_p) {min(at_2)}, "
+        f"min over {len(above_1)} states above beta=1 {min(floats):.3f}, bad={bad}",
+    )

@@ -262,6 +262,13 @@ class TestParser:
         with pytest.raises(WordSyntaxError):
             parse_word("s^")
 
+    def test_oversized_index_rejected_before_it_is_built(self):
+        # v2^(10^20) would need 10^20 bits; the parser refuses the term where it starts
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word("s v3 v2^99999999999999999999 s*")
+        assert err.value.position == 5
+        assert parse_word("v2^1100")[0].power == 1100
+
     def test_composite_rejected_without_flag(self):
         with pytest.raises(WordSyntaxError):
             parse_word("v6")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,7 @@ from affinetoeplitz.bostconnes import (
     character_to_json,
     invariance_ratio,
 )
-from affinetoeplitz.numtheory import first_primes, smooth_numbers, zeta_e
+from affinetoeplitz.numtheory import first_primes, iter_smooth, zeta_e
 
 CHI4 = DirichletCharacter.quadratic_mod4()
 
@@ -110,6 +111,17 @@ class TestInvarianceRatio:
         with pytest.raises(ValueError):
             invariance_ratio(CHI4, 1.5, 10)
 
+    def test_rejects_empty_window(self):
+        for k_max in (0, -1):
+            with pytest.raises(ValueError):
+                invariance_ratio(CHI4, 1.0, k_max)
+
+    def test_support_prime_beyond_the_window(self):
+        # modulus 2 * 97: 2 is among the first primes, 97 is not, and exactly k_max ratios come back
+        units = {u: 0 for u in range(1, 194) if u % 2 and u % 97}
+        chi = DirichletCharacter.from_angles(194, units)
+        assert len(invariance_ratio(chi, 1.0, 5)) == 5
+
     def test_partial_zeta_growth(self):
         # the denominator driving the decay: past 4 by the 40th prime
         assert zeta_e(1, first_primes(40)) > 4
@@ -139,7 +151,7 @@ class TestReconstruction:
 
 def test_smooth_enumeration_is_sorted_and_complete():
     want = sorted(n for n in range(1, 101) if all(p in (3, 5) for p in _factors(n)))
-    assert smooth_numbers([3, 5], count=len(want)) == want
+    assert list(islice(iter_smooth([3, 5]), len(want))) == want
 
 
 def _factors(n):

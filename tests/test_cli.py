@@ -112,6 +112,9 @@ class TestStateCommands:
             (["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--word", f"s^{2**1100}"], ("value", "re"),
              8 / math.pi**2),
             (["measure", "--beta", "2", "0", str(2**1100)], ("closed_form",), 0.0),
+            # a = 2^1100 leaves psi_{3,delta_0} below a^-3, under every double
+            (["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--monomial",
+              json.dumps({"kind": "mono", "m": 2**1100, "a": 2**1100, "b": 2**1100, "n": 0})], ("value", "re"), 0.0),
         ],
     )
     def test_indices_beyond_doubles(self, capsys, argv, path, want):
@@ -121,6 +124,14 @@ class TestStateCommands:
         for key in path:
             got = got[key]
         assert float(got) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_payload_past_the_digit_limit_exit_2(self, capsys, fmt):
+        # 2^20000 has 6021 digits, past Python's int-to-str limit
+        code, out, err = run_capture(capsys, ["--format", fmt, "reduce", "v2^20000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_reconstruct(self, capsys):
         code, out, _ = run_capture(
@@ -211,6 +222,8 @@ class TestSuiteCommands:
             ["ground-check", "--evaluation", "1/0"],
             ["ground-check", "--state", '{"variant":"ground","omega":{"evaluation":"1/0"}}'],
             ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[["1/0","1"]]}', "--grid", "1"],
+            ["bc", "--mode", "invariance", "--kmax", "0"],
+            ["bc", "--mode", "invariance", "--kmax", "-1"],
         ],
     )
     def test_empty_window_exit_2(self, capsys, argv):
@@ -240,6 +253,7 @@ class TestSuiteCommands:
             ["kms-check", "--state", '{"variant":"ground","omega":{"vector":[1]}}', "--at-beta", "2", "--grid", "0"],
             ["state-eval", "--state", "psi_beta", "--beta", "2", "--monomial", '{"kind":"mono","m":0.5,"a":1,"b":1,"n":0}'],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"2":1.5}}}', "--contains", "0", "2"],
+            ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[[0, true]]}', "--grid", "0"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from itertools import islice
 from math import inf
 
 import pytest
@@ -18,9 +20,9 @@ from affinetoeplitz.numtheory import (
     float_power,
     int_divides_sn,
     is_prime,
+    iter_smooth,
     json_number,
     primes_upto,
-    smooth_numbers,
     sn_divides,
     zeta,
     zeta_e,
@@ -35,6 +37,13 @@ def test_primes_against_brute_force():
     brute = [n for n in range(500) if brute_is_prime(n)]
     assert primes_upto(499) == brute
     assert [n for n in range(500) if is_prime(n)] == brute
+
+
+def test_first_primes():
+    primes = primes_upto(1000)
+    for k in range(0, len(primes) + 1):
+        assert first_primes(k) == primes[:k]
+    assert first_primes(-3) == []
 
 
 def test_factorize_examples():
@@ -102,10 +111,10 @@ def test_divisors():
 
 
 def test_smooth_numbers():
-    assert smooth_numbers([2, 3], count=10) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
-    first = smooth_numbers([2], count=5)
+    assert list(islice(iter_smooth([2, 3]), 10)) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
+    first = list(islice(iter_smooth([2]), 5))
     assert first == [1, 2, 4, 8, 16]
-    assert smooth_numbers([2], count=0) == []
+    assert list(islice(iter_smooth([2]), 0)) == []
 
 
 class TestSupernatural:
@@ -142,6 +151,18 @@ class TestSupernatural:
     def test_int_divides_matches_factorization(self, a, n):
         # reference: the definition by factorization
         assert int_divides_sn(a, n) == all(e <= n.exponent(p) for p, e in factorize(a))
+
+    def test_int_divides_huge_exponent_costs_nothing(self):
+        # membership must not build 2^(e+1); with e = 10^8 that integer alone is 12.5 MB
+        n = SupernaturalNumber.from_exponents({2: 10**8, 3: 1})
+        tracemalloc.start()
+        try:
+            verdicts = [int_divides_sn(a, n) for a in (1, 2**40 * 3, 9, 5)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdicts == [True, True, False, False]
+        assert peak < 1 << 20
 
     def test_int_divides_rejects_nonpositive(self):
         for a in (0, -4):
@@ -205,6 +226,10 @@ class TestResidues:
     def test_crt_combine_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             crt_combine([ResidueClass(4, 1), ResidueClass(6, 1)])
+        # a shared factor between non-neighbours, and a repeated modulus
+        for moduli in ((3, 5, 9), (7, 7)):
+            with pytest.raises(ValueError):
+                crt_combine([ResidueClass(m, 0) for m in moduli])
 
 
 class TestPowers:

@@ -14,7 +14,8 @@ from affinetoeplitz.representation import (
     WeightedBasis,
     XBasis,
     _monomial_word,
-    _x_word,
+    _run_word,
+    _x_step,
     monomial_apply,
     nica_covariance_rhs,
     q_projector_check,
@@ -37,7 +38,8 @@ def V(p, star=False):
 
 def stepper_on_window(mono, rs, xs):
     """The token stepper's (null, r, x, w) for a monomial on whole arrays of fibered vectors."""
-    return _x_word(_monomial_word(mono), np.asarray(rs).astype(object), np.asarray(xs).astype(object))
+    rs, xs = np.asarray(rs).astype(object), np.asarray(xs).astype(object)
+    return _run_word(_x_step, _monomial_word(mono), rs, xs, np.zeros(rs.shape, dtype=object))
 
 
 def assert_same_action(batch, stepped):

@@ -30,6 +30,7 @@ from affinetoeplitz.states import (
     kms_defect,
     kms_grid,
     measure_cylinder,
+    measure_from_json,
     moment,
     moments_from_state,
     no_kms_witness,
@@ -464,3 +465,15 @@ class TestJson:
         assert obj == {"variant": "ground", "omega": {"evaluation": "1/4"}}
         phi = state_from_json({"variant": "psi_beta_mu", "beta": 3, "mu": {"atoms": [["0", "1"]]}})
         assert phi == PsiBetaMu(3.0, CircleMeasure.point(0))
+
+    def test_float_angles_read_by_their_decimal_text(self):
+        # 0.1 is the angle 1/10, not the binary double nearest to it
+        assert measure_from_json({"atoms": [[0.1, 1]]}) == measure_from_json({"atoms": [["1/10", 1]]})
+        assert measure_from_json({"atoms": [[0.1, 1]]}) == CircleMeasure.point(Fraction(1, 10))
+        ground = state_from_json({"variant": "ground", "omega": {"evaluation": 0.1}})
+        assert ground == Ground(Evaluation(Fraction(1, 10)))
+        for bad in (True, None, [0], {"t": 0}):
+            with pytest.raises(ValueError):
+                measure_from_json({"atoms": [[0, bad]]})
+            with pytest.raises(ValueError):
+                measure_from_json({"atoms": [[bad, 1]]})
