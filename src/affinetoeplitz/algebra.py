@@ -22,7 +22,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,9 +209,9 @@ class GeneratorToken:
     """
 
     kind: str
-    index: int | None
-    power: int
-    star: bool
+    index: int | None = None
+    power: int = 1
+    star: bool = False
 
 
 _MAX_INDEX_BITS = 1 << 20  # bound on k * bitlength(p) for a word's term v_p^k
@@ -296,11 +296,10 @@ def token_monomial(tok: GeneratorToken) -> Monomial:
     return Monomial.v_star(base) if tok.star else Monomial.v(base)
 
 
-def reduce_word(word: str | Iterable[GeneratorToken], expand_composite: bool = False) -> Monomial:
-    """Normal form of a word: fold the token monomials through `monomial_mul`."""
-    tokens = parse_word(word, expand_composite) if isinstance(word, str) else list(word)
+def reduce_word(word: str, expand_composite: bool = False) -> Monomial:
+    """Normal form of a word: fold its token monomials through `monomial_mul`."""
     out = Monomial.identity()
-    for tok in tokens:
+    for tok in parse_word(word, expand_composite):
         out = monomial_mul(out, token_monomial(tok))
         if out.is_zero:
             return ZERO

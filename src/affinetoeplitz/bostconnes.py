@@ -47,8 +47,11 @@ class DirichletCharacter:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        units = [u for u in range(1, self.modulus + 1) if gcd(u, self.modulus) == 1]
         table = dict(self.values)
+        # phi(m) >= sqrt(m/2): a shorter table is refused before the units are listed
+        if 2 * len(table) ** 2 < self.modulus:
+            raise ValueError("character table must cover exactly the units")
+        units = [u for u in range(1, self.modulus + 1) if gcd(u, self.modulus) == 1]
         if sorted(table) != units:
             raise ValueError("character table must cover exactly the units")
         if table[1 % self.modulus or self.modulus] % 1 != 0:
@@ -103,20 +106,6 @@ class DirichletCharacter:
     def __call__(self, u: int) -> complex:
         return cmath.exp(2j * math.pi * float(self.angle(u)))
 
-    @property
-    def prime_support(self) -> set[int]:
-        return {p for p, _ in factorize(self.modulus)}
-
-
-def _check_disjoint(chi: DirichletCharacter, n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if gcd(n, chi.modulus) != 1:
-        raise ValueError(
-            f"{n} shares a prime with the character modulus {chi.modulus}; "
-            "the unit embedding is only evaluated off that support"
-        )
-
 
 @dataclass(frozen=True)
 class EulerSumResult:
@@ -148,7 +137,11 @@ def char_euler_sum(
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        _check_disjoint(chi, p)
+        if chi.modulus % p == 0:
+            raise ValueError(
+                f"{p} shares a prime with the character modulus {chi.modulus}; "
+                "the unit embedding is only evaluated off that support"
+            )
     ns = list(islice(iter_smooth(ps), truncation))
     terms = []
     abs_terms = []
@@ -180,7 +173,7 @@ def invariance_ratio(
         raise ValueError(f"invariance ratio applies to beta in (0, 1], got {beta}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    support = chi.prime_support
+    support = {p for p, _ in factorize(chi.modulus)}
     # removing the support leaves at least k_max of these primes
     admissible = [p for p in first_primes(k_max + len(support)) if p not in support][:k_max]
     out: list[float] = []

@@ -120,8 +120,7 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
         mono = reduce_word(args.word, expand_composite=args.expand_composite)
     else:
         mono = Monomial.from_json(json.loads(args.monomial))
-    value = 0j if mono.is_zero else states.evaluate(phi, mono)
-    return 0, {"monomial": mono.to_json(), "value": _fmt_complex(value)}
+    return 0, {"monomial": mono.to_json(), "value": _fmt_complex(states.evaluate(phi, mono))}
 
 
 def _cmd_kms_check(args) -> tuple[int, dict]:

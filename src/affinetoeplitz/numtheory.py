@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt
+from math import inf
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "NABLA",
     "factorize",
     "is_prime",
-    "primes_upto",
     "first_primes",
     "divisors",
     "iter_smooth",
@@ -76,18 +75,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i, v in enumerate(sieve) if v]
 
 
 def first_primes(k: int) -> list[int]:
@@ -228,10 +215,6 @@ class SupernaturalNumber:
         for p, e in self.listed:
             out *= p ** int(e)
         return out
-
-    def finite_divisors_upto(self, bound: int) -> list[int]:
-        """All positive integers a <= bound with a | self."""
-        return [a for a in range(1, bound + 1) if int_divides_sn(a, self)]
 
     # -- JSON --------------------------------------------------------------
 

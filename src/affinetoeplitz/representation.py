@@ -140,10 +140,6 @@ def _z_step(tok: GeneratorToken, null, n):
     return null | ~ok, np.where(ok, n // q, n)
 
 
-def _tok(kind: str, index: int | None = None, power: int = 1, star: bool = False) -> GeneratorToken:
-    return GeneratorToken(kind, index, power, star)
-
-
 def _run_word(step, word: list[GeneratorToken], *basis):
     """(null, *basis) after a word in operator order (rightmost token first) acts
     through a model's stepper on basis vectors held in object arrays."""
@@ -155,10 +151,10 @@ def _run_word(step, word: list[GeneratorToken], *basis):
 
 def _monomial_word(mono: Monomial) -> list[GeneratorToken]:
     """s^m, v_a prime by prime, v_b* prime by prime, s*^n, in operator order."""
-    word = [_tok("s", power=mono.m)]
-    word += [_tok("v", p, e) for p, e in factorize(mono.a)]
-    word += [_tok("v", p, e, star=True) for p, e in factorize(mono.b)]
-    word.append(_tok("s", power=mono.n, star=True))
+    word = [GeneratorToken("s", power=mono.m)]
+    word += [GeneratorToken("v", p, e) for p, e in factorize(mono.a)]
+    word += [GeneratorToken("v", p, e, star=True) for p, e in factorize(mono.b)]
+    word.append(GeneratorToken("s", power=mono.n, star=True))
     return [tok for tok in word if tok.power]
 
 
@@ -284,7 +280,8 @@ def _check_window(primes: list[int], window: int) -> None:
 
 def _projection_word(p: int, k: int) -> list[GeneratorToken]:
     """s^k v_p v_p* s*^k, the range projection of s^k v_p."""
-    return [_tok("s", power=k), _tok("v", p), _tok("v", p, star=True), _tok("s", power=k, star=True)]
+    return [GeneratorToken("s", power=k), GeneratorToken("v", p), GeneratorToken("v", p, star=True),
+            GeneratorToken("s", power=k, star=True)]
 
 
 def relation_suite(model: str, primes: list[int], window: int) -> dict:
@@ -333,29 +330,30 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
             bad = (null != null2) | (~null & moved)
         record(name, bad, locate)
 
+    s, s_star = GeneratorToken("s"), GeneratorToken("s", star=True)
+    v = {p: GeneratorToken("v", p) for p in primes}
+    v_star = {p: GeneratorToken("v", p, star=True) for p in primes}
     if model == "x":
         for p in primes:
-            check(f"T1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
-            check(f"T4[p={p}]", [_tok("s", star=True), _tok("v", p)],
-                  [_tok("s", power=p - 1), _tok("v", p), _tok("s", star=True)])
+            check(f"T1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
+            check(f"T4[p={p}]", [s_star, v[p]], [GeneratorToken("s", power=p - 1), v[p], s_star])
             for k in range(1, p):
-                check(f"T5[p={p},k={k}]", [_tok("v", p, star=True), _tok("s", power=k), _tok("v", p)], None)
+                check(f"T5[p={p},k={k}]", [v_star[p], GeneratorToken("s", power=k), v[p]], None)
         for p in primes:
             for q in primes:
                 if p < q:
-                    check(f"T2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
+                    check(f"T2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
                 if p != q:
-                    check(f"T3[p={p},q={q}]", [_tok("v", p, star=True), _tok("v", q)],
-                          [_tok("v", q), _tok("v", p, star=True)])
+                    check(f"T3[p={p},q={q}]", [v_star[p], v[q]], [v[q], v_star[p]])
         return report
 
     for p in primes:
-        check(f"Q1[p={p}]", [_tok("v", p), _tok("s")], [_tok("s", power=p), _tok("v", p)])
+        check(f"Q1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
     for p in primes:
         for q in primes:
             if p < q:
-                check(f"Q2[p={p},q={q}]", [_tok("v", p), _tok("v", q)], [_tok("v", q), _tok("v", p)])
-    check("Q6", [_tok("s"), _tok("s", star=True)], [])
+                check(f"Q2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
+    check("Q6", [s, s_star], [])
     for p in primes:
         hits = np.zeros(n.shape, dtype=np.int64)
         for k in range(p):

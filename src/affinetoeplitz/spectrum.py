@@ -136,7 +136,7 @@ def includes(w1: SpectrumPoint, w2: SpectrumPoint, level: int) -> bool:
         return False
     if not sn_divides(w2.N, w1.N):
         return False
-    divisors_w2 = w2.N.finite_divisors_upto(level)
+    divisors_w2 = [a for a in range(1, level + 1) if int_divides_sn(a, w2.N)]
     if isinstance(w2, APoint) and isinstance(w1, APoint):
         if not w2.N.is_finite:
             return w2.k == w1.k

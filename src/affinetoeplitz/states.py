@@ -231,8 +231,18 @@ class PrimeWindow:
 # --------------------------------------------------------------------------
 
 
+def _divisor_sum(phi: PsiBetaMu, k: int, ds: Iterable[int]) -> complex:
+    """Sum of d^(1-beta) moment(mu, k/d) over the divisors ds of k, in the order
+    given: the divisor sum behind psi_{beta,mu}."""
+    s = 1.0 - phi.beta
+    total = 0j
+    for d in ds:
+        total += float_power(d, s) * moment(phi.mu, k // d)
+    return total
+
+
 def evaluate(phi: StateSpec, x: Monomial) -> complex:
-    """Value of the state on a spanning monomial.
+    """Value of the state on a monomial; a state is linear, so ZERO reads 0.
 
     psi_beta vanishes off the diagonal (a = b, m = n) and gives a^-beta on
     it.  psi_{beta,mu} at finite beta vanishes unless a = b and m = n mod a,
@@ -243,7 +253,7 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
     states vanish unless a = b = 1, where they restrict to omega.
     """
     if x.is_zero:
-        raise ValueError("states evaluate spanning monomials, not zero")
+        return 0j
     if isinstance(phi, PsiBeta):
         if x.a != x.b or x.m != x.n:
             return 0j
@@ -262,11 +272,7 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
             norm = x.a * zeta(phi.beta - 1)
         except OverflowError:
             return 0j  # a >= 2^1024: the value is at most a^-beta, below every double
-        total = 0j
-        for d in divisors(abs(k)):
-            if d % x.a == 0:
-                total += float_power(d, 1.0 - phi.beta) * moment(phi.mu, k // d)
-        return total / norm
+        return _divisor_sum(phi, k, [x.a * e for e in divisors(abs(k) // x.a)]) / norm
     if isinstance(phi, Ground):
         if x.a != 1 or x.b != 1:
             return 0j
@@ -276,17 +282,17 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
 
 def evaluate_batch(phi: StateSpec, distinct: Sequence[Monomial], index: np.ndarray) -> np.ndarray:
     """`evaluate` over a table of monomials given as `algebra.product_table`'s
-    (distinct, index): each distinct monomial is evaluated once (ZERO reads 0)
-    and entry [i, j] is the value of distinct[index[i, j]]."""
-    values = np.array([0j if x.is_zero else evaluate(phi, x) for x in distinct], dtype=complex)
+    (distinct, index): each distinct monomial is evaluated once and entry
+    [i, j] is the value of distinct[index[i, j]]."""
+    values = np.array([evaluate(phi, x) for x in distinct], dtype=complex)
     return values[index]
 
 
 def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
     """Exact rational value where one exists: psi_beta at integer (or infinite)
-    beta, and ground states over a shift-model vector state."""
+    beta, and ground states over a shift-model vector state; ZERO reads 0."""
     if x.is_zero:
-        raise ValueError("states evaluate spanning monomials, not zero")
+        return Fraction(0)
     if isinstance(phi, PsiBeta):
         if x.a != x.b or x.m != x.n:
             return Fraction(0)
@@ -373,8 +379,6 @@ def ground_check(phi: StateSpec, x: Monomial, tol: float = 1e-9) -> bool:
 
     Monomials with a = b = 1 carry no constraint and pass vacuously.
     """
-    if x.is_zero:
-        return True
     if x.a == 1 and x.b == 1:
         return True
     return abs(evaluate(phi, x)) <= tol
@@ -468,11 +472,8 @@ def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int) -> complex:
     if phi.beta == inf:
         return moment(phi.mu, k)
     scale = zeta_e(beta - 1.0, window.primes) / zeta(beta - 1.0)
-    total = 0j
-    for d in divisors(abs(k)):
-        if not any(d % p == 0 for p in window.primes):
-            total += d ** (1.0 - beta) * moment(phi.mu, k // d)
-    return scale * total
+    radical = math.prod(window.primes)
+    return scale * _divisor_sum(phi, k, [d for d in divisors(abs(k)) if math.gcd(d, radical) == 1])
 
 
 def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
@@ -496,7 +497,7 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
     rhs = 0j
     for a in divisors(n):
         if window.supports(a):
-            rhs += a ** (1.0 - beta) * conditional_moment(phi, window, n // a)
+            rhs += float_power(a, 1.0 - beta) * conditional_moment(phi, window, n // a)
     rhs /= zeta_e(beta - 1.0, window.primes)
     return abs(rhs - lhs)
 
@@ -549,7 +550,7 @@ def moments_from_state(phi: StateSpec, k_max: int) -> list[complex]:
         total = norm * evaluate(phi, Monomial.s_power(k))
         for d in divisors(k):
             if d > 1:
-                total -= d ** (1.0 - beta) * moments[k // d]
+                total -= float_power(d, 1.0 - beta) * moments[k // d]
         moments[k] = total
     return [moments[k] for k in range(1, k_max + 1)]
 

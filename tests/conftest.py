@@ -1,10 +1,24 @@
+import functools
 import time
 
 import pytest
 
 from affinetoeplitz import algebra
+from affinetoeplitz.semigroup import SemigroupElement
+from affinetoeplitz.spectrum import contains
 
 GRID_MULTS = (1, 2, 3, 4, 6)
+
+
+@functools.cache
+def enumerate_members(point, bound):
+    """The elements (m, a) of a spectrum point with m, a <= bound, by brute force."""
+    return frozenset(
+        SemigroupElement(m, a)
+        for m in range(bound + 1)
+        for a in range(1, bound + 1)
+        if contains(point, SemigroupElement(m, a))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see per-criterion lines
 and timings.  Tolerances and grids are fixed here, not configurable.
 """
 
-import cmath
 import functools
 import math
 import random
@@ -13,7 +12,6 @@ from fractions import Fraction
 from math import gcd, inf
 
 import numpy as np
-import pytest
 
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_mul, reduce_word
 from affinetoeplitz.bostconnes import (
@@ -22,20 +20,19 @@ from affinetoeplitz.bostconnes import (
     char_euler_sum,
     invariance_ratio,
 )
-from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, primes_upto, zeta
+from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, zeta
 from affinetoeplitz.representation import (
     relation_suite,
     toeplitz_monomial_apply_batch,
     trace_state,
     x_monomial_apply_batch,
 )
-from affinetoeplitz.semigroup import SemigroupElement, euclid_smallest, join, leq
+from affinetoeplitz.semigroup import SemigroupElement, euclid_smallest, join
 from affinetoeplitz.spectrum import (
     APoint,
     BPoint,
     ResidueFamily,
     boundary_act,
-    contains,
     includes,
     verify_hereditary_directed,
 )
@@ -59,6 +56,7 @@ from affinetoeplitz.states import (
     partition_sum,
     reconstruct_sn,
 )
+from conftest import enumerate_members
 
 MEASURES = {
     "delta_1": CircleMeasure.point(0),
@@ -98,7 +96,7 @@ def test_criterion_01_relation_suite():
         if reduce_word(word, True) != ZERO:
             failures.append(tag)
 
-    primes = primes_upto(47)
+    primes = first_primes(15)
     for p in primes:
         same(f"v{p} s", f"s^{p} v{p}", f"T1[{p}]")
         same(f"s* v{p}", f"s^{p - 1} v{p} s*", f"T4[{p}]")
@@ -395,7 +393,7 @@ def test_criterion_07_gram_positivity(grid_monomials):
 
 
 def test_criterion_08_reconstruction():
-    window = PrimeWindow.of(primes_upto(50))
+    window = PrimeWindow.of(first_primes(15))
     worst = 0.0
     for beta in (3.0, 4.0):
         for mu in MEASURES.values():
@@ -464,7 +462,7 @@ def test_criterion_10_ground_states(grid_monomials):
 
 def test_criterion_11_shift_model():
     start = time.monotonic()
-    result = relation_suite("z", primes_upto(13), 10_000)
+    result = relation_suite("z", first_primes(6), 10_000)
     failures = [name for name, entry in result["relations"].items() if not entry["pass"]]
     elapsed = time.monotonic() - start
     report(11, "two-sided shift model", not failures, f"{elapsed:.1f}s, failures={failures[:3]}")
@@ -490,16 +488,6 @@ def _random_point(rng):
     )
 
 
-@functools.cache
-def _members(point, bound):
-    return frozenset(
-        SemigroupElement(m, a)
-        for m in range(bound + 1)
-        for a in range(1, bound + 1)
-        if contains(point, SemigroupElement(m, a))
-    )
-
-
 def test_criterion_12_spectrum():
     rng = random.Random(99)
     hereditary_ok = all(verify_hereditary_directed(_random_point(rng), 20) for _ in range(100))
@@ -514,7 +502,7 @@ def test_criterion_12_spectrum():
         except Exception:
             sound = False
             break
-        if verdict and not _members(w2, 12) <= _members(w1, 12):
+        if verdict and not enumerate_members(w2, 12) <= enumerate_members(w1, 12):
             sound = False
             break
     equivalence = True
@@ -527,7 +515,7 @@ def test_criterion_12_spectrum():
     for _ in range(1000):
         w1, w2 = rng.choice(finite_pool), rng.choice(finite_pool)
         verdict = includes(w1, w2, 48)
-        subset = _members(w2, 48) <= _members(w1, 48)
+        subset = enumerate_members(w2, 48) <= enumerate_members(w1, 48)
         if verdict != subset:
             equivalence = False
             break
@@ -585,7 +573,7 @@ def test_criterion_14_kms1_factors_through_qn():
     # Its summands are pairwise orthogonal projections (by T5), so e_p is a
     # projection; psi_1(e_p) = 1 - p * p^-1 = 0 exactly, so psi_1 factors
     # through Q_N, while every state with beta > 1 charges e_p.
-    ranges = {p: [reduce_word(f"s^{k} v{p} v{p}* s^{k}*") for k in range(p)] for p in primes_upto(47)}
+    ranges = {p: [reduce_word(f"s^{k} v{p} v{p}* s^{k}*") for k in range(p)] for p in first_primes(15)}
     bad = None
     for p, proj in ranges.items():
         for j, x in enumerate(proj):
@@ -610,4 +598,48 @@ def test_criterion_14_kms1_factors_through_qn():
         ok,
         f"{len(ranges)} primes, max |psi_1(e_p)| {max(map(abs, at_1))}, min psi_2(e_p) {min(at_2)}, "
         f"min over {len(above_1)} states above beta=1 {min(floats):.3f}, bad={bad}",
+    )
+
+
+# --------------------------------------------------------------------------
+# 15. the phase transition at beta = 2
+# --------------------------------------------------------------------------
+
+
+def test_criterion_15_phase_transition_at_2(grid_monomials):
+    # Every psi_{beta,mu} carries the normalisation 1/zeta(beta - 1) ~ beta - 2
+    # off the diagonal, so as beta decreases to 2 the states merge into psi_beta
+    # at rate O(beta - 2): the largest gap over the grid and the measures,
+    # divided by beta - 2, stays bounded and settles.
+    start = time.monotonic()
+    ratios = []
+    for j in range(1, 7):
+        beta = 2 + 10.0**-j
+        psi = PsiBeta(beta)
+        gap = max(
+            abs(evaluate(PsiBetaMu(beta, mu), x) - evaluate(psi, x))
+            for mu in MEASURES.values()
+            for x in grid_monomials
+        )
+        ratios.append(gap / (beta - 2))
+    merges = max(ratios) < 2.0 and abs(ratios[-1] - ratios[-2]) < 1e-3
+
+    # above 2 the measures stay apart: psi_{beta,mu}(s) = moment(mu, 1)/zeta(beta - 1)
+    s = Monomial.s_power(1)
+    closed_ok = True
+    least_gaps = []
+    for beta in (2.5, 3.0):
+        values = [evaluate(PsiBetaMu(beta, mu), s) for mu in MEASURES.values()]
+        closed = [moment(mu, 1) / zeta(beta - 1) for mu in MEASURES.values()]
+        closed_ok = closed_ok and all(abs(v - c) < 1e-12 for v, c in zip(values, closed))
+        least_gaps.append(min(abs(u - v) for i, u in enumerate(values) for v in values[i + 1 :]))
+    elapsed = time.monotonic() - start
+    ok = merges and closed_ok and min(least_gaps) > 0.1
+    report(
+        15,
+        "phase transition at beta = 2",
+        ok,
+        f"{elapsed:.2f}s, max |psi_beta_mu - psi_beta| / (beta - 2) at beta = 2 + 10^-j, j = 1..6: "
+        + " ".join(f"{r:.3f}" for r in ratios)
+        + f", least gap of psi_beta_mu(s) at beta = 2.5, 3: {least_gaps[0]:.3f}, {least_gaps[1]:.3f}",
     )

@@ -21,11 +21,11 @@ from affinetoeplitz.algebra import (
     product_table,
     reduce_word,
 )
-from affinetoeplitz.numtheory import primes_upto
+from affinetoeplitz.numtheory import first_primes
 from affinetoeplitz.representation import XBasis, monomial_apply
 from affinetoeplitz.semigroup import SemigroupElement
 
-PRIMES_SMALL = primes_upto(13)
+PRIMES_SMALL = first_primes(6)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -44,6 +45,19 @@ class TestCharacter:
         assert DirichletCharacter.from_generator(4, 3, Fraction(1, 2)) == CHI4
         with pytest.raises(ValueError):
             DirichletCharacter.from_generator(5, 4, Fraction(1, 2))  # 4 has order 2
+
+    def test_short_table_refused_before_the_units_are_listed(self):
+        # a complete table has phi(m) >= sqrt(m/2) entries ...
+        assert all(2 * sum(math.gcd(u, m) == 1 for u in range(1, m + 1)) ** 2 >= m for m in range(1, 400))
+        # ... so a shorter one is refused without listing the units mod m (about 180 MB at 10^7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cover exactly the units"):
+                DirichletCharacter(10**7, ((1, Fraction(0)),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_multiplicative_random(self):
         rng = random.Random(3)

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetoeplitz.cli import run
 
@@ -254,6 +259,7 @@ class TestSuiteCommands:
             ["state-eval", "--state", "psi_beta", "--beta", "2", "--monomial", '{"kind":"mono","m":0.5,"a":1,"b":1,"n":0}'],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"2":1.5}}}', "--contains", "0", "2"],
             ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[[0, true]]}', "--grid", "0"],
+            ["bc", "--mode", "euler", "--character", '{"modulus":1000000000000,"values":{"1":0}}'],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):
@@ -307,3 +313,98 @@ class TestOutputDiscipline:
         assert code == 0
         rows = dict(line.split(",", 1) for line in out.strip().splitlines())
         assert rows["alpha"] == "2" and rows["beta"] == "1"
+
+
+# Valid templates of each JSON argument and the commands that read it: the
+# fuzzer below breaks one field of a template (nested N, mu and omega
+# included) and runs one of the commands with it.
+MU = {"atoms": [["1/8", "1/4"], ["2/3", "3/4"]]}
+JSON_ARGUMENTS = {
+    "state": (
+        [
+            {"variant": "psi_beta", "beta": 2},
+            {"variant": "psi_beta_mu", "beta": 3, "mu": MU},
+            {"variant": "ground", "omega": {"vector": 1}},
+            {"variant": "ground", "omega": {"evaluation": "1/4"}},
+        ],
+        [
+            ["state-eval", "--word", "s^2 v2 v2* s*"],
+            ["kms-check", "--grid", "0"],
+            ["ground-check", "--grid", "0"],
+            ["reconstruct", "--primes", "2,3", "--n", "2"],
+        ],
+    ),
+    "mu": (
+        [MU, {"lebesgue": True}],
+        [
+            ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--grid", "0"],
+            ["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--word", "s"],
+        ],
+    ),
+    "monomial": (
+        [{"kind": "mono", "m": 4, "a": 2, "b": 2, "n": 0}, {"kind": "zero"}],
+        [["state-eval", "--state", "psi_beta_mu", "--beta", "3"]],
+    ),
+    "point": (
+        [
+            {"kind": "A", "k": 4, "N": {"factors": {"2": 2, "3": "inf"}, "default": 0}},
+            {"kind": "B", "generator": 3, "level": 12, "N": {"factors": {"2": 2, "3": 1}}},
+            {"kind": "B", "generator": 5, "N": {"factors": {}, "default": "inf"}},
+        ],
+        [["spectrum", "--contains", "0", "1"]],
+    ),
+    "character": (
+        [
+            {"modulus": 4, "values": {"1": 0, "3": "1/2"}},
+            {"modulus": 5, "values": {"1": 0, "2": "1/4", "3": "3/4", "4": "1/2"}},
+        ],
+        [["bc", "--mode", "euler", "--truncation", "10"]],
+    ),
+}
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["inf", "-1", "0", "1/2", "1/0", "nan", "2.5"]),
+)
+_values = st.one_of(_leaves, st.lists(_leaves, max_size=3), st.dictionaries(st.text(max_size=3), _leaves, max_size=3))
+
+
+def _paths(obj, prefix=()):
+    """Every position in a JSON value, the root () included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+class TestJsonShapeFuzz:
+    @pytest.mark.parametrize("flag", sorted(JSON_ARGUMENTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_broken_field(self, flag, data):
+        templates, commands = JSON_ARGUMENTS[flag]
+        obj = copy.deepcopy(data.draw(st.sampled_from(templates)))
+        path = data.draw(st.sampled_from(list(_paths(obj))))
+        value = data.draw(_values)
+        if not path:
+            obj = value
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        argv = data.draw(st.sampled_from(commands)) + [f"--{flag}={json.dumps(obj)}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

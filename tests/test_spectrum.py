@@ -19,19 +19,11 @@ from affinetoeplitz.spectrum import (
     recompose,
     verify_hereditary_directed,
 )
+from conftest import enumerate_members
 
 
 def sn(n):
     return SupernaturalNumber.from_int(n)
-
-
-def enumerate_members(point, bound):
-    return {
-        SemigroupElement(m, a)
-        for m in range(bound + 1)
-        for a in range(1, bound + 1)
-        if contains(point, SemigroupElement(m, a))
-    }
 
 
 class TestContains:
