@@ -18,6 +18,7 @@ closure property everything else relies on.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,6 @@ __all__ = [
     "product_table",
     "parse_word",
     "reduce_word",
-    "token_monomial",
 ]
 
 
@@ -103,7 +103,7 @@ class Monomial(namedtuple("Monomial", "m a b n")):
         if self.b > 1:
             parts.append(f"v{self.b}*")
         if self.n:
-            parts.append(f"s*^{self.n}" if self.n > 1 else "s*")
+            parts.append(f"s^{self.n}*" if self.n > 1 else "s*")
         return " ".join(parts) if parts else "1"
 
     def to_json(self) -> dict:
@@ -225,83 +225,56 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
+# one term: base, v-digits, power digits, star, and any text left after the
+# term; the final alternative is a character no term starts with
+_TERM = re.compile(r"(s|v(\d*))(?:\^(\d*))?(\*?)(\S*)|\S")
+
+
 def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken]:
     """Parse whitespace-separated terms  base power? star?  into tokens.
 
     base := "s" | "v" uint ; power := "^" uint ; star := "*".  The star
     applies to the whole powered term.  v-subscripts must be prime unless
     `expand_composite` is set, in which case any integer >= 1 is accepted
-    and expanded through its prime factorization (v1 is the identity).  A
-    term v_p^k with k * bitlength(p) past `_MAX_INDEX_BITS` is refused.
+    as a single token (v1 is the identity).  A term v_p^k with
+    k * bitlength(p) past `_MAX_INDEX_BITS` is refused.
     """
     tokens: list[GeneratorToken] = []
-    i, size = 0, len(text)
-    while i < size:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        ch = text[i]
-        if ch == "s":
-            kind, index = "s", None
-            i += 1
-        elif ch == "v":
-            i += 1
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
-            if j == i:
-                raise WordSyntaxError("expected digits after 'v'", i)
-            index = int(text[i:j])
+    for term in _TERM.finditer(text):
+        base, digits, power, star, rest = term.groups()
+        start = term.start()
+        if base is None:
+            raise WordSyntaxError(f"unexpected character {text[start]!r}", start)
+        index = None
+        if digits is not None:
+            if not digits:
+                raise WordSyntaxError("expected digits after 'v'", start + 1)
+            index = int(digits)
             if index < 1:
                 raise WordSyntaxError("v-index must be >= 1", start)
             if not expand_composite and not is_prime(index):
-                raise WordSyntaxError(
-                    f"v{index} is not prime; write it as a product of v_p or enable composite expansion",
-                    start,
-                )
-            kind = "v"
-            i = j
-        else:
-            raise WordSyntaxError(f"unexpected character {ch!r}", i)
-        power = 1
-        if i < size and text[i] == "^":
-            i += 1
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
-            if j == i:
-                raise WordSyntaxError("expected digits after '^'", i)
-            power = int(text[i:j])
-            i = j
-        if kind == "v" and power * index.bit_length() > _MAX_INDEX_BITS:
-            raise WordSyntaxError(f"{text[start:i]} builds an index past {_MAX_INDEX_BITS} bits", start)
-        star = False
-        if i < size and text[i] == "*":
-            star = True
-            i += 1
-        if i < size and not text[i].isspace():
-            raise WordSyntaxError(f"unexpected character {text[i]!r}", i)
-        tokens.append(GeneratorToken(kind, index, power, star))
+                message = f"v{index} is not prime; write it as a product of v_p or enable composite expansion"
+                raise WordSyntaxError(message, start)
+        if power == "":
+            raise WordSyntaxError("expected digits after '^'", term.start(3))
+        power = 1 if power is None else int(power)
+        if index is not None and power * index.bit_length() > _MAX_INDEX_BITS:
+            raise WordSyntaxError(f"{text[start:term.start(4)]} builds an index past {_MAX_INDEX_BITS} bits", start)
+        if rest:
+            raise WordSyntaxError(f"unexpected character {rest[0]!r}", term.start(5))
+        tokens.append(GeneratorToken(base[0], index, power, star == "*"))
     if not tokens:
         raise WordSyntaxError("empty word", 0)
     return tokens
 
 
-def token_monomial(tok: GeneratorToken) -> Monomial:
-    """The monomial of a single powered term."""
-    if tok.kind == "s":
-        return Monomial.s_power(-tok.power if tok.star else tok.power)
-    base = tok.index**tok.power
-    return Monomial.v_star(base) if tok.star else Monomial.v(base)
-
-
 def reduce_word(word: str, expand_composite: bool = False) -> Monomial:
-    """Normal form of a word: fold its token monomials through `monomial_mul`."""
+    """Normal form of a word: fold the monomial of each term through `monomial_mul`."""
     out = Monomial.identity()
     for tok in parse_word(word, expand_composite):
-        out = monomial_mul(out, token_monomial(tok))
+        shift, index = (tok.power, 1) if tok.kind == "s" else (0, tok.index**tok.power)
+        term = Monomial(shift, index, 1, 0)
+        out = monomial_mul(out, adjoint(term) if tok.star else term)
         if out.is_zero:
             return ZERO
     return out
-

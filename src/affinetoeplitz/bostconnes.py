@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _unit_count(m: int) -> int:
+    """Euler's phi(m), the number of units mod m, from the factorization of m."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A character of the units mod m, stored as an explicit angle table.
@@ -45,20 +50,21 @@ class DirichletCharacter:
     values: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        m = self.modulus
+        if m < 1:
             raise ValueError("modulus must be positive")
         table = dict(self.values)
-        # phi(m) >= sqrt(m/2): a shorter table is refused before the units are listed
-        if 2 * len(table) ** 2 < self.modulus:
+        # phi(m) >= sqrt(m/2): a shorter table is refused before m is factored
+        if 2 * len(table) ** 2 < m:
             raise ValueError("character table must cover exactly the units")
-        units = [u for u in range(1, self.modulus + 1) if gcd(u, self.modulus) == 1]
-        if sorted(table) != units:
+        units = sorted(table)
+        if len(units) != _unit_count(m) or not all(1 <= u <= m and gcd(u, m) == 1 for u in units):
             raise ValueError("character table must cover exactly the units")
-        if table[1 % self.modulus or self.modulus] % 1 != 0:
+        if table[1 % m or m] % 1 != 0:
             raise ValueError("chi(1) must be 1")
         for u in units:
             for v in units:
-                lhs = table[(u * v) % self.modulus or self.modulus]
+                lhs = table[(u * v) % m or m]
                 if (lhs - table[u] - table[v]) % 1 != 0:
                     raise ValueError(f"table is not multiplicative at ({u}, {v})")
 
@@ -79,14 +85,15 @@ class DirichletCharacter:
         Requires `generator` to generate the units mod `modulus`, and the
         angle's order to divide the group order.
         """
-        units = {u for u in range(1, modulus + 1) if gcd(u, modulus) == 1}
+        if gcd(generator, modulus) != 1:
+            raise ValueError(f"{generator} does not generate the units mod {modulus}")
         angle = Fraction(angle)
         angles: dict[int, Fraction] = {}
         power = 1 % modulus or modulus
-        for j in range(len(units)):
-            angles[power] = (j * angle) % 1
+        while power not in angles:  # a unit's powers come back to 1
+            angles[power] = (len(angles) * angle) % 1
             power = (power * generator) % modulus or modulus
-        if set(angles) != units:
+        if len(angles) != _unit_count(modulus):
             raise ValueError(f"{generator} does not generate the units mod {modulus}")
         return cls.from_angles(modulus, angles)
 
@@ -143,13 +150,9 @@ def char_euler_sum(
                 "the unit embedding is only evaluated off that support"
             )
     ns = list(islice(iter_smooth(ps), truncation))
-    terms = []
-    abs_terms = []
-    for n in ns:
-        # support of n lies in ps, already checked disjoint, so chi(u_n) = chi(n mod m)
-        weight = float_power(n, -beta)
-        terms.append(weight * chi(n))
-        abs_terms.append(weight)
+    abs_terms = [float_power(n, -beta) for n in ns]
+    # support of n lies in ps, already checked disjoint, so chi(u_n) = chi(n mod m)
+    terms = [weight * chi(n) for weight, n in zip(abs_terms, ns)]
     series = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     product = 1.0 + 0j
     for p in ps:

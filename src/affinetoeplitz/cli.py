@@ -278,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", required=True, help="psi_beta | psi_beta_mu | a state JSON object")
         p.add_argument("--beta", default="inf")
         p.add_argument("--mu", default=None, help="circle measure JSON")
-        p.add_argument("--precision", type=int, default=30, help="tolerance bits")
 
     p = add("state-eval", _cmd_state_eval, help="evaluate a state on a word or monomial")
     state_flags(p)
@@ -292,6 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2, help="additive exponent bound")
     p.add_argument("--mults", type=_parse_csv_ints, default=[1, 2, 3, 4, 6])
     p.add_argument("--at-beta", default=None, help="check the condition at a different temperature")
+    p.add_argument("--precision", type=int, default=30, help="tolerance bits")
 
     p = add("ground-check", _cmd_ground_check, help="ground-state vanishing over a grid")
     p.add_argument("--vector", type=int, default=None)
@@ -316,6 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     state_flags(p)
     p.add_argument("--primes", type=_parse_csv_ints, required=True)
     p.add_argument("--n", type=int, default=20)
+    p.add_argument("--precision", type=int, default=30, help="tolerance bits")
 
     p = add("bc", _cmd_bc, help="character Euler sums and the invariance ratio")
     p.add_argument("--mode", choices=("euler", "invariance", "reconstruct"), required=True)
@@ -329,9 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, help="membership, action and verification for spectrum points")
     p.add_argument("--point", required=True, help="spectrum point JSON")
-    p.add_argument("--contains", nargs=2, type=int, metavar=("M", "A"), default=None)
-    p.add_argument("--act", nargs=2, type=int, metavar=("M", "A"), default=None)
-    p.add_argument("--decompose", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--contains", nargs=2, type=int, metavar=("M", "A"), default=None)
+    mode.add_argument("--act", nargs=2, type=int, metavar=("M", "A"), default=None)
+    mode.add_argument("--decompose", action="store_true")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--bound", type=int, default=20)
 

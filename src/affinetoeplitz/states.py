@@ -569,7 +569,10 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 def measure_from_json(obj: dict) -> CircleMeasure:
     if not isinstance(obj, dict):
         raise ValueError(f"a circle measure is a JSON object, got {obj!r}")
-    if obj.get("lebesgue"):
+    lebesgue = obj.get("lebesgue", False)
+    if not isinstance(lebesgue, bool):
+        raise ValueError(f"lebesgue is a JSON boolean, got {lebesgue!r}")
+    if lebesgue:
         return CircleMeasure.lebesgue()
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in atoms):

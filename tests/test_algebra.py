@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import (
     ZERO,
+    GeneratorToken,
     Monomial,
     WordSyntaxError,
     adjoint,
@@ -56,7 +57,7 @@ class TestMonomialType:
     def test_tuple_semantics(self):
         x = Monomial(1, 2, 3, 4)
         assert x == (1, 2, 3, 4) and hash(x) == hash((1, 2, 3, 4))
-        assert repr(x) == "Monomial(m=1, a=2, b=3, n=4)" and str(x) == "s v2 v3* s*^4"
+        assert repr(x) == "Monomial(m=1, a=2, b=3, n=4)" and str(x) == "s v2 v3* s^4*"
         assert Monomial.from_json(x.to_json()) == x and ZERO.to_json() == {"kind": "zero"}
         with pytest.raises(AttributeError):
             x.m = 5
@@ -273,6 +274,56 @@ class TestParser:
         with pytest.raises(WordSyntaxError):
             parse_word("v6")
         assert parse_word("v6", expand_composite=True)[0].index == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.builds(
+                GeneratorToken,
+                kind=st.just("v"),
+                index=st.sampled_from(first_primes(15)),
+                power=st.integers(0, 10**3),
+                star=st.booleans(),
+            )
+            | st.builds(GeneratorToken, kind=st.just("s"), power=st.integers(0, 10**3), star=st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_rendered_tokens_parse_back(self, tokens, data):
+        # s and v_p for p <= 47, separated by any mix of spaces, tabs and newlines
+        space = st.text(" \t\n", min_size=1, max_size=3)
+        text = data.draw(st.text(" \t\n", max_size=2))
+        for tok in tokens:
+            text += f"{tok.kind}{tok.index or ''}^{tok.power}{'*' if tok.star else ''}" + data.draw(space)
+        assert parse_word(text) == tokens
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text(st.sampled_from(list("sv^*0123456789 \t\nx_-+\u0663\u00b2")), max_size=200),
+        expand=st.booleans(),
+    )
+    def test_any_text_parses_or_raises_with_a_position(self, text, expand):
+        # digit runs stay far below int()'s 4300-digit limit; a non-decimal digit
+        # such as the superscript two is refused where it stands
+        try:
+            parse_word(text, expand)
+        except WordSyntaxError as err:
+            assert 0 <= err.position <= len(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.builds(
+            Monomial,
+            st.integers(0, 10**6),
+            st.integers(1, 400),
+            st.integers(1, 400),
+            st.integers(0, 10**6),
+        ).filter(lambda x: x != Monomial.identity())
+    )
+    def test_str_reads_back(self, x):
+        assert reduce_word(str(x), expand_composite=True) == x
 
 
 class TestDynamics:

@@ -45,6 +45,9 @@ class TestCharacter:
         assert DirichletCharacter.from_generator(4, 3, Fraction(1, 2)) == CHI4
         with pytest.raises(ValueError):
             DirichletCharacter.from_generator(5, 4, Fraction(1, 2))  # 4 has order 2
+        for modulus, generator in ((4, 2), (10, 5), (9, 0)):
+            with pytest.raises(ValueError, match="does not generate"):
+                DirichletCharacter.from_generator(modulus, generator, 0)  # not a unit
 
     def test_short_table_refused_before_the_units_are_listed(self):
         # a complete table has phi(m) >= sqrt(m/2) entries ...
@@ -54,6 +57,20 @@ class TestCharacter:
         try:
             with pytest.raises(ValueError, match="cover exactly the units"):
                 DirichletCharacter(10**7, ((1, Fraction(0)),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_long_table_refused_in_time_bounded_by_its_size(self):
+        # 1000 units pass the size guard at 2 * 10^6, but phi(2 * 10^6) = 800000:
+        # the count is read off the factorization, not off a list of the units
+        modulus = 2 * 10**6
+        values = tuple((u, Fraction(0)) for u in range(1, 5000, 2) if u % 5)[:1000]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cover exactly the units"):
+                DirichletCharacter(modulus, values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from affinetoeplitz.cli import run
 
+# 1000 units mod 2 * 10^6: past the table-size guard, far short of phi = 800000
+LONG_CHARACTER = json.dumps(
+    {"modulus": 2 * 10**6, "values": {str(u): 0 for u in [u for u in range(1, 5000, 2) if u % 5][:1000]}}
+)
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -260,6 +264,10 @@ class TestSuiteCommands:
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"2":1.5}}}', "--contains", "0", "2"],
             ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[[0, true]]}', "--grid", "0"],
             ["bc", "--mode", "euler", "--character", '{"modulus":1000000000000,"values":{"1":0}}'],
+            ["bc", "--mode", "euler", "--character", LONG_CHARACTER],
+            ["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"lebesgue":"no"}', "--word", "s"],
+            ["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "s", "--precision", "5"],
+            ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{}}}', "--contains", "1", "2", "--act", "1", "2"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):
