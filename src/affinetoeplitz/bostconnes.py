@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -37,17 +37,42 @@ def _unit_count(m: int) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
 
 
+def _generators(units: list[int], m: int) -> list[int]:
+    """A generating set of the units mod m, chosen greedily.
+
+    Each unit not yet in the subgroup generated so far joins the set, and
+    the subgroup is closed under it; no factorization or primitive root is
+    needed, and the set has at most log2(phi(m)) elements.
+    """
+    one = 1 % m or m
+    subgroup = {one}
+    gens = []
+    for u in units:
+        if u in subgroup:
+            continue
+        gens.append(u)
+        coset = list(subgroup)
+        power = u
+        while power not in subgroup:  # add the coset subgroup * u^j until u^j lies in the subgroup
+            subgroup.update([(h * power) % m or m for h in coset])
+            power = (power * u) % m or m
+    return gens
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A character of the units mod m, stored as an explicit angle table.
 
     `values` maps each unit u in (Z/m)* to the rational angle t with
     chi(u) = exp(2*pi*i*t).  The table must be completely multiplicative on
-    units with chi(1) = 1.
+    units with chi(1) = 1; that is checked as chi(u g) = chi(u) chi(g) for
+    every unit u and every g in a generating set, which implies it for all
+    pairs by induction on the length of a product of generators.
     """
 
     modulus: int
     values: tuple[tuple[int, Fraction], ...]
+    _table: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.modulus
@@ -62,11 +87,12 @@ class DirichletCharacter:
             raise ValueError("character table must cover exactly the units")
         if table[1 % m or m] % 1 != 0:
             raise ValueError("chi(1) must be 1")
-        for u in units:
-            for v in units:
-                lhs = table[(u * v) % m or m]
-                if (lhs - table[u] - table[v]) % 1 != 0:
-                    raise ValueError(f"table is not multiplicative at ({u}, {v})")
+        for g in _generators(units, m):
+            t = table[g]
+            for u in units:
+                if (table[(u * g) % m or m] - table[u] - t) % 1 != 0:
+                    raise ValueError(f"table is not multiplicative at ({u}, {g})")
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_angles(cls, modulus: int, angles: dict[int, Fraction | int | str]) -> "DirichletCharacter":
@@ -105,10 +131,9 @@ class DirichletCharacter:
     def angle(self, u: int) -> Fraction:
         u %= self.modulus
         u = u or self.modulus
-        for unit, t in self.values:
-            if unit == u:
-                return t
-        raise ValueError(f"{u} is not a unit mod {self.modulus}")
+        if u not in self._table:
+            raise ValueError(f"{u} is not a unit mod {self.modulus}")
+        return self._table[u]
 
     def __call__(self, u: int) -> complex:
         return cmath.exp(2j * math.pi * float(self.angle(u)))

@@ -11,10 +11,10 @@ field; exact rationals are "p/q" strings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import inf, isnan
 
 from . import bostconnes, representation, spectrum, states
@@ -106,7 +106,7 @@ def _cmd_join(args) -> tuple[int, dict]:
     result = join(SemigroupElement(args.m, args.a), SemigroupElement(args.n, args.b))
     if result is None:
         return 0, {"infinite": True}
-    return 0, dataclasses.asdict(result)
+    return 0, result._asdict()
 
 
 def _cmd_euclid(args) -> tuple[int, dict]:
@@ -248,7 +248,9 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
 # --------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `run` and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="affinetoeplitz",
         description="Canonical-form rewriting and equilibrium-state evaluation "

@@ -11,6 +11,7 @@ direct modular formula alongside as an independent check).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -26,21 +27,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SemigroupElement:
-    """(m, a) with m a natural number and a a positive integer."""
+class SemigroupElement(namedtuple("SemigroupElement", "m a")):
+    """(m, a) with m a natural number and a a positive integer.
 
-    m: int
-    a: int
+    An immutable pair of ints, equal to (and hashing like) the plain tuple
+    (m, a).  The constructor validates; a product of two elements is built
+    with tuple.__new__, since it is valid whenever its factors are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"additive part must be >= 0, got {self.m}")
-        if self.a < 1:
-            raise ValueError(f"multiplicative part must be >= 1, got {self.a}")
+    __slots__ = ()
+
+    def __new__(cls, m: int, a: int) -> "SemigroupElement":
+        if m < 0:
+            raise ValueError(f"additive part must be >= 0, got {m}")
+        if a < 1:
+            raise ValueError(f"multiplicative part must be >= 1, got {a}")
+        return tuple.__new__(cls, (m, a))
 
     def __mul__(self, other: "SemigroupElement") -> "SemigroupElement":
-        return SemigroupElement(self.m + self.a * other.m, self.a * other.a)
+        if not isinstance(other, SemigroupElement):  # a plain pair would skip validation
+            raise TypeError(f"unsupported operand type(s) for *: 'SemigroupElement' and {type(other).__name__!r}")
+        m, a = self
+        n, b = other
+        return tuple.__new__(SemigroupElement, (m + a * n, a * b))
+
+    def __rmul__(self, other):
+        # without this, `2 * e` would fall through to tuple repetition
+        raise TypeError(f"unsupported operand type(s) for *: {type(other).__name__!r} and 'SemigroupElement'")
 
     def to_group(self) -> "GroupElement":
         return GroupElement(Fraction(self.m), Fraction(self.a))
@@ -144,20 +157,17 @@ def euclid_smallest_direct(c: int, d: int, k: int) -> tuple[int, int]:
     return _smallest(_euclid_modular, c, d, k)
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
     """Least common upper bound (l, lcm) of (m, a) and (n, b), with the
-    complement data a^-1 * (join) = (alpha, b_prime), b^-1 * (join) = (beta, a_prime)."""
+    complement data a^-1 * (join) = (alpha, b_prime), b^-1 * (join) = (beta, a_prime).
 
-    l: int
-    lcm: int
-    alpha: int
-    beta: int
-    a_prime: int
-    b_prime: int
+    An immutable tuple of six ints, built by `join` without re-validation.
+    """
+
+    __slots__ = ()
 
     def element(self) -> SemigroupElement:
-        return SemigroupElement(self.l, self.lcm)
+        return tuple.__new__(SemigroupElement, (self.l, self.lcm))
 
 
 def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
@@ -167,10 +177,11 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
     n + bN meet, i.e. gcd(a, b) | m - n; the join is then (l, lcm(a, b))
     where l = m + a*alpha = n + b*beta is the least common value.
     """
-    m, a, n, b = p.m, p.a, q.m, q.a
+    m, a = p
+    n, b = q
     g = gcd(a, b)
     if (m - n) % g != 0:
         return None
     a1, b1 = a // g, b // g
     alpha, beta = euclid_smallest(a1, b1, (n - m) // g)
-    return Join(l=m + a * alpha, lcm=a * b // g, alpha=alpha, beta=beta, a_prime=a1, b_prime=b1)
+    return tuple.__new__(Join, (m + a * alpha, a * b // g, alpha, beta, a1, b1))

@@ -207,20 +207,21 @@ def verify_hereditary_directed(
         member_set = set(members)
         window = [x for x in member_set if x.m <= bound and x.a <= bound]
 
-    for x in window:
-        for b in range(1, x.a + 1):
-            if x.a % b != 0:
+    # elements hash like plain (m, a) tuples, so a probe needs no element built
+    for xm, xa in window:
+        for b in range(1, xa + 1):
+            if xa % b != 0:
                 continue
-            # (m, b) lies below x: b divides x.a and x.m - m
-            for m in range(x.m, -1, -b):
-                if SemigroupElement(m, b) not in member_set:
+            # (m, b) lies below (xm, xa): b divides xa and xm - m
+            for m in range(xm, -1, -b):
+                if (m, b) not in member_set:
                     return False
     for x in window:
         for y in window:
             jn = join(x, y)
             if jn is None:
                 return False
-            if jn.l <= bound and jn.lcm <= bound and jn.element() not in member_set:
+            if jn.l <= bound and jn.lcm <= bound and (jn.l, jn.lcm) not in member_set:
                 return False
     return True
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -17,6 +18,47 @@ from affinetoeplitz.bostconnes import (
 from affinetoeplitz.numtheory import first_primes, iter_smooth, zeta_e
 
 CHI4 = DirichletCharacter.quadratic_mod4()
+
+
+def multiplicative_all_pairs(m, table):
+    """The multiplicativity oracle: chi(1) = 1 and chi(uv) = chi(u) chi(v) over all pairs of
+    units, on the angles scaled to integers over their common denominator."""
+    den = math.lcm(*(Fraction(t).denominator for t in table.values()))
+    num = {u: Fraction(t).numerator * (den // Fraction(t).denominator) for u, t in table.items()}
+    if num[1 % m or m] % den != 0:
+        return False
+    return all((num[(u * v) % m or m] - num[u] - num[v]) % den == 0 for u in num for v in num)
+
+
+def multiplicative_along(m, units, h, rng):
+    """A table with chi(u h) = chi(u) chi(h) for every unit u, random on the other cosets of <h>:
+    multiplicative when h generates the units, and otherwise only by chance."""
+    order = next(k for k in range(1, m + 1) if pow(h, k, m) == 1 % m)
+    step = Fraction(rng.randrange(order), order)
+    table = {}
+    for u in units:  # 1 comes first, so chi(h^j) = j * step
+        base = Fraction(0) if u == 1 else Fraction(rng.randrange(12), 12)
+        j, w = 0, u
+        while w not in table:
+            table[w] = (base + j * step) % 1
+            j, w = j + 1, (w * h) % m or m
+    return table
+
+
+def character_blocks(m, units):
+    """(order, angle table) of characters mod m pulled back from moduli q | m with known
+    structure: a primitive root's discrete log mod each odd prime q, and the two
+    characters mod 4 and mod 8 when those divide m."""
+    blocks = []
+    for q in (p for p in range(3, m + 1, 2) if m % p == 0 and all(p % d for d in range(2, p))):
+        root = next(r for r in range(2, q) if len({pow(r, j, q) for j in range(q - 1)}) == q - 1)
+        log = {pow(root, j, q): j for j in range(q - 1)}
+        blocks.append((q - 1, {u: Fraction(log[u % q], q - 1) for u in units}))
+    if m % 4 == 0:
+        blocks.append((2, {u: Fraction(u % 4 == 3, 2) for u in units}))
+    if m % 8 == 0:
+        blocks.append((2, {u: Fraction(u % 8 in (3, 5), 2) for u in units}))
+    return blocks
 
 
 class TestCharacter:
@@ -84,6 +126,41 @@ class TestCharacter:
             lhs = CHI4(a * b)
             rhs = CHI4(a) * CHI4(b)
             assert abs(lhs - rhs) < 1e-14
+
+    def test_generator_check_agrees_with_all_pairs(self):
+        rng = random.Random(60)
+        verdicts = []
+        for m in range(1, 61):
+            units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+            blocks = character_blocks(m, units)
+            exponents = [rng.randrange(order) for order, _ in blocks]
+            valid = {u: sum((k * table[u] for k, (_, table) in zip(exponents, blocks)), Fraction(0)) % 1 for u in units}
+            tables = [valid, {u: Fraction(rng.randrange(2), 2) for u in units}]
+            tables += [multiplicative_along(m, units, h, rng) for h in units]
+            if len(units) > 1:
+                tables.append({**valid, rng.choice(units[1:]): Fraction(rng.randrange(1, 6), 6)})
+            for table in tables:
+                want = multiplicative_all_pairs(m, table)
+                try:
+                    DirichletCharacter.from_angles(m, table)
+                    got = True
+                except ValueError as exc:
+                    assert "multiplicative" in str(exc) or "chi(1)" in str(exc)
+                    got = False
+                assert got == want, (m, table)
+                verdicts.append(got)
+        assert verdicts.count(True) > 60 and verdicts.count(False) > 60
+
+    def test_large_trivial_character_is_fast(self):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            chi = DirichletCharacter.trivial(2003)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1
+        assert chi.angle(2003 * 5 + 7) == 0
+        with pytest.raises(ValueError, match="not a unit"):
+            chi.angle(2003)
 
     def test_json_round_trip(self):
         for chi in (CHI4, DirichletCharacter.trivial(6)):

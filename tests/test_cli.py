@@ -3,22 +3,51 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.cli import run
+import affinetoeplitz
+from affinetoeplitz.cli import _build_parser, run
 
 # 1000 units mod 2 * 10^6: past the table-size guard, far short of phi = 800000
 LONG_CHARACTER = json.dumps(
     {"modulus": 2 * 10**6, "values": {str(u): 0 for u in [u for u in range(1, 5000, 2) if u % 5][:1000]}}
 )
 
+# the list defaults of the parser, read back through a parse of the shortest valid argv
+LIST_DEFAULTS = [
+    (["kms-check", "--state", "psi_beta"], "mults", [1, 2, 3, 4, 6]),
+    (["ground-check"], "mults", [1, 2, 3, 4, 6]),
+    (["rep-check", "--model", "x"], "primes", [2, 3, 5]),
+    (["bc", "--mode", "euler"], "primes", [3, 5, 7]),
+]
+
+
 def run_capture(capsys, argv):
-    code = run(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """Run argv twice in this process: the reused parser must answer the same both times
+    and keep its list defaults."""
+    results = []
+    for _ in range(2):
+        code = run(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[1] == results[0]
+    for minimal, dest, default in LIST_DEFAULTS:
+        assert getattr(_build_parser().parse_args(minimal), dest) == default
+    return results[0]
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(affinetoeplitz.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import affinetoeplitz.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 class TestReduce:

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affinetoeplitz.semigroup import (
     GroupElement,
+    Join,
     SemigroupElement,
     euclid_smallest,
     euclid_smallest_direct,
@@ -65,6 +68,43 @@ class TestGroup:
     def test_semigroup_embeds(self):
         x, y = SemigroupElement(1, 2), SemigroupElement(3, 4)
         assert (x * y).to_group() == x.to_group() * y.to_group()
+
+
+elements = st.builds(SemigroupElement, st.integers(0, 10**30), st.integers(1, 10**30))
+
+
+class TestSemigroupElement:
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError, match=r"additive part must be >= 0, got -1"):
+            SemigroupElement(-1, 2)
+        with pytest.raises(ValueError, match=r"multiplicative part must be >= 1, got 0"):
+            SemigroupElement(0, 0)
+
+    @given(elements, elements)
+    def test_product_formula(self, e, f):
+        (m, a), (n, b) = e, f
+        product = e * f
+        assert type(product) is SemigroupElement
+        assert product == (m + a * n, a * b)
+
+    def test_tuple_behaviour(self):
+        e = SemigroupElement(2, 3)
+        assert repr(e) == "SemigroupElement(m=2, a=3)"
+        assert e == (2, 3) and hash(e) == hash((2, 3))
+        assert (e.m, e.a) == (2, 3)
+        for left in (2, [1], (1, 2)):
+            with pytest.raises(TypeError):
+                left * e  # tuple repetition must not leak through
+        for right in (2, (1, 2), (-5, 0)):
+            with pytest.raises(TypeError):
+                e * right  # a plain pair would skip validation
+
+    def test_join_repr(self):
+        j = join(SemigroupElement(0, 2), SemigroupElement(1, 3))
+        assert type(j) is Join
+        assert repr(j) == "Join(l=4, lcm=6, alpha=2, beta=1, a_prime=2, b_prime=3)"
+        assert j._asdict() == {"l": 4, "lcm": 6, "alpha": 2, "beta": 1, "a_prime": 2, "b_prime": 3}
+        assert type(j.element()) is SemigroupElement and j.element() == (4, 6)
 
 
 class TestOrder:
