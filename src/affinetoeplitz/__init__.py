@@ -12,10 +12,8 @@ oracles), `spectrum` parametrises the character space of the diagonal,
 
 from . import bostconnes, numtheory, representation, semigroup, spectrum, states
 from .numtheory import (
-    ResidueClass,
+    PrimeWindow,
     SupernaturalNumber,
-    crt_combine,
-    crt_split,
     factorize,
     sn_divides,
     zeta,
@@ -42,10 +40,8 @@ from .algebra import (
 )
 
 __all__ = [
-    "ResidueClass",
+    "PrimeWindow",
     "SupernaturalNumber",
-    "crt_combine",
-    "crt_split",
     "factorize",
     "sn_divides",
     "zeta",

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .numtheory import is_prime, json_number
-from .semigroup import euclid_smallest
+from .semigroup import TupleValue, euclid_smallest
 
 __all__ = [
     "Monomial",
@@ -50,7 +50,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-class Monomial(namedtuple("Monomial", "m a b n")):
+class Monomial(TupleValue, namedtuple("Monomial", "m a b n")):
     """Canonical spanning element s^m v_a v_b* s*^n, or the zero element.
 
     An immutable tuple of four ints, equal to (and hashing like) the plain

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
-from .numtheory import factorize, first_primes, float_power, is_prime, iter_smooth, json_number, zeta_e
+from .numtheory import PrimeWindow, factorize, first_primes, float_power, iter_smooth, json_number, zeta_e
 
 __all__ = [
     "DirichletCharacter",
@@ -165,24 +165,22 @@ def char_euler_sum(
         raise ValueError("beta must be positive")
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    ps = sorted(set(primes))
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+    window = PrimeWindow.of(primes)
+    for p in window.primes:
         if chi.modulus % p == 0:
             raise ValueError(
                 f"{p} shares a prime with the character modulus {chi.modulus}; "
                 "the unit embedding is only evaluated off that support"
             )
-    ns = list(islice(iter_smooth(ps), truncation))
+    ns = list(islice(iter_smooth(window.primes), truncation))
     abs_terms = [float_power(n, -beta) for n in ns]
-    # support of n lies in ps, already checked disjoint, so chi(u_n) = chi(n mod m)
+    # support of n lies in the window, already checked disjoint, so chi(u_n) = chi(n mod m)
     terms = [weight * chi(n) for weight, n in zip(abs_terms, ns)]
     series = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     product = 1.0 + 0j
-    for p in ps:
+    for p in window.primes:
         product /= 1.0 - float_power(p, -beta) * chi(p)
-    tail = zeta_e(beta, ps) - math.fsum(abs_terms)
+    tail = zeta_e(beta, window) - math.fsum(abs_terms)
     return EulerSumResult(series, product, max(tail, 0.0), len(ns), ns[-1])
 
 
@@ -236,11 +234,11 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
         raise ValueError("the model state values need beta > 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ps = sorted(set(primes))
-    zeta_window = zeta_e(beta, ps)
+    window = PrimeWindow.of(primes)
+    zeta_window = zeta_e(beta, window)
 
     subsets = [[]]
-    for p in ps:
+    for p in window.primes:
         subsets += [s + [p] for s in subsets]
 
     def q_compressed(kp: int) -> float:
@@ -253,7 +251,7 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
 
     lhs = float_power(k, -beta)
     terms = []
-    for count, n in enumerate(iter_smooth(ps)):
+    for count, n in enumerate(iter_smooth(window.primes)):
         weight = float_power(n, -beta)
         if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
             break  # |conditional values| <= zeta_window, so the tail is negligible

@@ -19,9 +19,8 @@ from math import inf, isnan
 
 from . import bostconnes, representation, spectrum, states
 from .algebra import Monomial, WordSyntaxError, monomial_grid, product_table, reduce_word
-from .numtheory import float_power
+from .numtheory import PrimeWindow, float_power
 from .semigroup import SemigroupElement, euclid_smallest, join
-from .states import PrimeWindow
 
 REAL_DIGITS = 12
 
@@ -238,7 +237,7 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
         if not isinstance(point, spectrum.BPoint):
             raise ValueError("decompose applies to B-points")
         parts = spectrum.decompose(point, level=args.level)
-        return 0, {str(p): {"value": t.value, "level": t.modulus} for p, t in parts.items()}
+        return 0, {str(p): {"value": t.value, "level": t.level} for p, t in parts.items()}
     ok = spectrum.verify_hereditary_directed(point, args.bound)
     return (0 if ok else 1), {"hereditary_directed": ok, "bound": args.bound}
 

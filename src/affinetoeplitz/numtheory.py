@@ -1,11 +1,10 @@
 """Integer, supernatural and zeta arithmetic shared by every other module.
 
 Factorizations are plain tuples of increasing (prime, exponent) pairs,
-residues are `ResidueClass` values (split into prime-power components and
-reassembled by the Chinese remainder theorem), and supernatural numbers are
-formal prime products with exponents in N union {inf}.  Whether an integer
-divides a supernatural number is decided by stripping the listed primes,
-without factoring the integer.
+supernatural numbers are formal prime products with exponents in N union
+{inf}, and a finite prime set is a `PrimeWindow`, the one place that checks
+it is nonempty and prime.  Whether an integer divides a supernatural number
+is decided by stripping the listed primes, without factoring the integer.
 
 All integer arithmetic is exact (Python integers).  Real values are IEEE
 doubles; series are accumulated with `math.fsum`, so the only error that
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "SupernaturalNumber",
-    "ResidueClass",
+    "PrimeWindow",
     "NABLA",
     "factorize",
     "is_prime",
@@ -35,8 +34,6 @@ __all__ = [
     "iter_smooth",
     "sn_divides",
     "int_divides_sn",
-    "crt_split",
-    "crt_combine",
     "float_power",
     "json_number",
     "zeta",
@@ -134,6 +131,35 @@ def iter_smooth(primes: Iterable[int]) -> Iterator[int]:
             if m not in seen:
                 seen.add(m)
                 heapq.heappush(heap, m)
+
+
+@dataclass(frozen=True)
+class PrimeWindow:
+    """A finite nonempty set of primes."""
+
+    primes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.primes:
+            raise ValueError("prime window must be nonempty")
+        if list(self.primes) != sorted(set(self.primes)):
+            raise ValueError("primes must be distinct and sorted")
+        for p in self.primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+
+    @classmethod
+    def of(cls, primes: Iterable[int]) -> "PrimeWindow":
+        return cls(tuple(sorted(set(primes))))
+
+    def supports(self, n: int) -> bool:
+        """Whether every prime factor of n >= 1 lies in the window."""
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        for p in self.primes:
+            while n % p == 0:
+                n //= p
+        return n == 1
 
 
 def json_number(value, kind: type = int):
@@ -264,50 +290,6 @@ def int_divides_sn(a: int, n: SupernaturalNumber) -> bool:
 
 
 # --------------------------------------------------------------------------
-# residues and CRT
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """A residue value in Z/modulus."""
-
-    modulus: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus})")
-
-    def reduce(self, modulus: int) -> "ResidueClass":
-        """Project to Z/modulus; requires modulus | self.modulus."""
-        if self.modulus % modulus != 0:
-            raise ValueError(f"{modulus} does not divide {self.modulus}")
-        return ResidueClass(modulus, self.value % modulus)
-
-
-def crt_split(r: ResidueClass) -> list[ResidueClass]:
-    """Reduce a residue mod N to its prime-power components."""
-    return [r.reduce(p**e) for p, e in factorize(r.modulus)]
-
-
-def crt_combine(parts: Iterable[ResidueClass]) -> ResidueClass:
-    """Inverse of `crt_split`: assemble a residue from pairwise coprime moduli."""
-    parts = list(parts)
-    moduli = [part.modulus for part in parts]
-    modulus = math.prod(moduli)
-    if modulus != math.lcm(*moduli):
-        raise ValueError(f"moduli {moduli} are not pairwise coprime")
-    value = 0
-    for part in parts:
-        other = modulus // part.modulus
-        value = (value + part.value * other * pow(other, -1, part.modulus)) % modulus
-    return ResidueClass(modulus, value)
-
-
-# --------------------------------------------------------------------------
 # powers and zeta values
 # --------------------------------------------------------------------------
 
@@ -349,20 +331,16 @@ def zeta(s: float) -> float:
     return head + tail
 
 
-def zeta_e(s: float, primes: Iterable[int]) -> float:
-    """Euler product prod_{p in E} (1 - p^-s)^-1 over a finite prime set.
+def zeta_e(s: float, window: PrimeWindow) -> float:
+    """Euler product prod_{p in E} (1 - p^-s)^-1 over the window's primes E.
 
     Converges for every s > 0 because the product is finite.
     """
     if s != inf and s <= 0:
         raise ValueError(f"zeta_e requires s > 0, got {s}")
-    ps = sorted(set(primes))
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
     if s == inf:
         return 1.0
     out = 1.0
-    for p in ps:
+    for p in window.primes:
         out *= 1.0 / (1.0 - p ** (-s))
     return out

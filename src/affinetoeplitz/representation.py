@@ -367,13 +367,13 @@ def nica_covariance_rhs(x: SemigroupElement, y: SemigroupElement, e: SemigroupEl
     """Right side of the covariance identity for T_x* T_y, via the join.
 
     T_x* T_y = T_u T_v* with u = x^-1 (x v y), v = y^-1 (x v y) when the join
-    is finite, and 0 otherwise.
+    is finite, and 0 otherwise; the join carries both complements.
     """
     jn = join(x, y)
     if jn is None:
         return NULL
-    u = SemigroupElement((jn.l - x.m) // x.a, jn.lcm // x.a)
-    v = SemigroupElement((jn.l - y.m) // y.a, jn.lcm // y.a)
+    u = tuple.__new__(SemigroupElement, (jn.alpha, jn.b_prime))
+    v = tuple.__new__(SemigroupElement, (jn.beta, jn.a_prime))
     inner = toeplitz_apply(v, e, star=True)
     if inner.is_null:
         return NULL

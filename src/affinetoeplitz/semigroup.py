@@ -27,7 +27,19 @@ __all__ = [
 ]
 
 
-class SemigroupElement(namedtuple("SemigroupElement", "m a")):
+class TupleValue:
+    """Mixin for the tuple-backed values: refuses the tuple + and *, which
+    Python falls back to even when __add__ or __mul__ returns NotImplemented."""
+
+    __slots__ = ()
+
+    def _refuse(self, other):
+        raise TypeError(f"{type(self).__name__} has no tuple + or * (other operand: {type(other).__name__})")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+
+
+class SemigroupElement(TupleValue, namedtuple("SemigroupElement", "m a")):
     """(m, a) with m a natural number and a a positive integer.
 
     An immutable pair of ints, equal to (and hashing like) the plain tuple
@@ -46,14 +58,10 @@ class SemigroupElement(namedtuple("SemigroupElement", "m a")):
 
     def __mul__(self, other: "SemigroupElement") -> "SemigroupElement":
         if not isinstance(other, SemigroupElement):  # a plain pair would skip validation
-            raise TypeError(f"unsupported operand type(s) for *: 'SemigroupElement' and {type(other).__name__!r}")
+            self._refuse(other)
         m, a = self
         n, b = other
         return tuple.__new__(SemigroupElement, (m + a * n, a * b))
-
-    def __rmul__(self, other):
-        # without this, `2 * e` would fall through to tuple repetition
-        raise TypeError(f"unsupported operand type(s) for *: {type(other).__name__!r} and 'SemigroupElement'")
 
     def to_group(self) -> "GroupElement":
         return GroupElement(Fraction(self.m), Fraction(self.a))
@@ -157,7 +165,7 @@ def euclid_smallest_direct(c: int, d: int, k: int) -> tuple[int, int]:
     return _smallest(_euclid_modular, c, d, k)
 
 
-class Join(namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
+class Join(TupleValue, namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
     """Least common upper bound (l, lcm) of (m, a) and (n, b), with the
     complement data a^-1 * (join) = (alpha, b_prime), b^-1 * (join) = (beta, a_prime).
 

@@ -11,19 +11,20 @@ The nonempty hereditary directed subsets of the monoid come in two families:
 A residue family is one (value, level) pair: an integer family a -> value
 mod a (level None, defined at every level) or a residue at a declared finite
 level; queries beyond the declared level raise `LevelExceededError` rather
-than guess.  The boundary consists of the B-points with every exponent
-infinite, where the monoid acts by (m, a) . r = m + a r.
+than guess.  It is the one residue type: `decompose` splits a B-point into
+families at the prime powers of N and `recompose` rejoins them by the
+Chinese remainder theorem.  The boundary consists of the B-points with
+every exponent infinite, where the monoid acts by (m, a) . r = m + a r.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .numtheory import (
-    ResidueClass,
     SupernaturalNumber,
-    crt_combine,
     factorize,
     int_divides_sn,
     json_number,
@@ -157,12 +158,12 @@ def boundary_act(x: SemigroupElement, point: BPoint) -> BPoint:
     return BPoint(ResidueFamily(x.m + x.a * point.r.value, point.r.level), point.N)
 
 
-def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueClass]:
+def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueFamily]:
     """Split a B-point into its prime-power residue components.
 
     For a finite modulus the components are the residues at the exact prime
     powers of N; for an infinite modulus a finite `level` (dividing the
-    available data) selects the truncation.
+    available data) selects the truncation.  Each component is keyed by p.
     """
     if level is None:
         if not point.N.is_finite:
@@ -170,15 +171,22 @@ def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueClass
         level = point.N.to_int()
     if not int_divides_sn(level, point.N):
         raise ValueError(f"{level} does not divide the modulus")
-    residue = ResidueClass(level, point.r.at(level))
-    return {p: residue.reduce(p**e) for p, e in factorize(level)}
+    value = point.r.at(level)
+    return {p: ResidueFamily(value, p**e) for p, e in factorize(level)}
 
 
-def recompose(parts: Mapping[int, ResidueClass], N: SupernaturalNumber | None = None) -> BPoint:
-    """Inverse of `decompose` via the Chinese remainder theorem."""
-    combined = crt_combine(parts.values())
-    modulus = N if N is not None else SupernaturalNumber.from_int(combined.modulus)
-    return BPoint(ResidueFamily.from_residue(combined.value, combined.modulus), modulus)
+def recompose(parts: Mapping[int, ResidueFamily], N: SupernaturalNumber | None = None) -> BPoint:
+    """Inverse of `decompose`: the Chinese remainder theorem over finite,
+    pairwise coprime levels, whose product is the modulus unless N is given."""
+    levels = [part.level for part in parts.values()]
+    if None in levels or math.prod(levels) != math.lcm(*levels):
+        raise ValueError(f"levels {levels} must be finite and pairwise coprime")
+    level, value = math.prod(levels), 0
+    for part in parts.values():
+        other = level // part.level
+        value += part.value * other * pow(other, -1, part.level)
+    modulus = N if N is not None else SupernaturalNumber.from_int(level)
+    return BPoint(ResidueFamily(value, level), modulus)
 
 
 def verify_hereditary_directed(

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Monomial, adjoint, monomial_mul, product_table
-from .numtheory import divisors, factorize, float_power, is_prime, json_number, zeta, zeta_e
+from .numtheory import PrimeWindow, divisors, factorize, float_power, json_number, zeta, zeta_e
 
 __all__ = [
     "CircleMeasure",
@@ -195,35 +195,6 @@ class Ground:
 
 
 StateSpec = PsiBeta | PsiBetaMu | Ground
-
-
-@dataclass(frozen=True)
-class PrimeWindow:
-    """A finite nonempty set of primes."""
-
-    primes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.primes:
-            raise ValueError("prime window must be nonempty")
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ValueError("primes must be distinct and sorted")
-        for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-    @classmethod
-    def of(cls, primes: Iterable[int]) -> "PrimeWindow":
-        return cls(tuple(sorted(set(primes))))
-
-    def supports(self, n: int) -> bool:
-        """Whether every prime factor of n >= 1 lies in the window."""
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        for p in self.primes:
-            while n % p == 0:
-                n //= p
-        return n == 1
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +442,7 @@ def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int) -> complex:
         return 1.0 + 0j
     if phi.beta == inf:
         return moment(phi.mu, k)
-    scale = zeta_e(beta - 1.0, window.primes) / zeta(beta - 1.0)
+    scale = zeta_e(beta - 1.0, window) / zeta(beta - 1.0)
     radical = math.prod(window.primes)
     return scale * _divisor_sum(phi, k, [d for d in divisors(abs(k)) if math.gcd(d, radical) == 1])
 
@@ -498,7 +469,7 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
     for a in divisors(n):
         if window.supports(a):
             rhs += float_power(a, 1.0 - beta) * conditional_moment(phi, window, n // a)
-    rhs /= zeta_e(beta - 1.0, window.primes)
+    rhs /= zeta_e(beta - 1.0, window)
     return abs(rhs - lhs)
 
 

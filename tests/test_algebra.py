@@ -62,6 +62,13 @@ class TestMonomialType:
         with pytest.raises(AttributeError):
             x.m = 5
 
+    def test_tuple_operators_refused(self):
+        # + and * would otherwise concatenate or repeat the underlying tuple
+        x = Monomial.identity()
+        for op in (lambda: x + Monomial.s_power(1), lambda: x + ZERO, lambda: x * 2, lambda: 2 * x, lambda: x * x):
+            with pytest.raises(TypeError, match="Monomial"):
+                op()
+
     @settings(max_examples=300, deadline=None)
     @given(pair=monomial_pairs())
     def test_unvalidated_builders_pass_validation(self, pair):

@@ -15,7 +15,7 @@ from affinetoeplitz.bostconnes import (
     character_to_json,
     invariance_ratio,
 )
-from affinetoeplitz.numtheory import first_primes, iter_smooth, zeta_e
+from affinetoeplitz.numtheory import PrimeWindow, first_primes, iter_smooth, zeta_e
 
 CHI4 = DirichletCharacter.quadratic_mod4()
 
@@ -180,7 +180,7 @@ class TestEulerSum:
     def test_trivial_reduces_to_partial_zeta(self):
         triv = DirichletCharacter.trivial(4)
         res = char_euler_sum(triv, [3, 5], 2.0, 4000)
-        assert abs(res.product - zeta_e(2, [3, 5])) < 1e-12
+        assert abs(res.product - zeta_e(2, PrimeWindow.of([3, 5]))) < 1e-12
         assert abs(res.series - res.product) <= res.tail_bound + 1e-12
 
     def test_three_prime_example(self):
@@ -232,7 +232,7 @@ class TestInvarianceRatio:
 
     def test_partial_zeta_growth(self):
         # the denominator driving the decay: past 4 by the 40th prime
-        assert zeta_e(1, first_primes(40)) > 4
+        assert zeta_e(1, PrimeWindow.of(first_primes(40))) > 4
 
 
 class TestReconstruction:

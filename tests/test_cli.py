@@ -262,6 +262,8 @@ class TestSuiteCommands:
             ["kms-check", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"atoms":[["1/0","1"]]}', "--grid", "1"],
             ["bc", "--mode", "invariance", "--kmax", "0"],
             ["bc", "--mode", "invariance", "--kmax", "-1"],
+            ["bc", "--mode", "euler", "--primes", ","],
+            ["bc", "--mode", "reconstruct", "--beta", "2", "--primes", ","],
         ],
     )
     def test_empty_window_exit_2(self, capsys, argv):
@@ -269,6 +271,8 @@ class TestSuiteCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        if argv[-1] == ",":  # an empty --primes list
+            assert err == "error: prime window must be nonempty\n"
 
     @pytest.mark.parametrize(
         "argv",

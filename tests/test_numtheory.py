@@ -1,5 +1,4 @@
 import math
-import random
 import tracemalloc
 from itertools import islice
 from math import inf
@@ -10,10 +9,8 @@ from hypothesis import strategies as st
 
 from affinetoeplitz.numtheory import (
     NABLA,
-    ResidueClass,
+    PrimeWindow,
     SupernaturalNumber,
-    crt_combine,
-    crt_split,
     divisors,
     factorize,
     first_primes,
@@ -26,6 +23,7 @@ from affinetoeplitz.numtheory import (
     zeta,
     zeta_e,
 )
+from affinetoeplitz.spectrum import BPoint, ResidueFamily, decompose, recompose
 
 
 def brute_is_prime(n):
@@ -185,49 +183,40 @@ class TestSupernatural:
 
 
 class TestResidues:
-    def test_residue_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClass(3, 3)
-        with pytest.raises(ValueError):
-            ResidueClass(0, 0)
+    """Chinese remainder split and recombination of finite residue classes."""
+
+    @staticmethod
+    def point(value, modulus):
+        return BPoint(ResidueFamily.from_residue(value, modulus), SupernaturalNumber.from_int(modulus))
 
     def test_crt_split_values(self):
-        parts = crt_split(ResidueClass(12, 7))
-        assert [(t.value, t.modulus) for t in parts] == [(3, 4), (1, 3)]
-        assert crt_combine(parts) == ResidueClass(12, 7)
+        parts = decompose(self.point(7, 12))
+        assert sorted((t.value, t.level) for t in parts.values()) == [(1, 3), (3, 4)]
+        assert recompose(parts) == self.point(7, 12)
         # exhaustive oracle over 0..11 for the [1 mod 4, 1 mod 3] data
         matches = [v for v in range(12) if v % 4 == 1 and v % 3 == 1]
         assert matches == [1]
-        assert crt_combine([ResidueClass(4, 1), ResidueClass(3, 1)]).value == 1
+        assert recompose({2: ResidueFamily(1, 4), 3: ResidueFamily(1, 3)}).r.at(12) == 1
 
     def test_crt_zero(self):
-        parts = crt_split(ResidueClass(360, 0))
-        assert all(t.value == 0 for t in parts)
-        assert crt_split(ResidueClass(1, 0)) == []
-        assert crt_combine([]) == ResidueClass(1, 0)
+        parts = decompose(self.point(0, 360))
+        assert all(t.value == 0 for t in parts.values())
+        assert decompose(self.point(0, 1)) == {}
+        assert recompose({}) == self.point(0, 1)
 
-    def test_crt_round_trip_all_moduli_to_1e4(self):
-        rng = random.Random(1)
-        for n in range(1, 10_001):
-            for v in {0, n - 1, rng.randrange(n)}:
-                r = ResidueClass(n, v)
-                assert crt_combine(crt_split(r)) == r
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 10**8).flatmap(lambda n: st.builds(ResidueClass, st.just(n), st.integers(0, n - 1))))
-    def test_crt_round_trip_property(self, r):
-        parts = crt_split(r)
-        assert math.prod(t.modulus for t in parts) == r.modulus
-        assert all(t.value == r.value % t.modulus for t in parts)
-        assert crt_combine(parts) == r
+class TestPrimeWindow:
+    def test_of_sorts_and_deduplicates(self):
+        assert PrimeWindow.of([5, 2, 5, 3]).primes == (2, 3, 5)
+        assert PrimeWindow.of(iter([7])).primes == (7,)
 
-    def test_crt_combine_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            crt_combine([ResidueClass(4, 1), ResidueClass(6, 1)])
-        # a shared factor between non-neighbours, and a repeated modulus
-        for moduli in ((3, 5, 9), (7, 7)):
-            with pytest.raises(ValueError):
-                crt_combine([ResidueClass(m, 0) for m in moduli])
+    def test_refusals(self):
+        for primes, message in (([], "nonempty"), ([2, 9], "9 is not prime"), ([1], "1 is not prime"), ([-2], "-2")):
+            with pytest.raises(ValueError, match=message):
+                PrimeWindow.of(primes)
+        for primes in ((3, 2), (2, 2)):
+            with pytest.raises(ValueError, match="distinct and sorted"):
+                PrimeWindow(primes)
 
 
 class TestPowers:
@@ -272,13 +261,13 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(0.5)
         with pytest.raises(ValueError):
-            zeta_e(0, [2])
+            zeta_e(0, PrimeWindow.of([2]))
 
     def test_zeta_infinite_temperature_convention(self):
         from math import inf
 
         assert zeta(inf) == 1.0
-        assert zeta_e(inf, [2, 3]) == 1.0
+        assert zeta_e(inf, PrimeWindow.of([2, 3])) == 1.0
 
     def test_zeta_truncation_agreement(self):
         # the series stays within its 1e-12 truncation bound of known values
@@ -287,14 +276,14 @@ class TestZeta:
             assert abs(zeta(s) - value) < 1e-12
 
     def test_zeta_e_examples(self):
-        assert zeta_e(1, [2]) == 2.0
-        assert abs(zeta_e(2, [2, 3]) - 1.5) < 1e-15
+        assert zeta_e(1, PrimeWindow.of([2])) == 2.0
+        assert abs(zeta_e(2, PrimeWindow.of([2, 3])) - 1.5) < 1e-15
 
     def test_zeta_e_monotone_and_below_zeta(self):
         primes = first_primes(40)
         prev = 0.0
         for k in range(1, 41):
-            val = zeta_e(2, primes[:k])
+            val = zeta_e(2, PrimeWindow.of(primes[:k]))
             assert val >= prev
             prev = val
         assert prev < zeta(2)
@@ -302,6 +291,6 @@ class TestZeta:
     def test_zeta_e_divergence_at_one(self):
         # the partial Euler products at s = 1 grow without bound: the first
         # 40 primes give 9.32, and 10 is passed by the 60th prime
-        val40 = zeta_e(1, first_primes(40))
+        val40 = zeta_e(1, PrimeWindow.of(first_primes(40)))
         assert 9.3 < val40 < 9.35
-        assert zeta_e(1, first_primes(60)) > 10
+        assert zeta_e(1, PrimeWindow.of(first_primes(60))) > 10

@@ -98,6 +98,9 @@ class TestSemigroupElement:
         for right in (2, (1, 2), (-5, 0)):
             with pytest.raises(TypeError):
                 e * right  # a plain pair would skip validation
+        for right in (e, (1, 2), 2):
+            with pytest.raises(TypeError, match="SemigroupElement"):
+                e + right  # no tuple concatenation either
 
     def test_join_repr(self):
         j = join(SemigroupElement(0, 2), SemigroupElement(1, 3))
@@ -105,6 +108,9 @@ class TestSemigroupElement:
         assert repr(j) == "Join(l=4, lcm=6, alpha=2, beta=1, a_prime=2, b_prime=3)"
         assert j._asdict() == {"l": 4, "lcm": 6, "alpha": 2, "beta": 1, "a_prime": 2, "b_prime": 3}
         assert type(j.element()) is SemigroupElement and j.element() == (4, 6)
+        for op in (lambda: j + j, lambda: j * 2, lambda: 2 * j):
+            with pytest.raises(TypeError, match="Join"):
+                op()
 
 
 class TestOrder:

@@ -1,9 +1,12 @@
+import math
 import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinetoeplitz.numtheory import NABLA, ResidueClass, SupernaturalNumber
+from affinetoeplitz.numtheory import NABLA, SupernaturalNumber
 from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import (
     APoint,
@@ -144,17 +147,20 @@ class TestDecompose:
     def test_example(self):
         b = BPoint(ResidueFamily.from_residue(7, 12), sn(12))
         parts = decompose(b)
-        assert {(p, t.value, t.modulus) for p, t in parts.items()} == {(2, 3, 4), (3, 1, 3)}
+        assert {(p, t.value, t.level) for p, t in parts.items()} == {(2, 3, 4), (3, 1, 3)}
         back = recompose(parts)
         assert back.r.at(12) == 7
 
     def test_trivial(self):
         b = BPoint(ResidueFamily.from_residue(0, 1), sn(1))
         assert decompose(b) == {}
-        assert recompose({}).r.at(1) == 0
+        assert recompose({}) == BPoint(ResidueFamily(0, 1), sn(1))
+        parts = decompose(BPoint(ResidueFamily.from_residue(0, 360), sn(360)))
+        assert sorted((p, t.level) for p, t in parts.items()) == [(2, 8), (3, 9), (5, 5)]
+        assert all(t.value == 0 for t in parts.values())
 
     def test_crt_search_oracle(self):
-        parts = {2: ResidueClass(4, 1), 3: ResidueClass(3, 1)}
+        parts = {2: ResidueFamily(1, 4), 3: ResidueFamily(1, 3)}
         matches = [v for v in range(12) if v % 4 == 1 and v % 3 == 1]
         assert matches == [1]
         assert recompose(parts).r.at(12) == 1
@@ -176,6 +182,34 @@ class TestDecompose:
             b = BPoint(ResidueFamily.from_residue(value, modulus), sn(modulus))
             back = recompose(decompose(b), b.N)
             assert back.r.at(modulus) == value
+
+    def test_round_trip_all_moduli_to_1e4(self):
+        rng = random.Random(1)
+        for n in range(1, 10_001):
+            for v in {0, n - 1, rng.randrange(n)}:
+                b = BPoint(ResidueFamily(v, n), sn(n))
+                assert recompose(decompose(b)) == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    def test_round_trip_property(self, case):
+        n, v = case
+        b = BPoint(ResidueFamily(v, n), sn(n))
+        parts = decompose(b)
+        assert math.prod(t.level for t in parts.values()) == n
+        assert all(t.value == v % t.level for t in parts.values())
+        assert recompose(parts) == b
+
+    def test_recompose_rejects_non_coprime(self):
+        # a shared factor between neighbours and between non-neighbours, and a repeated level
+        for levels in ((4, 6), (3, 5, 9), (7, 7)):
+            with pytest.raises(ValueError, match="pairwise coprime"):
+                recompose(dict(enumerate(ResidueFamily(1, level) for level in levels)))
+
+    def test_recompose_rejects_unleveled(self):
+        # an integer family has no finite level to combine at
+        with pytest.raises(ValueError, match="finite"):
+            recompose({2: ResidueFamily(1, 4), 3: ResidueFamily.from_int(1)})
 
 
 class TestHereditaryDirected:

@@ -353,7 +353,7 @@ class TestMeasureAndConditional:
             want = moment(TWO_ATOM, k) if k else 1.0
             # k <= 7 has all divisors window-supported, so only the correction
             # factor zeta_E/zeta distinguishes the two
-            scale = zeta_e(2.0, window.primes) / zeta(2.0)
+            scale = zeta_e(2.0, window) / zeta(2.0)
             assert abs(got - want * (scale if k else 1.0)) < 1e-12
 
 
@@ -374,7 +374,7 @@ class TestReconstruction:
             for a in divisors(n):
                 if window.supports(a):
                     rhs += a ** (1.0 - beta) * conditional_moment(phi, window, n // a)
-            rhs /= zeta_e(beta - 1.0, window.primes)
+            rhs /= zeta_e(beta - 1.0, window)
             assert abs(rhs - evaluate(phi, Monomial.s_power(n))) < 1e-15
 
     def test_defects_small(self):
