@@ -123,6 +123,7 @@ class Monomial(TupleValue, namedtuple("Monomial", "m a b n")):
 
 
 ZERO = Monomial(0, 0, 0, 0)
+_tuple_new = tuple.__new__  # the rewriter's results skip validation; bound once for the hot paths
 
 
 @lru_cache(maxsize=1 << 16)
@@ -138,7 +139,7 @@ def covariance_reduce(a: int, m: int, n: int, b: int) -> Monomial:
     if (n - m) % g != 0:
         return ZERO
     alpha, beta = euclid_smallest(a // g, b // g, (n - m) // g)
-    return tuple.__new__(Monomial, (alpha, b // g, a // g, beta))
+    return _tuple_new(Monomial, (alpha, b // g, a // g, beta))
 
 
 def monomial_mul(left: Monomial, right: Monomial) -> Monomial:
@@ -156,14 +157,14 @@ def monomial_mul(left: Monomial, right: Monomial) -> Monomial:
     beta, c1, b1, gamma = covariance_reduce(b, n, q, c)
     if c1 == 0:
         return ZERO
-    return tuple.__new__(Monomial, (m + beta * a, a * c1, d * b1, r + gamma * d))
+    return _tuple_new(Monomial, (m + beta * a, a * c1, d * b1, r + gamma * d))
 
 
 def adjoint(x: Monomial) -> Monomial:
     """Formal star: (s^m v_a v_b* s*^n)* = s^n v_b v_a* s*^m."""
     if x.is_zero:
         return ZERO
-    return tuple.__new__(Monomial, (x.n, x.b, x.a, x.m))
+    return _tuple_new(Monomial, (x.n, x.b, x.a, x.m))
 
 
 def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:

@@ -75,6 +75,14 @@ def _parse_beta(text: str) -> float:
     return beta
 
 
+def _parse_precision(text: str) -> int:
+    """Tolerance bits: the verification tolerance is 2^-precision, so at least 1."""
+    bits = int(text)
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"precision must be at least 1 bit, got {bits}")
+    return bits
+
+
 def _parse_csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -292,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2, help="additive exponent bound")
     p.add_argument("--mults", type=_parse_csv_ints, default=[1, 2, 3, 4, 6])
     p.add_argument("--at-beta", default=None, help="check the condition at a different temperature")
-    p.add_argument("--precision", type=int, default=30, help="tolerance bits")
+    p.add_argument("--precision", type=_parse_precision, default=30, help="tolerance bits")
 
     p = add("ground-check", _cmd_ground_check, help="ground-state vanishing over a grid")
     p.add_argument("--vector", type=int, default=None)
@@ -300,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None, help="check an arbitrary state JSON instead")
     p.add_argument("--grid", type=int, default=2)
     p.add_argument("--mults", type=_parse_csv_ints, default=[1, 2, 3, 4, 6])
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_parse_precision, default=30)
 
     p = add("rep-check", _cmd_rep_check, help="relation report on a concrete model")
     p.add_argument("--model", choices=("x", "z"), required=True)
@@ -311,13 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("m", type=int)
     p.add_argument("a", type=int)
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_parse_precision, default=30)
 
     p = add("reconstruct", _cmd_reconstruct, help="conditional-state reconstruction defect")
     state_flags(p)
     p.add_argument("--primes", type=_parse_csv_ints, required=True)
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--precision", type=int, default=30, help="tolerance bits")
+    p.add_argument("--precision", type=_parse_precision, default=30, help="tolerance bits")
 
     p = add("bc", _cmd_bc, help="character Euler sums and the invariance ratio")
     p.add_argument("--mode", choices=("euler", "invariance", "reconstruct"), required=True)
@@ -327,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=10**4)
     p.add_argument("--kmax", type=int, default=40)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_parse_precision, default=30)
 
     p = add("spectrum", _cmd_spectrum, help="membership, action and verification for spectrum points")
     p.add_argument("--point", required=True, help="spectrum point JSON")

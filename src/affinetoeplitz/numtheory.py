@@ -46,10 +46,82 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: the least strong pseudoprime to every base in _MR_BASES, so those
+# bases decide primality exactly below it
+_PSI_12 = 318665857834031151167461
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Strong Fermat test of the odd n > a to base a, with n - 1 = d 2^s and d odd."""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for an odd n >= 1."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of the odd n > 13 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D / n) = -1, and
+    P = 1, Q = (1 - D) / 4.  With n + 1 = d 2^s and d odd, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n along the bits of d, from k = 0
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k) / 2 and V_(k+1) = (D U_k + V_k) / 2, halved mod the odd n
+            U, V = U + V, D * U + V
+            U, V, Qk = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Primality: deterministic Miller-Rabin below psi_12, Baillie-PSW at and above.
+
+    Below psi_12 the twelve prime bases up to 37 decide exactly.  At and
+    above it, n must pass a strong test to base 2 and a strong Lucas test;
+    no composite is known to pass both.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -59,19 +131,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n >= _PSI_12:
+        return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES if a < n)
 
 
 def first_primes(k: int) -> list[int]:

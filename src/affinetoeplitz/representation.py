@@ -17,11 +17,12 @@ generator's own definition, and one word runner (`_run_word`) drives either.
 The arrays hold Python integers (dtype=object), so indices stay exact at any
 size.  `relation_suite`, `q_projector_check` and `monomial_apply` all run on
 these steppers.  Independently of them, the batch appliers evaluate closed
-per-generator-block formulas for a whole spanning monomial over int64 arrays,
-for the big verification sweeps and the `trace_state` profile; the test suite
-checks the two paths against each other.  Phases are tracked as integer
-exponents of z, so all comparisons are exact in the cyclotomic field;
-conversion to complex happens only at the edge (`trace_state`).
+per-generator-block formulas for a whole spanning monomial over int32 lanes
+(int64 when the indices need it), for the big verification sweeps and the
+`trace_state` profile; the test suite checks the two paths against each
+other.  Phases are tracked as integer exponents of z, so all comparisons are
+exact in the cyclotomic field; conversion to complex happens only at the edge
+(`trace_state`).
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
 
 
 # --------------------------------------------------------------------------
-# batch application (closed per-block formulas over int64 arrays)
+# batch application (closed per-block formulas over int32 or int64 lanes)
 # --------------------------------------------------------------------------
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -190,9 +192,12 @@ def _peak(*values) -> int:
     return max(int(np.asarray(np.abs(v)).max(initial=0)) for v in values)
 
 
-def _check_int64(bound: int) -> None:
+def _lane_dtype(bound: int) -> type:
+    """Lane dtype for values of absolute size at most `bound`: int32 when they
+    fit, int64 otherwise; past int64 a ValueError."""
     if bound > _INT64_MAX:
         raise ValueError(f"an index could reach {bound}, past int64; use monomial_apply for exact results")
+    return np.int32 if bound <= _INT32_MAX else np.int64
 
 
 def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
@@ -202,58 +207,82 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
     the accumulated z-exponent.  Requires a, b >= 1 (a vanished monomial is a
     mask, not a parameter row).  Killed lanes come back canonicalised to
     r = 0, x = 1, w = 0 with the null flag set, so the level stays a valid
-    divisor and the arrays remain safe to feed back in.  Raises ValueError
-    when an index or z-exponent could leave int64.
+    divisor and the arrays remain safe to feed back in.  Lanes are int32 when
+    every index and z-exponent stays within int32, int64 otherwise; the
+    results come back in the dtype of r, x and w (widened to int64 when the
+    lanes needed it).  Raises ValueError when a value could leave int64.
     """
-    _check_int64(_peak(x) * _peak(a) + _peak(m) + _peak(n) + _peak(w) + 2)
-    null = np.asarray(null, dtype=bool)
-    r = np.asarray(r)
-    x = np.asarray(x)
-    w = np.asarray(w)
-    # s*^n: walk down n steps; one zbar per crossing of 0
-    w = w - np.maximum((n - 1 - r) // x + 1, 0)
-    r = (r - n) % x
-    # v_b*: defined when b | x and b | r
-    ok = ((x % b) | (r % b)) == 0
-    null = null | ~ok
-    r = np.where(ok, r // b, 0)
-    x = np.where(ok, x // b, 1)
+    m, a, b, n, r, x, w = map(np.asarray, (m, a, b, n, r, x, w))
+    lane = _lane_dtype(max(_peak(x) * _peak(a) + _peak(m) + _peak(n) + _peak(w) + 2, _peak(b)))
+    out = np.promote_types(np.result_type(r, x, w), lane)
+    m, a, b, n, r, x, w = (v.astype(lane, copy=False) for v in (m, a, b, n, r, x, w))
+    # t gets the full broadcast shape (at least 1-d), and so does every array
+    # made from it, so they are updated in place: few lane arrays stay alive
+    shape = np.broadcast(m, a, b, n, null, r, x, w).shape
+    # s*^n: walk down n steps; q = floor((r - n) / x) <= 0 counts one zbar per crossing of 0
+    t = np.subtract(r, n, out=np.empty(shape or (1,), lane))
+    q = t // x
+    w = w + q
+    q *= x
+    t -= q  # t = (r - n) mod x
+    # v_b*: defined when b | x and b | r (t becomes r mod b); a killed lane
+    # keeps a level >= 1 until the end
+    r = t // b
+    t -= r * b
+    np.floor_divide(x, b, out=q)
+    null = np.asarray(null, dtype=bool) | (t != 0) | (q * b != x)
+    x = np.maximum(q, 1, out=q)
     # v_a scales the fiber, then s^m walks up with one z per crossing of 0
-    r = r * a
-    x = x * a
-    w = w + (r + m) // x
-    r = (r + m) % x
-    r = np.where(null, 0, r)
-    x = np.where(null, 1, x)
-    w = np.where(null, 0, w)
-    return null, r, x, w
+    r *= a
+    r += m
+    x *= a
+    np.floor_divide(r, x, out=t)
+    w += t
+    t *= x
+    r -= t
+    # killed lanes to r = 0, x = 1, w = 0
+    live = ~null
+    r *= live
+    x *= live
+    x += null
+    w *= live
+    r, x, w = (v.astype(out, copy=False).reshape(shape) for v in (r, x, w))
+    return null.reshape(shape), r, x, w
 
 
 def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
     """Vectorised action of s^m v_a v_b* s*^n on left-regular basis vectors e_(j, c).
 
     Requires a, b >= 1; killed lanes are canonicalised to j = 0, c = 1.
-    Raises ValueError when an index could leave int64.
+    Lanes are int32 when every index stays within int32, int64 otherwise;
+    the results come back in the dtype of j and c (widened to int64 when the
+    lanes needed it).  Raises ValueError when an index could leave int64.
     """
-    _check_int64(_peak(j, c) * _peak(a) + _peak(m))
-    null = np.asarray(null, dtype=bool)
-    j = np.asarray(j)
-    c = np.asarray(c)
-    # s*^n
-    ok = j >= n
-    null = null | ~ok
-    j = np.where(ok, j - n, 0)
-    # v_b*
-    ok = ((j % b) | (c % b)) == 0
-    null = null | ~ok
-    j = np.where(ok, j // b, 0)
-    c = np.where(ok, c // b, 1)
-    # v_a then s^m
-    j = a * j + m
-    c = a * c
-    j = np.where(null, 0, j)
-    c = np.where(null, 1, c)
-    return null, j, c
+    m, a, b, n, j, c = map(np.asarray, (m, a, b, n, j, c))
+    lane = _lane_dtype(max(_peak(j, c) * _peak(a) + _peak(m), _peak(n, b)))
+    out = np.promote_types(np.result_type(j, c), lane)
+    m, a, b, n, j, c = (v.astype(lane, copy=False) for v in (m, a, b, n, j, c))
+    # full-shape lane arrays (at least 1-d), as in x_monomial_apply_batch
+    shape = np.broadcast(m, a, b, n, null, j, c).shape
+    # s*^n: defined when j >= n
+    j = np.subtract(j, n, out=np.empty(shape or (1,), lane))
+    null = np.asarray(null, dtype=bool) | (j < 0)
+    np.maximum(j, 0, out=j)
+    # v_b*: defined when b | j and b | c (j becomes j mod b)
+    q = j // b
+    t = np.floor_divide(c, b, out=np.empty_like(j))
+    j -= q * b
+    null |= (j != 0) | (t * b != c)
+    # v_a then s^m; killed lanes to j = 0, c = 1
+    q *= a
+    q += m
+    t *= a
+    live = ~null
+    q *= live
+    t *= live
+    t += null
+    j, c = (v.astype(out, copy=False).reshape(shape) for v in (q, t))
+    return null.reshape(shape), j, c
 
 
 # --------------------------------------------------------------------------
@@ -263,9 +292,11 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
 
 def _fibered_window(window: int) -> tuple[np.ndarray, np.ndarray]:
     """Representatives and levels of every e_(r, x) with x <= window, level by level."""
-    sizes = np.arange(1, window + 1, dtype=np.int64)
+    lanes = window * (window + 1) // 2
+    dtype = np.int32 if lanes <= _INT32_MAX else np.int64
+    sizes = np.arange(1, window + 1, dtype=dtype)
     levels = np.repeat(sizes, sizes)
-    reps = np.arange(levels.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    reps = np.arange(lanes, dtype=dtype) - np.repeat(np.cumsum(sizes, dtype=dtype) - sizes, sizes)
     return reps, levels
 
 
@@ -407,7 +438,7 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
     # tally (x, w) pairs through one integer key: x * (number of distinct w) + rank of w
     w_vals, w_rank = np.unique(w2[diag], return_inverse=True)
     width = w_vals.size
-    keys, counts = np.unique(levels[diag] * width + w_rank, return_counts=True)
+    keys, counts = np.unique(levels[diag].astype(np.int64) * width + w_rank, return_counts=True)
     return tuple(zip((keys // width).tolist(), w_vals[keys % width].tolist(), counts.tolist()))
 
 

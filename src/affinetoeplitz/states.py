@@ -221,33 +221,31 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
     normalised by a*zeta(beta-1); for m = n the divisor sum is geometric and
     collapses to a^-beta exactly, which is the branch used here.  At
     beta = inf only a = b = 1 survives with value moment(mu, m - n).  Ground
-    states vanish unless a = b = 1, where they restrict to omega.
+    states vanish unless a = b = 1, where they restrict to omega.  Every
+    family vanishes for a != b, which is tested first; anything that is not
+    a state specification raises TypeError.
     """
-    if x.is_zero:
-        return 0j
-    if isinstance(phi, PsiBeta):
-        if x.a != x.b or x.m != x.n:
+    m, a, b, n = x
+    if a != b or not a:  # off the support of every family; ZERO is (0, 0, 0, 0)
+        if isinstance(phi, StateSpec):
             return 0j
-        return complex(float_power(x.a, -phi.beta))
-    if isinstance(phi, PsiBetaMu):
+    elif isinstance(phi, PsiBeta):
+        return complex(float_power(a, -phi.beta)) if m == n else 0j
+    elif isinstance(phi, PsiBetaMu):
+        k = m - n
         if phi.beta == inf:
-            if x.a != 1 or x.b != 1:
-                return 0j
-            return moment(phi.mu, x.m - x.n)
-        if x.a != x.b or (x.m - x.n) % x.a != 0:
+            return moment(phi.mu, k) if a == 1 else 0j
+        if k % a:
             return 0j
-        k = x.m - x.n
-        if k == 0:
-            return complex(float_power(x.a, -phi.beta))
+        if not k:
+            return complex(float_power(a, -phi.beta))
         try:
-            norm = x.a * zeta(phi.beta - 1)
+            norm = a * zeta(phi.beta - 1)
         except OverflowError:
             return 0j  # a >= 2^1024: the value is at most a^-beta, below every double
-        return _divisor_sum(phi, k, [x.a * e for e in divisors(abs(k) // x.a)]) / norm
-    if isinstance(phi, Ground):
-        if x.a != 1 or x.b != 1:
-            return 0j
-        return phi.omega.shift_moment(x.m, x.n)
+        return _divisor_sum(phi, k, [a * e for e in divisors(abs(k) // a)]) / norm
+    elif isinstance(phi, Ground):
+        return phi.omega.shift_moment(m, n) if a == 1 else 0j
     raise TypeError(f"not a state specification: {phi!r}")
 
 
@@ -291,15 +289,17 @@ def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = No
     Zero (up to roundoff) for every pair exactly when phi satisfies the
     equilibrium condition at beta.
     """
-    if x.is_zero or y.is_zero:
+    _, a, b, _ = x
+    if not a or not y[1]:  # ZERO is the only monomial with a vanishing index
         raise ValueError("zero monomial")
     if beta is None:
         beta = _beta_of(phi)
     xy = monomial_mul(x, y)
     yx = monomial_mul(y, x)
-    left = 0j if xy.is_zero else evaluate(phi, xy)
-    right = 0j if yx.is_zero else evaluate(phi, yx)
-    return abs(float_power(x.a, beta) * left - float_power(x.b, beta) * right)
+    # evaluate reads ZERO as 0 too; skipping the call is cheaper on the products that vanish
+    left = evaluate(phi, xy) if xy[1] else 0j
+    right = evaluate(phi, yx) if yx[1] else 0j
+    return abs(float_power(a, beta) * left - float_power(b, beta) * right)
 
 
 def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None = None) -> float:

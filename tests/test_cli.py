@@ -301,6 +301,13 @@ class TestSuiteCommands:
             ["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"lebesgue":"no"}', "--word", "s"],
             ["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "s", "--precision", "5"],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{}}}', "--contains", "1", "2", "--act", "1", "2"],
+            ["kms-check", "--state", "psi_beta", "--beta", "1.5", "--at-beta", "3", "--grid", "1", "--precision", "-10"],
+            ["ground-check", "--vector", "0", "--precision", "0"],
+            ["measure", "--beta", "2", "1", "2", "--precision", "0"],
+            ["reconstruct", "--state", "psi_beta_mu", "--beta", "3", "--primes", "2,3", "--precision", "-1"],
+            ["bc", "--mode", "euler", "--precision", "0"],
+            ["reduce", "v318665857834031151167461"],
+            ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"318665857834031151167461":1}}}', "--contains", "0", "1"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):

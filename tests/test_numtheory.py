@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import islice
 from math import inf
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from affinetoeplitz.numtheory import (
     NABLA,
+    _strong_lucas_probable_prime,
     PrimeWindow,
     SupernaturalNumber,
     divisors,
@@ -33,6 +35,88 @@ def brute_is_prime(n):
 def test_primes_against_brute_force():
     brute = [n for n in range(500) if brute_is_prime(n)]
     assert [n for n in range(500) if is_prime(n)] == brute
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def twelve_base_miller_rabin(n):
+    """The strong test to the twelve prime bases up to 37 at every size: exact below PSI_12."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestIsPrime:
+    def test_matches_sieve_below_1e6(self):
+        limit = 10**6
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def test_matches_miller_rabin_on_64_bit(self):
+        rng = random.Random(64)
+        for _ in range(1000):
+            n = rng.getrandbits(64)
+            assert is_prime(n) == twelve_base_miller_rabin(n)
+            n |= 1
+            while not twelve_base_miller_rabin(n):  # and the next prime above it
+                n += 2
+            assert is_prime(n)
+
+    def test_psi_12_and_psi_13_are_composite(self):
+        # both pass the strong test to every base up to 37; the Lucas half refuses them
+        assert twelve_base_miller_rabin(PSI_12) and twelve_base_miller_rabin(PSI_13)
+        assert PSI_12 == 399165290221 * 798330580441 and is_prime(399165290221) and is_prime(798330580441)
+        assert not is_prime(PSI_12)
+        assert not is_prime(PSI_13)
+
+    def test_large_primes_and_composites(self):
+        for k in (89, 107, 127, 521, 607):  # Mersenne primes
+            assert is_prime(2**k - 1)
+        for k in (83, 97, 101, 103, 109, 113):  # composite Mersenne numbers
+            assert not is_prime(2**k - 1)
+        assert not is_prime((2**89 - 1) ** 2)
+        assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+    def test_matches_miller_rabin_past_psi_12(self):
+        # no composite is known to pass both halves of Baillie-PSW, and a random one
+        # passes the twelve strong tests with negligible probability
+        rng = random.Random(100)
+        for _ in range(400):
+            n = rng.getrandbits(100) | 1 << 99
+            assert is_prime(n) == twelve_base_miller_rabin(n)
+        window = range(10**30, 10**30 + 2000)
+        assert [n for n in window if is_prime(n)] == [n for n in window if twelve_base_miller_rabin(n)]
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 10^5 that pass the strong Lucas test with
+        # Selfridge's parameters (OEIS A217255); every prime passes it
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        passing = [n for n in range(15, 10**5, 2) if _strong_lucas_probable_prime(n)]
+        assert passing == sorted([n for n in range(15, 10**5, 2) if is_prime(n)] + pseudoprimes)
 
 
 def test_first_primes():

@@ -28,6 +28,7 @@ from affinetoeplitz.representation import (
 from affinetoeplitz.semigroup import SemigroupElement, join, leq
 from affinetoeplitz.states import CircleMeasure, PsiBetaMu, evaluate
 
+INT32_MAX = 2**31 - 1
 S = Monomial.s_power(1)
 S_STAR = Monomial.s_power(-1)
 
@@ -265,6 +266,73 @@ class TestBatchAppliers:
         # the adjoint monomial undoes the action exactly, phase included
         back = stepper_on_window(Monomial(mono.n, mono.b, mono.a, mono.m), r2, x2)
         assert (bool(back[0][0]), back[1][0], back[2][0], back[3][0] + w2[0]) == (False, r, x, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        params=st.lists(
+            st.tuples(st.integers(0, 10**4), st.integers(1, 720), st.integers(1, 720), st.integers(0, 10**4)),
+            min_size=1,
+            max_size=4,
+        ),
+        offset=st.integers(-(2**16), 2**16),
+    )
+    def test_x_batch_across_the_int32_boundary(self, data, params, offset):
+        monos = [Monomial(*p) for p in params]
+        m, a, b, n = (np.array([[getattr(y, f)] for y in monos], dtype=np.int64) for f in "mabn")
+        # the level `top` puts the overflow bound x*a + m + n + w + 2 within 2^16 of int32's top
+        top = (INT32_MAX + offset - int(m.max()) - int(n.max()) - 2) // int(a.max())
+        vectors = [(0, top)]
+        for y in monos:  # vectors that y does not kill: after s*^n, b divides r and x
+            for level in (top // y.b, data.draw(st.integers(1, top // y.b)), data.draw(st.integers(1, top // y.b))):
+                r = (data.draw(st.integers(0, level - 1)) * y.b + y.n) % (level * y.b)
+                vectors.append((r, level * y.b))
+        for dtype in (np.int64, np.int32) if top <= INT32_MAX else (np.int64,):
+            rs = np.array([v[0] for v in vectors], dtype=dtype)
+            xs = np.array([v[1] for v in vectors], dtype=dtype)
+            batch = x_monomial_apply_batch(m, a, b, n, np.zeros(rs.shape, bool), rs, xs, np.zeros_like(rs))
+            widened = top * int(a.max()) + int(m.max()) + int(n.max()) + 2 > INT32_MAX
+            assert all(arr.dtype == (np.int64 if widened else dtype) for arr in batch[1:])
+            assert batch[1].shape == (len(monos), len(vectors))
+            for i, y in enumerate(monos):
+                row = tuple(arr[i] for arr in batch)
+                assert_same_action(row, stepper_on_window(y, rs, xs))
+                assert (row[1][row[0]] == 0).all() and (row[2][row[0]] == 1).all() and (row[3][row[0]] == 0).all()
+                assert not row[0][1 + 3 * i : 4 + 3 * i].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        params=st.lists(
+            st.tuples(st.integers(0, 10**4), st.integers(1, 720), st.integers(1, 720), st.integers(0, 10**4)),
+            min_size=1,
+            max_size=4,
+        ),
+        offset=st.integers(-(2**16), 2**16),
+    )
+    def test_toeplitz_batch_across_the_int32_boundary(self, data, params, offset):
+        monos = [Monomial(*p) for p in params]
+        m, a, b, n = (np.array([[getattr(y, f)] for y in monos], dtype=np.int64) for f in "mabn")
+        # the component `top` puts the overflow bound max(j, c)*a + m within 2^16 of int32's top
+        top = (INT32_MAX + offset - int(m.max())) // int(a.max())
+        vectors = [(top, 1)]
+        for y in monos:  # vectors that y does not kill: j >= n, and b divides j - n and c
+            vectors.append((y.n + (top - y.n) // y.b * y.b, top // y.b * y.b))  # the largest such
+            for _ in range(2):
+                j = y.n + y.b * data.draw(st.integers(0, (top - y.n) // y.b))
+                vectors.append((j, y.b * data.draw(st.integers(1, top // y.b))))
+        js = np.array([v[0] for v in vectors], dtype=np.int64)
+        cs = np.array([v[1] for v in vectors], dtype=np.int64)
+        null, j2, c2 = toeplitz_monomial_apply_batch(m, a, b, n, np.zeros(js.shape, bool), js, cs)
+        assert j2.dtype == c2.dtype == np.int64 and j2.shape == (len(monos), len(vectors))
+        for i, y in enumerate(monos):
+            assert not null[i, 1 + 3 * i : 4 + 3 * i].any()
+            for k, (j, c) in enumerate(vectors):
+                step = monomial_apply(y, SemigroupElement(j, c))
+                if step.is_null:
+                    assert null[i, k] and (j2[i, k], c2[i, k]) == (0, 1)
+                else:
+                    assert not null[i, k] and (step.basis.m, step.basis.a) == (j2[i, k], c2[i, k])
 
 
 class TestOracleEquivalence:

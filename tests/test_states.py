@@ -187,6 +187,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             PsiBetaMu(2.0, POINT_ONE)
 
+    def test_zero_and_off_support_contract(self):
+        # each family with the predicate of its support
+        families = [(PsiBeta(beta), lambda m, a, b, n: a == b and m == n) for beta in (1.0, 2.5, inf)]
+        families += [(PsiBetaMu(beta, mu), lambda m, a, b, n: a == b and (m - n) % a == 0)
+                     for beta in (2.5, 4.0) for mu in MEASURES]
+        families += [(PsiBetaMu(inf, mu), lambda m, a, b, n: a == b == 1) for mu in (POINT_I, LEBESGUE)]
+        families += [(Ground(omega), lambda m, a, b, n: a == b == 1)
+                     for omega in (VectorState(0), VectorState(3), Evaluation(Fraction(1, 3)))]
+        monos = monomial_grid(4, (1, 2, 3, 4, 6, 12))
+        for phi, supported in families:
+            assert evaluate(phi, ZERO) == 0
+            off = [x for x in monos if not supported(*x)]
+            assert off and len(off) < len(monos)
+            for x in off:
+                value = evaluate(phi, x)
+                assert type(value) is complex and value == 0j, (phi, x)
+
+    @pytest.mark.parametrize("phi", ["psi_beta", None, 2.5, VectorState(0), Evaluation(0), POINT_ONE])
+    def test_non_state_raises_type_error(self, phi):
+        # monomials in the support of every family, of some, and of none
+        every = [Monomial.identity(), Monomial(1, 1, 1, 1)]
+        some = [Monomial(0, 2, 2, 0)]
+        none = [Monomial(1, 2, 2, 0), Monomial(0, 2, 3, 0)]
+        for x in every + some + none:
+            with pytest.raises(TypeError):
+                evaluate(phi, x)
+
     def test_lebesgue_matches_psi_beta(self):
         for beta in (2.5, 3.0, 5.0):
             for mono in monomial_grid(3, GRID_MULTS):
@@ -229,6 +256,14 @@ class TestKms:
         assert no_kms_witness(0.5, 4) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             no_kms_witness(1.0, 2)
+
+    def test_defect_rejects_zero(self):
+        for phi in (PsiBeta(1.5), PsiBetaMu(3.0, TWO_ATOM)):
+            for x, y in ((ZERO, Monomial.v(2)), (Monomial.v(2), ZERO), (ZERO, ZERO)):
+                with pytest.raises(ValueError):
+                    kms_defect(phi, x, y)
+                with pytest.raises(ValueError):
+                    kms_defect(phi, x, y, beta=2.0)
 
     def test_characterisation_examples(self):
         assert kms_characterisation_check(PsiBeta(1.5), Monomial(1, 3, 3, 1)) < 1e-15
