@@ -46,9 +46,20 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_12: the least strong pseudoprime to every base in _MR_BASES, so those
-# bases decide primality exactly below it
-_PSI_12 = 318665857834031151167461
+# (psi_k, k) with psi_k the least strong pseudoprime to the first k bases, so
+# that those bases decide primality exactly below it (OEIS A014233; psi_8 =
+# psi_7 and psi_10 = psi_11 = psi_9, so those rows are left out)
+_MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),  # psi_12
+)
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -118,9 +129,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality: deterministic Miller-Rabin below psi_12, Baillie-PSW at and above.
 
-    Below psi_12 the twelve prime bases up to 37 decide exactly.  At and
-    above it, n must pass a strong test to base 2 and a strong Lucas test;
-    no composite is known to pass both.
+    Below psi_12 the shortest prefix of the twelve prime bases up to 37 that
+    is exact below some psi_k > n decides.  At and above psi_12, n must pass
+    a strong test to base 2 and a strong Lucas test; no composite is known to
+    pass both.
     """
     if n < 2:
         return False
@@ -131,9 +143,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n >= _PSI_12:
-        return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
-    return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES if a < n)
+    for bound, k in _MR_PREFIXES:
+        if n < bound:  # n > 13 exceeds every base it is tested with
+            return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
 
 
 def first_primes(k: int) -> list[int]:
@@ -265,8 +278,10 @@ class SupernaturalNumber:
             raise ValueError("default exponent must be 0 or inf")
         last = 1
         for p, e in self.listed:
-            if p <= last or not is_prime(p):
+            if p <= last:
                 raise ValueError(f"listed primes must increase, got {p}")
+            if not is_prime(p):
+                raise ValueError(f"listed factor {p} is not prime")
             if e == self.default:
                 raise ValueError(f"exponent at {p} equals the default; not canonical")
             if e != inf and (not isinstance(e, int) or e < 0):

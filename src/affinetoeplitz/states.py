@@ -283,17 +283,33 @@ def _beta_of(phi: StateSpec) -> float:
     raise ValueError("ground states have no inverse temperature")
 
 
-def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = None) -> float:
-    """|a^beta phi(x y) - b^beta phi(y x)| for x = s^m v_a v_b* s*^n.
-
-    Zero (up to roundoff) for every pair exactly when phi satisfies the
-    equilibrium condition at beta.
-    """
-    _, a, b, _ = x
-    if not a or not y[1]:  # ZERO is the only monomial with a vanishing index
-        raise ValueError("zero monomial")
+def _finite_beta(phi: StateSpec, beta: float | None) -> float:
+    """The beta at which the equilibrium condition is checked: the state's own by
+    default, and finite either way."""
     if beta is None:
         beta = _beta_of(phi)
+    if not math.isfinite(beta):
+        raise ValueError(f"the equilibrium condition is checked at a finite beta, got {beta}")
+    return beta
+
+
+def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = None) -> float:
+    """|a^beta phi(x y) - b^beta phi(y x)| for x = s^m v_a v_b* s*^n, at a finite beta.
+
+    Zero (up to roundoff) for every pair exactly when phi satisfies the
+    equilibrium condition at beta.  The dynamics grades a monomial by the
+    ratio of its indices, and for y = s^q v_c v_d* s*^r both x y and y x have
+    ratio a c / (b d) or are zero; every state vanishes off ratio 1.  So a
+    pair with a c != b d returns 0.0 without rewriting either product, even
+    where a^beta would overflow a double.
+    """
+    _, a, b, _ = x
+    _, c, d, _ = y
+    if not a or not c:  # ZERO is the only monomial with a vanishing index
+        raise ValueError("zero monomial")
+    beta = _finite_beta(phi, beta)
+    if a * c != b * d:
+        return 0.0
     xy = monomial_mul(x, y)
     yx = monomial_mul(y, x)
     # evaluate reads ZERO as 0 too; skipping the call is cheaper on the products that vanish
@@ -331,10 +347,7 @@ def kms_grid(phi: StateSpec, monos: Sequence[Monomial], table: tuple, beta: floa
     its (x, y), worst characterisation defect, its x), each witness the first
     maximum in x-major order.
     """
-    if beta is None:
-        beta = _beta_of(phi)
-    if not math.isfinite(beta):
-        raise ValueError(f"the equilibrium condition is checked at a finite beta, got {beta}")
+    beta = _finite_beta(phi, beta)
     values = evaluate_batch(phi, *table)
     weight_a = np.array([float_power(x.a, beta) for x in monos])[:, None]
     weight_b = np.array([float_power(x.b, beta) for x in monos])[:, None]

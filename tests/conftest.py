@@ -1,13 +1,44 @@
 import functools
+import math
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from affinetoeplitz import algebra
+from affinetoeplitz.algebra import Monomial
 from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import contains
 
 GRID_MULTS = (1, 2, 3, 4, 6)
+
+# Reproducible runs for CI (`pytest --hypothesis-profile=ci`): the same examples
+# on every run, and a failing example printed as a blob that replays it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+@st.composite
+def graded_pairs(draw, shift_max, factor_max):
+    """(x, y) = (s^m v_a v_b* s*^n, s^q v_c v_d* s*^r), with a c = b d half the time.
+
+    Balanced indices are a = p u, b = p w, c = w t, d = u t for factors up to
+    `factor_max`; the others are free up to factor_max^2.  Each middle shift
+    pair is aligned mod the gcd of its middle indices, so that x y and y x are
+    mostly not zero.
+    """
+    if draw(st.booleans()):
+        p, u, w, t = draw(st.lists(st.integers(1, factor_max), min_size=4, max_size=4))
+        a, b, c, d = p * u, p * w, w * t, u * t
+    else:
+        a, b, c, d = draw(st.lists(st.integers(1, factor_max**2), min_size=4, max_size=4))
+    m, n, q, r = draw(st.lists(st.integers(0, shift_max), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        g, h = math.gcd(b, c), math.gcd(d, a)
+        q -= (q - n) % g
+        m -= (m - r) % h
+        q, m = q + g * (q < 0), m + h * (m < 0)
+    return Monomial(m, a, b, n), Monomial(q, c, d, r)
 
 
 @functools.cache

@@ -25,6 +25,7 @@ from affinetoeplitz.algebra import (
 from affinetoeplitz.numtheory import first_primes
 from affinetoeplitz.representation import XBasis, monomial_apply
 from affinetoeplitz.semigroup import SemigroupElement
+from conftest import graded_pairs
 
 PRIMES_SMALL = first_primes(6)
 
@@ -343,3 +344,14 @@ class TestDynamics:
             xy = monomial_mul(x, y)
             if not xy.is_zero:
                 assert Fraction(xy.a, xy.b) == Fraction(x.a, x.b) * Fraction(y.a, y.b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=graded_pairs(10**15, 31))
+    def test_products_balance_exactly_when_the_factors_do(self, pair):
+        # both x y and y x have index ratio a c / (b d): every state, being
+        # invariant under the dynamics, can see them only when a c = b d
+        x, y = pair
+        balanced = x.a * y.a == x.b * y.b
+        for product in (monomial_mul(x, y), monomial_mul(y, x)):
+            if not product.is_zero:
+                assert (product.a == product.b) == balanced

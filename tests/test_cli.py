@@ -315,6 +315,8 @@ class TestSuiteCommands:
         assert code == 2
         assert out == ""
         assert "error: " in err
+        if "318665857834031151167461" in " ".join(argv):  # psi_12, a composite index or factor
+            assert "318665857834031151167461 is not prime" in err
 
     def test_bc_euler_cli(self, capsys):
         code, out, _ = run_capture(

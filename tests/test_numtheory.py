@@ -42,8 +42,9 @@ PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981
 
 
-def twelve_base_miller_rabin(n):
-    """The strong test to the twelve prime bases up to 37 at every size: exact below PSI_12."""
+def twelve_base_miller_rabin(n, k=12):
+    """The strong test to the first k of the twelve prime bases up to 37 at every
+    size: with all twelve, exact below PSI_12."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -53,7 +54,7 @@ def twelve_base_miller_rabin(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -85,6 +86,18 @@ class TestIsPrime:
             while not twelve_base_miller_rabin(n):  # and the next prime above it
                 n += 2
             assert is_prime(n)
+
+    def test_base_prefixes_at_their_thresholds(self):
+        # psi_k: the least strong pseudoprime to the first k prime bases (OEIS A014233)
+        psi = [
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+            341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051, PSI_12,
+        ]
+        for k, bound in enumerate(psi, 1):
+            assert twelve_base_miller_rabin(bound, k) and not is_prime(bound)
+            for n in range(bound - 2, bound + 3):
+                if n != PSI_12:
+                    assert is_prime(n) == twelve_base_miller_rabin(n), n
 
     def test_psi_12_and_psi_13_are_composite(self):
         # both pass the strong test to every base up to 37; the Lucas half refuses them

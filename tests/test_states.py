@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul, product_table
-from affinetoeplitz.numtheory import divisors, factorize, first_primes, zeta, zeta_e
+from affinetoeplitz.numtheory import divisors, factorize, first_primes, float_power, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
     Evaluation,
@@ -39,7 +39,7 @@ from affinetoeplitz.states import (
     state_from_json,
     state_to_json,
 )
-from conftest import GRID_MULTS
+from conftest import GRID_MULTS, graded_pairs
 
 POINT_ONE = CircleMeasure.point(0)
 POINT_I = CircleMeasure.point(Fraction(1, 4))
@@ -47,6 +47,16 @@ POINT_OMEGA = CircleMeasure.point(Fraction(1, 3))
 TWO_ATOM = CircleMeasure.from_atoms([(Fraction(1, 8), Fraction(1, 4)), (Fraction(2, 3), Fraction(3, 4))])
 LEBESGUE = CircleMeasure.lebesgue()
 MEASURES = (POINT_ONE, POINT_I, POINT_OMEGA, LEBESGUE, TWO_ATOM)
+
+
+def finite_states():
+    """Every state family at a finite beta; ground states over both kinds of omega."""
+    return st.one_of(
+        st.builds(PsiBeta, st.floats(1, 12)),
+        st.builds(PsiBetaMu, st.floats(2, 12, exclude_min=True), st.sampled_from(MEASURES)),
+        st.builds(Ground, st.builds(VectorState, st.integers(0, 20))),
+        st.builds(Ground, st.builds(Evaluation, st.fractions(0, 1, max_denominator=12).filter(lambda t: t < 1))),
+    )
 
 def brute_psi_beta_mu(beta, mu, mono, cutoff=10**5):
     """Independent divisor-sum evaluation of the measure state.
@@ -302,13 +312,40 @@ class TestKms:
         # the states checked at a temperature not their own fail
         assert (worst > 0.1) == (beta is not None)
 
+    NO_FINITE_BETA = [(PsiBeta(inf), None), (PsiBeta(2), inf), (PsiBeta(2), math.nan), (Ground(VectorState(0)), None)]
+
     def test_kms_grid_needs_finite_beta(self):
         monos = monomial_grid(0, (1, 2))
         table = product_table(monos, monos)
-        cases = [(PsiBeta(inf), None), (PsiBeta(2), inf), (PsiBeta(2), math.nan), (Ground(VectorState(0)), None)]
-        for phi, beta in cases:
+        for phi, beta in self.NO_FINITE_BETA:
             with pytest.raises(ValueError):
                 kms_grid(phi, monos, table, beta)
+
+    def test_defect_needs_finite_beta(self):
+        # an unbalanced pair too: a NaN defect would pass every `defect > tol` gate
+        for phi, beta in self.NO_FINITE_BETA:
+            for x, y in ((Monomial.v(2), Monomial.v(3)), (Monomial.v(2), Monomial.v_star(2))):
+                with pytest.raises(ValueError):
+                    kms_defect(phi, x, y, beta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=graded_pairs(10**4, 12), phi=finite_states(), beta=st.none() | st.floats(1, 12), data=st.data())
+    def test_defect_matches_both_products(self, pair, phi, beta, data):
+        # the reference forms both products and weights whatever the indices
+        x, y = pair
+        if beta is None and isinstance(phi, Ground):
+            beta = data.draw(st.floats(1, 12))
+        at = phi.beta if beta is None else beta
+        left = float_power(x.a, at) * evaluate(phi, monomial_mul(x, y))
+        right = float_power(x.b, at) * evaluate(phi, monomial_mul(y, x))
+        assert repr(kms_defect(phi, x, y, beta)) == repr(abs(left - right))
+
+    def test_unbalanced_defect_past_double_range(self):
+        # 2^1100 overflows a double; v2 v3 and v3 v2 lie off every state's support,
+        # and only the balanced pair still needs the weight
+        assert kms_defect(PsiBeta(2), Monomial.v(2), Monomial.v(3), beta=1100) == 0.0
+        with pytest.raises(OverflowError):
+            kms_defect(PsiBeta(2), Monomial.v(2), Monomial.v_star(2), beta=1100)
 
 
 class TestGround:
