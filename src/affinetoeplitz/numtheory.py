@@ -1,10 +1,12 @@
 """Integer, supernatural and zeta arithmetic shared by every other module.
 
 Factorizations are plain tuples of increasing (prime, exponent) pairs,
-supernatural numbers are formal prime products with exponents in N union
-{inf}, and a finite prime set is a `PrimeWindow`, the one place that checks
-it is nonempty and prime.  Whether an integer divides a supernatural number
-is decided by stripping the listed primes, without factoring the integer.
+found by trial division by the primes below 1000 and Pollard-Brent rho on
+the cofactor, so factoring n costs about n^(1/4) steps.  Supernatural
+numbers are formal prime products with exponents in N union {inf}, and a
+finite prime set is a `PrimeWindow`, the one place that checks it is
+nonempty and prime.  Whether an integer divides a supernatural number is
+decided by stripping the listed primes, without factoring the integer.
 
 All integer arithmetic is exact (Python integers).  Real values are IEEE
 doubles; series are accumulated with `math.fsum`, so the only error that
@@ -154,35 +156,86 @@ def first_primes(k: int) -> list[int]:
     return list(itertools.islice(filter(is_prime, itertools.count(2)), max(k, 0)))
 
 
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor a positive integer by trial division.
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below `limit`, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return tuple(itertools.compress(range(limit), sieve))
 
+
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below `_TRIAL_BOUND`.
+
+    Pollard's rho on y -> y^2 + c with Brent's cycle detection (Brent 1980):
+    the differences are multiplied together and one gcd is taken per block of
+    128 steps; a block whose gcd is n is replayed one step at a time, and a
+    polynomial that still meets n as a whole is replaced by the next c.
+    Expected cost about sqrt(p) steps for the least prime factor p of n.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer: trial division by the primes below 1000,
+    then Pollard-Brent rho on the cofactor.
+
+    A cofactor with no prime factor below 1000 is prime when it is below
+    1000^2, and otherwise `is_prime` decides whether to stop or split it.
     Returns the (prime, exponent) pairs in increasing prime order; the empty
     tuple represents 1.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        f += 6
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    # the cofactor has no prime factor below the bound (or below p, with n < p^2),
+    # so below the bound's square it is prime
+    large: dict[int, int] = {}
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _brent_factor(m)
+            stack += (d, m // d)
+    return tuple(out + sorted(large.items()))
 
 
 def divisors(n: int) -> list[int]:
@@ -374,14 +427,19 @@ def int_divides_sn(a: int, n: SupernaturalNumber) -> bool:
 def float_power(n: int, s: float) -> float:
     """n^s as a float for an integer n >= 1 of any size.
 
-    IEEE pow wherever n fits a double (so 1^s = 1 and n^-inf = 0 for n >= 2;
-    an overflowing result raises OverflowError), and exp(s log n) beyond.
+    IEEE pow wherever n fits a double (so 1^s = 1 and n^-inf = 0 for n >= 2),
+    and exp(s log n) beyond.  A result past the largest double raises
+    OverflowError naming n and s.
     """
     try:
-        base = float(n)
+        try:
+            base = float(n)
+        except OverflowError:
+            return math.exp(s * math.log(n))
+        return base**s
     except OverflowError:
-        return math.exp(s * math.log(n))
-    return base**s
+        name = str(n) if n.bit_length() <= 256 else f"(a {n.bit_length()}-bit integer)"
+        raise OverflowError(f"{name}**{s} is past the largest double") from None
 
 
 _ZETA_TOL = 1e-12

@@ -224,8 +224,9 @@ def verify_hereditary_directed(
             for m in range(xm, -1, -b):
                 if (m, b) not in member_set:
                     return False
-    for x in window:
-        for y in window:
+    # join is symmetric in (l, lcm) and join(x, x) = x, so each pair is checked once
+    for i, x in enumerate(window):
+        for y in window[i + 1 :]:
             jn = join(x, y)
             if jn is None:
                 return False

@@ -274,6 +274,13 @@ class TestSuiteCommands:
         if argv[-1] == ",":  # an empty --primes list
             assert err == "error: prime window must be nonempty\n"
 
+    def test_overflow_names_base_and_exponent(self, capsys):
+        # the weight 3^1000 of the grid's index 3 is past the largest double
+        code, out, err = run_capture(capsys, ["kms-check", "--state", "psi_beta", "--beta", "1000", "--grid", "1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: 3**1000.0 is past the largest double\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

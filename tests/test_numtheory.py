@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import islice
 from math import inf
 
@@ -139,6 +140,71 @@ def test_first_primes():
     assert first_primes(-3) == []
 
 
+def trial_division(n):
+    """Factor n >= 1 by trial division by 2, 3 and every 6k +- 1 up to the square
+    root of what is left: the factorizer's oracle, exact at every size but
+    O(sqrt n)."""
+    out = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out.append((p, e))
+        f += 6
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def oracle_of_product(*factors):
+    """The oracle's factorization of a product, merged from the factors' own, so
+    that a product too large for trial division is still checked by it."""
+    exponents = Counter()
+    for factor in factors:
+        exponents.update(dict(trial_division(factor)))
+    return tuple(sorted(exponents.items()))
+
+
+def prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+class TestFactorize:
+    def test_across_the_trial_bound(self):
+        # prime powers and products around the 1000 of the trial primes and the
+        # 10^6 below which a cofactor is prime without a test
+        for factors in ([1009, 1009], [1009] * 3, [997, 1009], [10**6 + 3] * 2, [10**9 + 7] * 2, [1009, 1009, 1013]):
+            assert factorize(math.prod(factors)) == oracle_of_product(*factors), factors
+
+    def test_balanced_semiprimes(self):
+        assert factorize(PSI_12) == oracle_of_product(399165290221, 798330580441)
+        assert factorize(PSI_13) == oracle_of_product(1287836182261, 2575672364521)
+        assert PSI_13 == 1287836182261 * 2575672364521
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(2, 10**8).map(prime_at_most), max_size=3),
+        st.one_of(st.none(), st.integers(2, 10**8).map(prime_at_most), st.integers(2, 10**12).map(prime_at_most)),
+    )
+    def test_round_trip_on_products_of_primes(self, primes, last):
+        # at most one factor above 10^8: rho costs about sqrt of the second largest prime
+        primes = primes + [last] * (last is not None)
+        assert factorize(math.prod(primes)) == tuple(sorted(Counter(primes).items()))
+
+
 def test_factorize_examples():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))
@@ -155,11 +221,8 @@ def _product(pairs):
 
 
 def test_factorize_round_trip_and_errors():
-    for n in range(1, 2000):
-        fac = factorize(n)
-        assert _product(fac) == n
-        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
-        assert all(brute_is_prime(p) and e >= 1 for p, e in fac)
+    for n in range(1, 10**5):
+        assert factorize(n) == trial_division(n), n
     with pytest.raises(ValueError):
         factorize(0)
     with pytest.raises(ValueError):
@@ -325,7 +388,7 @@ class TestPowers:
     def test_float_power_conventions(self):
         assert float_power(1, -inf) == 1.0
         assert float_power(2, -inf) == 0.0
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^6\*\*1000\.0 is past the largest double$"):
             float_power(6, 1000.0)
 
     def test_float_power_beyond_doubles(self):
@@ -334,7 +397,7 @@ class TestPowers:
         assert float_power(big, -inf) == 0.0
         assert float_power(big, 0.0) == 1.0
         assert math.isclose(float_power(big, -0.5), 2.0**-550)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^\(a 1101-bit integer\)\*\*1\.0 is past"):
             float_power(big, 1.0)
 
     def test_json_number(self):

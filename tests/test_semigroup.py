@@ -208,6 +208,17 @@ class TestJoin:
             ido = join(p, p)
             assert (ido.l, ido.lcm) == (p.m, p.a)
 
+    @given(st.integers(0, 10**6), st.integers(1, 10**4), st.integers(0, 10**6), st.integers(1, 10**4))
+    def test_swapped_arguments(self, m, a, n, b):
+        # the same least upper bound, with the complement data swapped
+        p, q = SemigroupElement(m, a), SemigroupElement(n, b)
+        jp, jq = join(p, q), join(q, p)
+        if jp is None:
+            assert jq is None
+        else:
+            assert (jq.l, jq.lcm) == (jp.l, jp.lcm)
+            assert (jq.alpha, jq.beta, jq.a_prime, jq.b_prime) == (jp.beta, jp.alpha, jp.b_prime, jp.a_prime)
+
     def test_least_upper_bound_property(self):
         # every common upper bound with entries <= 200 dominates the join
         samples = [

@@ -224,6 +224,13 @@ class TestHereditaryDirected:
         broken = {SemigroupElement(0, 1), SemigroupElement(1, 1), SemigroupElement(2, 1), SemigroupElement(2, 2)}
         assert not verify_hereditary_directed(broken, 2)
 
+    def test_missing_join(self):
+        # hereditary, and every pair has a join, but the join (0, 6) of (0, 2)
+        # and (0, 3) lies in the window and is missing
+        members = {SemigroupElement(0, 1), SemigroupElement(0, 2), SemigroupElement(0, 3)}
+        assert not verify_hereditary_directed(members, 6)
+        assert verify_hereditary_directed(members | {SemigroupElement(0, 6)}, 6)
+
     def test_random_points(self):
         rng = random.Random(29)
         for _ in range(60):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 from math import inf
 
@@ -138,6 +139,16 @@ class TestEvaluate:
         assert evaluate(phi, Monomial.identity()) == 1
         assert evaluate(phi, Monomial(1, 1, 1, 1)) == 1
         assert evaluate(phi, Monomial(0, 2, 2, 0)) == 0
+
+    def test_large_prime_shifts(self):
+        # the divisor sum of a prime shift k has two terms once k is factored,
+        # and factoring costs about k^(1/4)
+        phi = PsiBetaMu(3, POINT_ONE)
+        start = time.perf_counter()
+        value = evaluate(phi, Monomial.s_power(10**18 + 3))
+        assert time.perf_counter() - start < 0.1
+        assert value == pytest.approx((1 + (10**18 + 3) ** -2) / zeta(2), rel=1e-15)
+        assert abs(evaluate(phi, Monomial.s_power(1000000000000037)) - 0.6079271018538) < 1e-12
 
     def test_psi_beta_mu_examples(self):
         z2 = zeta(2)
