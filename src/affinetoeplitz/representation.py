@@ -290,11 +290,11 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
 # --------------------------------------------------------------------------
 
 
-def _fibered_window(window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives and levels of every e_(r, x) with x <= window, level by level."""
-    lanes = window * (window + 1) // 2
+def _fibered_window(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives and levels of every e_(r, x) with first <= x <= last, level by level."""
+    lanes = (first + last) * (last - first + 1) // 2
     dtype = np.int32 if lanes <= _INT32_MAX else np.int64
-    sizes = np.arange(1, window + 1, dtype=dtype)
+    sizes = np.arange(first, last + 1, dtype=dtype)
     levels = np.repeat(sizes, sizes)
     reps = np.arange(lanes, dtype=dtype) - np.repeat(np.cumsum(sizes, dtype=dtype) - sizes, sizes)
     return reps, levels
@@ -342,7 +342,7 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
 
     # each model: its stepper, its window basis, and where a window index points
     if model == "x":
-        r, x = (a.astype(object) for a in _fibered_window(window))
+        r, x = (a.astype(object) for a in _fibered_window(1, window))
         step, basis = _x_step, (r, x, np.zeros(r.shape, dtype=object))
         locate = lambda i: {"r": r[i], "x": x[i]}
     else:
@@ -422,23 +422,46 @@ class TraceResult:
     tail: float
 
 
+_PROFILE_BLOCK_LANES = 1 << 14
+"""Most lanes in one block of whole levels in `_diagonal_profile`; a wider level is a block of its own.
+
+One pass over all of a profile's lanes (125,250 at n_max = 500) makes
+temporaries of about 0.5 MB each, which the allocator maps for the call and
+hands back to the system after it, so every cold profile faults them in
+again.  A block's temporaries (64 KB per int32 array) stay in the heap and
+in cache from one block to the next."""
+
+
 @lru_cache(maxsize=8192)
 def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int], ...]:
     """Aggregate diagonal matrix elements of a monomial over all e_(r, x), x <= n_max.
 
     Returns (x, z_exponent, count) triples: `count` vectors at level x each
     contribute z^z_exponent to the diagonal.  Computed by batch application of
-    the monomial to every basis vector, not from any closed formula.
+    the monomial to every basis vector, not from any closed formula.  The
+    window is applied in blocks of whole levels (`_PROFILE_BLOCK_LANES`), so
+    that a cold profile reuses small temporaries instead of mapping and
+    faulting in large ones; each block keeps only its diagonal hits, and the
+    hits are tallied once at the end.
     """
-    reps, levels = _fibered_window(n_max)
-    null, r2, x2, w2 = x_monomial_apply_batch(
-        mono.m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels, np.zeros_like(levels)
-    )
-    diag = ~null & (r2 == reps) & (x2 == levels)
+    hit_levels, hit_ws = [], []
+    first = 1
+    while first <= n_max:
+        # the largest last >= first with (first + last)(last - first + 1)/2 <= block lanes
+        last = (math.isqrt(8 * _PROFILE_BLOCK_LANES + 4 * first * (first - 1) + 1) - 1) // 2
+        last = min(max(last, first), n_max)
+        reps, levels = _fibered_window(first, last)
+        null, r2, x2, w2 = x_monomial_apply_batch(
+            mono.m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels, np.zeros_like(levels)
+        )
+        diag = ~null & (r2 == reps) & (x2 == levels)
+        hit_levels.append(levels[diag])
+        hit_ws.append(w2[diag])
+        first = last + 1
     # tally (x, w) pairs through one integer key: x * (number of distinct w) + rank of w
-    w_vals, w_rank = np.unique(w2[diag], return_inverse=True)
+    w_vals, w_rank = np.unique(np.concatenate(hit_ws), return_inverse=True)
     width = w_vals.size
-    keys, counts = np.unique(levels[diag].astype(np.int64) * width + w_rank, return_counts=True)
+    keys, counts = np.unique(np.concatenate(hit_levels).astype(np.int64) * width + w_rank, return_counts=True)
     return tuple(zip((keys // width).tolist(), w_vals[keys % width].tolist(), counts.tolist()))
 
 
@@ -450,6 +473,8 @@ def trace_state(mono: Monomial, beta: float, z_angle: Fraction, n_max: int) -> T
     the discarded levels: sum_{x > N} x^(1-beta) <= N^(2-beta)/(beta-2), all
     divided by the same normaliser.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
     if beta <= 2:
         raise ValueError(f"trace normalisation requires beta > 2, got {beta}")
     if mono.is_zero:
@@ -474,7 +499,7 @@ def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fracti
     name the fiber they have in mind.
     """
     _check_window(primes, window)
-    reps, levels = _fibered_window(window)
+    reps, levels = _fibered_window(1, window)
     r, x, w = reps.astype(object), levels.astype(object), np.zeros(reps.shape, dtype=object)
     alive = np.ones(r.shape, bool)
     for p in primes:

@@ -239,6 +239,8 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
             return 0j
         if not k:
             return complex(float_power(a, -phi.beta))
+        if phi.mu.is_lebesgue:
+            return 0j  # every Lebesgue moment at k/d != 0 vanishes: no divisor is listed
         try:
             norm = a * zeta(phi.beta - 1)
         except OverflowError:
@@ -455,6 +457,8 @@ def conditional_moment(phi: StateSpec, window: PrimeWindow, k: int) -> complex:
         return 1.0 + 0j
     if phi.beta == inf:
         return moment(phi.mu, k)
+    if phi.mu.is_lebesgue:
+        return 0j  # every Lebesgue moment at k/x != 0 vanishes: no divisor is listed
     scale = zeta_e(beta - 1.0, window) / zeta(beta - 1.0)
     radical = math.prod(window.primes)
     return scale * _divisor_sum(phi, k, [d for d in divisors(abs(k)) if math.gcd(d, radical) == 1])
@@ -479,9 +483,12 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
     if n == 0:
         return abs(1.0 - lhs)
     rhs = 0j
-    for a in divisors(n):
-        if window.supports(a):
-            rhs += float_power(a, 1.0 - beta) * conditional_moment(phi, window, n // a)
+    # n // a != 0, where the conditional moments of psi_beta and of Lebesgue
+    # psi_{beta,mu} vanish: each term is exactly 0, and n need not be factored
+    if not (isinstance(phi, PsiBeta) or phi.mu.is_lebesgue):
+        for a in divisors(n):
+            if window.supports(a):
+                rhs += float_power(a, 1.0 - beta) * conditional_moment(phi, window, n // a)
     rhs /= zeta_e(beta - 1.0, window)
     return abs(rhs - lhs)
 

@@ -163,6 +163,15 @@ class TestStateCommands:
             got = got[key]
         assert float(got) == pytest.approx(want, abs=1e-12)
 
+    def test_lebesgue_semiprime_shift(self, capsys):
+        # (10^20 + 39)(10^21 + 117) is never factored: every Lebesgue term vanishes
+        argv = ["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"lebesgue":true}',
+                "--word", "s^100000000000000000050700000000000000004563"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0, err
+        value = json.loads(out)["value"]
+        assert float(value["re"]) == 0.0 and float(value["im"]) == 0.0
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_payload_past_the_digit_limit_exit_2(self, capsys, fmt):
         # 2^20000 has 6021 digits, past Python's int-to-str limit

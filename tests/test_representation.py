@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from affinetoeplitz.algebra import ZERO, Monomial, monomial_grid, monomial_mul
 from affinetoeplitz.numtheory import zeta
 from affinetoeplitz.representation import (
+    _PROFILE_BLOCK_LANES,
     NULL,
     WeightedBasis,
     XBasis,
+    _diagonal_profile,
+    _fibered_window,
     _monomial_word,
     _run_word,
     _x_step,
@@ -27,6 +30,7 @@ from affinetoeplitz.representation import (
 )
 from affinetoeplitz.semigroup import SemigroupElement, join, leq
 from affinetoeplitz.states import CircleMeasure, PsiBetaMu, evaluate
+from conftest import GRID_MULTS
 
 INT32_MAX = 2**31 - 1
 S = Monomial.s_power(1)
@@ -371,6 +375,68 @@ class TestOracleEquivalence:
             assert monomial_apply(product, e) == composed, (x, y, e)
 
 
+def one_pass_profile(mono, n_max):
+    """`_diagonal_profile` in one batch pass over the whole window, without level blocks."""
+    reps, levels = _fibered_window(1, n_max)
+    null, r2, x2, w2 = x_monomial_apply_batch(
+        mono.m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels, np.zeros_like(levels)
+    )
+    diag = ~null & (r2 == reps) & (x2 == levels)
+    w_vals, w_rank = np.unique(w2[diag], return_inverse=True)
+    width = w_vals.size
+    keys, counts = np.unique(levels[diag].astype(np.int64) * width + w_rank, return_counts=True)
+    return tuple(zip((keys // width).tolist(), w_vals[keys % width].tolist(), counts.tolist()))
+
+
+def block_boundaries(count):
+    """The last level of each of the first `count` profile blocks: whole levels are
+    added while a block holds at most _PROFILE_BLOCK_LANES lanes."""
+    bounds, level = [], 0
+    for _ in range(count):
+        lanes = level + 1
+        level += 1
+        while lanes + level + 1 <= _PROFILE_BLOCK_LANES:
+            level += 1
+            lanes += level
+        bounds.append(level)
+    return bounds
+
+
+class TestDiagonalProfile:
+    def test_window_range_is_a_slice_of_the_whole(self):
+        reps, levels = _fibered_window(1, 40)
+        for first, last in ((1, 1), (1, 40), (7, 7), (12, 31), (40, 40)):
+            part = slice((first - 1) * first // 2, last * (last + 1) // 2)
+            got_reps, got_levels = _fibered_window(first, last)
+            assert np.array_equal(got_reps, reps[part]) and np.array_equal(got_levels, levels[part])
+
+    @pytest.mark.parametrize("mono", [Monomial(2, 3, 3, 5), Monomial(0, 1, 1, 0), Monomial(5, 6, 6, 5)])
+    def test_nonempty_profiles(self, mono):
+        profile = _diagonal_profile.__wrapped__(mono, 500)
+        assert profile and profile == one_pass_profile(mono, 500)
+
+    def test_grid_sample(self):
+        grid = monomial_grid(5, GRID_MULTS)
+        assert len(grid) == 900
+        for mono in random.Random(61).sample(grid, 60):
+            assert _diagonal_profile.__wrapped__(mono, 500) == one_pass_profile(mono, 500), mono
+
+    def test_around_block_boundaries(self):
+        first, second = block_boundaries(2)
+        n_maxes = {1, 2, 500, first - 1, first, first + 1, second - 1, second, second + 1}
+        for mono in (Monomial(2, 3, 3, 5), Monomial(0, 1, 1, 0), Monomial(1, 2, 2, 0), Monomial(3, 1, 1, 1)):
+            for n_max in sorted(n_maxes):
+                assert _diagonal_profile.__wrapped__(mono, n_max) == one_pass_profile(mono, n_max), (mono, n_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mono=st.builds(Monomial, st.integers(0, 8), st.integers(1, 12), st.integers(1, 12), st.integers(0, 8)),
+        n_max=st.integers(1, 400),
+    )
+    def test_matches_one_pass_property(self, mono, n_max):
+        assert _diagonal_profile.__wrapped__(mono, n_max) == one_pass_profile(mono, n_max)
+
+
 class TestTrace:
     def test_normalisation(self):
         res = trace_state(Monomial.identity(), 3.0, Fraction(0), 400)
@@ -394,6 +460,13 @@ class TestTrace:
         closed = evaluate(PsiBetaMu(3.0, CircleMeasure.point(Fraction(1, 2))), mono)
         assert abs(res.value - closed) <= res.tail + 1e-12
         assert abs(res.value.imag) < 1e-12  # every phase is +-1
+
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5])
+    def test_rejects_bad_n_max(self, n_max):
+        before = _diagonal_profile.cache_info()
+        with pytest.raises(ValueError, match="n_max"):
+            trace_state(Monomial.identity(), 3.0, Fraction(0), n_max)
+        assert _diagonal_profile.cache_info() == before
 
     def test_rejects_low_beta(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,33 @@ class TestEvaluate:
         assert value == pytest.approx((1 + (10**18 + 3) ** -2) / zeta(2), rel=1e-15)
         assert abs(evaluate(phi, Monomial.s_power(1000000000000037)) - 0.6079271018538) < 1e-12
 
+    def test_lebesgue_semiprime_shift(self):
+        # (10^20 + 39)(10^21 + 117): rho would need about 10^10 steps, but every
+        # Lebesgue moment at k/d != 0 vanishes, so no divisor is listed
+        k = (10**20 + 39) * (10**21 + 117)
+        phi = PsiBetaMu(3, LEBESGUE)
+        window = PrimeWindow.of(first_primes(15))
+        start = time.perf_counter()
+        value = evaluate(phi, Monomial.s_power(k))
+        moment_k = conditional_moment(phi, window, k)
+        defect = reconstruct_sn(phi, window, k)
+        assert time.perf_counter() - start < 0.1
+        assert (value, moment_k, defect) == (0j, 0j, 0.0)
+
+    @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0])
+    def test_lebesgue_matches_fine_uniform_atoms(self, beta):
+        # the uniform measure on the N-th roots of unity has the Lebesgue moments
+        # at every |k| < N, so it checks the Lebesgue shortcut through the divisor sums
+        uniform = CircleMeasure.from_atoms([(Fraction(j, 64), Fraction(1, 64)) for j in range(64)])
+        lebesgue, atoms = PsiBetaMu(beta, LEBESGUE), PsiBetaMu(beta, uniform)
+        window = PrimeWindow.of([2, 3, 5])
+        for mono in monomial_grid(5, GRID_MULTS):
+            assert abs(evaluate(lebesgue, mono) - evaluate(atoms, mono)) < 1e-12, mono
+        for k in range(-40, 41):
+            assert abs(conditional_moment(lebesgue, window, k) - conditional_moment(atoms, window, k)) < 1e-12, k
+        for n in range(0, 41):
+            assert abs(reconstruct_sn(lebesgue, window, n) - reconstruct_sn(atoms, window, n)) < 1e-12, n
+
     def test_psi_beta_mu_examples(self):
         z2 = zeta(2)
         assert evaluate(PsiBetaMu(3, POINT_ONE), Monomial.s_power(1)) == pytest.approx(1 / z2)
