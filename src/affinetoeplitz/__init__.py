@@ -7,10 +7,12 @@ isometries to canonical spanning monomials, `representation` realises the
 generators as exact weighted permutations of basis vectors (the brute-force
 oracles), `spectrum` parametrises the character space of the diagonal,
 `states` evaluates the equilibrium states of the natural time evolution, and
-`bostconnes` covers the related Hecke-algebra Euler-product machinery.
+`bostconnes` covers the related Hecke-algebra Euler-product machinery.  Only
+`representation` and `grid` (array sweeps over monomial grids) use numpy,
+and neither is imported here.
 """
 
-from . import bostconnes, numtheory, representation, semigroup, spectrum, states
+from . import bostconnes, numtheory, semigroup, spectrum, states
 from .numtheory import (
     PrimeWindow,
     SupernaturalNumber,

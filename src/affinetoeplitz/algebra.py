@@ -25,8 +25,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 from .numtheory import is_prime, json_number
 from .semigroup import TupleValue, euclid_smallest
 
@@ -39,7 +37,6 @@ __all__ = [
     "monomial_mul",
     "adjoint",
     "monomial_grid",
-    "product_table",
     "parse_word",
     "reduce_word",
 ]
@@ -179,22 +176,6 @@ def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
         for a in mults
         for b in mults
     ]
-
-
-def product_table(left: Sequence[Monomial], right: Sequence[Monomial]) -> tuple[list[Monomial], np.ndarray]:
-    """All products left[i] * right[j], as (distinct, index).
-
-    distinct lists each product once, in first-seen order, ZERO included when
-    some product vanishes; index is an intp array of shape
-    (len(left), len(right)) with distinct[index[i, j]] = left[i] * right[j].
-    """
-    slots: dict[Monomial, int] = {}
-    index = np.fromiter(
-        (slots.setdefault(monomial_mul(x, y), len(slots)) for x in left for y in right),
-        dtype=np.intp,
-        count=len(left) * len(right),
-    )
-    return list(slots), index.reshape(len(left), len(right))
 
 
 # --------------------------------------------------------------------------

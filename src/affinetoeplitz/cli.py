@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cache
 from math import inf, isnan
 
-from . import bostconnes, representation, spectrum, states
-from .algebra import Monomial, WordSyntaxError, monomial_grid, product_table, reduce_word
+from . import bostconnes, spectrum, states
+from .algebra import Monomial, WordSyntaxError, monomial_grid, reduce_word
 from .numtheory import PrimeWindow, float_power
 from .semigroup import SemigroupElement, euclid_smallest, join
 
@@ -131,13 +131,15 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_kms_check(args) -> tuple[int, dict]:
+    from .grid import kms_grid, product_table
+
     phi = _state_from_args(args)
     beta = None if args.at_beta is None else _parse_beta(args.at_beta)
     monos = monomial_grid(args.grid, args.mults)
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a non-empty --mults")
     tol = 2.0 ** (-args.precision)
-    defect, (x, y), char, at = states.kms_grid(phi, monos, product_table(monos, monos), beta)
+    defect, (x, y), char, at = kms_grid(phi, monos, product_table(monos, monos), beta)
     worst = max(defect, char)
     payload = {"max_defect": worst, "pairs": len(monos) ** 2, "tolerance": tol}
     if worst <= tol:
@@ -170,7 +172,9 @@ def _cmd_ground_check(args) -> tuple[int, dict]:
 
 
 def _cmd_rep_check(args) -> tuple[int, dict]:
-    report = representation.relation_suite(args.model, args.primes, args.window)
+    from .representation import relation_suite
+
+    report = relation_suite(args.model, args.primes, args.window)
     ok = all(entry["pass"] for entry in report["relations"].values())
     return (0 if ok else 1), report
 

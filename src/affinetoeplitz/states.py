@@ -25,11 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Sequence
+from typing import Iterable
 
-import numpy as np
-
-from .algebra import Monomial, adjoint, monomial_mul, product_table
+from .algebra import Monomial, monomial_mul
 from .numtheory import PrimeWindow, divisors, factorize, float_power, json_number, zeta, zeta_e
 
 __all__ = [
@@ -45,17 +43,14 @@ __all__ = [
     "moment",
     "evaluate",
     "evaluate_exact",
-    "evaluate_batch",
     "kms_defect",
     "kms_characterisation_check",
-    "kms_grid",
     "ground_check",
     "no_kms_witness",
     "measure_cylinder",
     "conditional_mass",
     "conditional_moment",
     "reconstruct_sn",
-    "gram_matrix",
     "partition_sum",
     "moments_from_state",
     "state_from_json",
@@ -251,14 +246,6 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
     raise TypeError(f"not a state specification: {phi!r}")
 
 
-def evaluate_batch(phi: StateSpec, distinct: Sequence[Monomial], index: np.ndarray) -> np.ndarray:
-    """`evaluate` over a table of monomials given as `algebra.product_table`'s
-    (distinct, index): each distinct monomial is evaluated once and entry
-    [i, j] is the value of distinct[index[i, j]]."""
-    values = np.array([evaluate(phi, x) for x in distinct], dtype=complex)
-    return values[index]
-
-
 def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
     """Exact rational value where one exists: psi_beta at integer (or infinite)
     beta, and ground states over a shift-model vector state; ZERO reads 0."""
@@ -340,26 +327,6 @@ def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None =
     return abs(value - rhs)
 
 
-def kms_grid(phi: StateSpec, monos: Sequence[Monomial], table: tuple, beta: float | None = None) -> tuple:
-    """`kms_defect` over every pair (x, y) and `kms_characterisation_check` over
-    every x of a grid, at a finite beta (the state's own by default).
-
-    `table` is `algebra.product_table(monos, monos)`: the x y products are its
-    entries and the y x products its transpose.  Returns (worst pair defect,
-    its (x, y), worst characterisation defect, its x), each witness the first
-    maximum in x-major order.
-    """
-    beta = _finite_beta(phi, beta)
-    values = evaluate_batch(phi, *table)
-    weight_a = np.array([float_power(x.a, beta) for x in monos])[:, None]
-    weight_b = np.array([float_power(x.b, beta) for x in monos])[:, None]
-    defects = np.abs(weight_a * values - weight_b * values.T)
-    i, j = np.unravel_index(np.argmax(defects), defects.shape)
-    chars = [kms_characterisation_check(phi, x, beta) for x in monos]
-    k = chars.index(max(chars))
-    return float(defects[i, j]), (monos[i], monos[j]), chars[k], monos[k]
-
-
 def ground_check(phi: StateSpec, x: Monomial, tol: float = 1e-9) -> bool:
     """True when the state kills x, as every ground state must for a != 1 or b != 1.
 
@@ -390,6 +357,7 @@ def no_kms_witness(beta: float, a: int) -> float:
 
 
 _CYLINDER_TOL = 1e-12  # target truncation error of each per-prime series
+_CYLINDER_MAX_TERMS = 10**7  # series terms summed over all primes of a, about 2 s
 
 
 def measure_cylinder(beta: float, m: int, a: int) -> tuple[float, float]:
@@ -410,11 +378,21 @@ def measure_cylinder(beta: float, m: int, a: int) -> tuple[float, float]:
         return 1 / a, 0.0
     if beta == inf:
         return (1.0 if a == 1 else 0.0), 0.0
-    value = 1.0
-    tail = 0.0
+    # every prime's term count before any summing: the counts grow like
+    # 1/(beta - 1), and a ratio that rounds to 1.0 never reaches the tolerance
+    series = []
     for p, e in factorize(a):
         ratio = p ** (1.0 - beta)
-        cutoff = e + max(8, math.ceil((math.log(_CYLINDER_TOL) - math.log(10)) / math.log(ratio)))
+        extra = (
+            inf if ratio == 1.0 else max(8, math.ceil((math.log(_CYLINDER_TOL) - math.log(10)) / math.log(ratio)))
+        )
+        series.append((p, e, ratio, extra))
+    if sum(extra + 1 for *_, extra in series) > _CYLINDER_MAX_TERMS:
+        raise ValueError(f"the cylinder series at beta = {beta} and a = {a} needs more than {_CYLINDER_MAX_TERMS} terms")
+    value = 1.0
+    tail = 0.0
+    for p, e, ratio, extra in series:
+        cutoff = e + extra
         partial = math.fsum(ratio**k for k in range(e, cutoff + 1))
         factor = (1.0 - ratio) * partial * p ** (-float(e))
         # dropped terms of the geometric series, per factor
@@ -494,23 +472,8 @@ def reconstruct_sn(phi: StateSpec, window: PrimeWindow, n: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# positivity, partition function, moment recovery
+# partition function, moment recovery
 # --------------------------------------------------------------------------
-
-
-def gram_matrix(phi: StateSpec, xs: Sequence[Monomial]) -> tuple[np.ndarray, float]:
-    """Gram matrix G[i][j] = phi(x_i* x_j) and its least eigenvalue.
-
-    Positive semidefiniteness of G certifies positivity of the state formula
-    on the span of the chosen monomials.
-    """
-    if not xs or len(xs) > 64:
-        raise ValueError("need between 1 and 64 monomials")
-    if any(x.is_zero for x in xs):
-        raise ValueError("zero monomial in family")
-    gram = evaluate_batch(phi, *product_table([adjoint(x) for x in xs], xs))
-    eigs = np.linalg.eigvalsh(gram)
-    return gram, float(eigs[0])
 
 
 def partition_sum(beta: float, n_max: int) -> tuple[float, float]:

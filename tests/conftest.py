@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from affinetoeplitz import algebra
+from affinetoeplitz import algebra, grid
 from affinetoeplitz.algebra import Monomial
 from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import contains
@@ -62,11 +62,11 @@ def grid_monomials():
 def product_table(grid_monomials):
     """All pairwise products of the grid, each distinct product stored once.
 
-    Returns (seconds, distinct, index): `algebra.product_table` of the grid
+    Returns (seconds, distinct, index): `grid.product_table` of the grid
     with itself, where distinct[index[i, j]] is monomial_mul(grid[i], grid[j])
     for the (900, 900) index array.  `seconds` is the build time, charged to
     the runtime budget of every criterion using the table.
     """
     start = time.monotonic()
-    table = algebra.product_table(grid_monomials, grid_monomials)
+    table = grid.product_table(grid_monomials, grid_monomials)
     return time.monotonic() - start, *table

@@ -13,6 +13,7 @@ from math import gcd, inf
 
 import numpy as np
 
+from affinetoeplitz import grid
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_mul, reduce_word
 from affinetoeplitz.bostconnes import (
     DirichletCharacter,
@@ -20,6 +21,7 @@ from affinetoeplitz.bostconnes import (
     char_euler_sum,
     invariance_ratio,
 )
+from affinetoeplitz.grid import gram_matrix, kms_grid
 from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, zeta
 from affinetoeplitz.representation import (
     relation_suite,
@@ -47,9 +49,7 @@ from affinetoeplitz.states import (
     conditional_mass,
     evaluate,
     evaluate_exact,
-    gram_matrix,
     ground_check,
-    kms_grid,
     measure_cylinder,
     moment,
     no_kms_witness,
@@ -376,15 +376,31 @@ def test_criterion_06_trace_formula(grid_monomials):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_07_gram_positivity(grid_monomials):
+def gram_families(grid_monomials):
+    """20 random families of 2 to 12 grid monomials."""
     rng = random.Random(2024)
+    return [rng.sample(grid_monomials, rng.randrange(2, 13)) for _ in range(20)]
+
+
+def test_criterion_07_gram_positivity(grid_monomials):
     least_seen = inf
-    for _ in range(20):
-        family = rng.sample(grid_monomials, rng.randrange(2, 13))
+    for family in gram_families(grid_monomials):
         for phi in KMS_STATES:
             _, least = gram_matrix(phi, family)
             least_seen = min(least_seen, least)
     report(7, "gram positivity", least_seen >= -1e-8, f"least eigenvalue {least_seen:.2e}")
+
+
+def test_gram_matrix_matches_product_table_route(grid_monomials):
+    # the oracle: a product table of the adjoints against the family, and one
+    # `evaluate` per distinct product
+    for family in gram_families(grid_monomials):
+        distinct, index = grid.product_table([adjoint(x) for x in family], family)
+        for phi in KMS_STATES:
+            want = np.array([evaluate(phi, p) for p in distinct], dtype=complex)[index]
+            gram, least = gram_matrix(phi, family)
+            assert np.array_equal(gram, want), (phi, family)
+            assert least == float(np.linalg.eigvalsh(want)[0]), (phi, family)
 
 
 # --------------------------------------------------------------------------

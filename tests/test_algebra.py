@@ -19,9 +19,9 @@ from affinetoeplitz.algebra import (
     monomial_grid,
     monomial_mul,
     parse_word,
-    product_table,
     reduce_word,
 )
+from affinetoeplitz.grid import product_table
 from affinetoeplitz.numtheory import first_primes
 from affinetoeplitz.representation import XBasis, monomial_apply
 from affinetoeplitz.semigroup import SemigroupElement

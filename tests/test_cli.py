@@ -42,12 +42,43 @@ def run_capture(capsys, argv):
     return results[0]
 
 
-def test_import_builds_no_parser():
+def fresh_interpreter(probe):
+    """The stdout of `probe` run in a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(affinetoeplitz.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_builds_no_parser():
     probe = "import affinetoeplitz.cli as cli; print(cli._build_parser.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "0\n"
+    assert fresh_interpreter(probe) == "0\n"
+
+
+# every subcommand but the two that sweep arrays (kms-check, rep-check)
+SCALAR_ARGV = [
+    ["euclid", "17", "31", "5"],
+    ["join", "1", "1", "0", "2"],
+    ["reduce", "v2 s"],
+    ["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "s v2 v2* s*"],
+    ["ground-check", "--vector", "1"],
+    ["measure", "--beta", "2", "0", "6"],
+    ["reconstruct", "--state", "psi_beta_mu", "--beta", "3", "--primes", "2,3"],
+    ["bc", "--mode", "euler"],
+    ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{}}}', "--contains", "0", "1"],
+]
+
+
+def test_scalar_commands_load_no_numpy():
+    array_argv = [["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1"], ["rep-check", "--model", "x"]]
+    probe = (
+        "import contextlib, io, sys, affinetoeplitz, affinetoeplitz.cli as cli\n"
+        "def codes(argvs):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return [cli.run(argv) for argv in argvs]\n"
+        f"print(codes({SCALAR_ARGV!r}), 'numpy' in sys.modules)\n"
+        f"print(codes({array_argv!r}), 'numpy' in sys.modules)\n"
+    )
+    assert fresh_interpreter(probe) == f"{[0] * len(SCALAR_ARGV)} False\n[0, 0] True\n"
 
 
 class TestReduce:
@@ -324,6 +355,9 @@ class TestSuiteCommands:
             ["bc", "--mode", "euler", "--precision", "0"],
             ["reduce", "v318665857834031151167461"],
             ["spectrum", "--point", '{"kind":"A","k":1,"N":{"factors":{"318665857834031151167461":1}}}', "--contains", "0", "1"],
+            # cylinder series that would need more terms than the bound: refused before summing
+            ["measure", "--beta", "1.0000001", "0", "6"],
+            ["measure", "--beta", "1.0000000000000002", "0", "6"],
         ],
     )
     def test_malformed_input_exit_2(self, capsys, argv):

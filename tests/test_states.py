@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul, product_table
+from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul
+from affinetoeplitz.grid import gram_matrix, kms_grid, product_table
 from affinetoeplitz.numtheory import divisors, factorize, first_primes, float_power, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
@@ -23,13 +24,10 @@ from affinetoeplitz.states import (
     conditional_mass,
     conditional_moment,
     evaluate,
-    evaluate_batch,
     evaluate_exact,
-    gram_matrix,
     ground_check,
     kms_characterisation_check,
     kms_defect,
-    kms_grid,
     measure_cylinder,
     measure_from_json,
     moment,
@@ -273,27 +271,6 @@ class TestEvaluate:
         for mono in monomial_grid(3, GRID_MULTS):
             assert evaluate(PsiBetaMu(inf, LEBESGUE), mono) == evaluate(PsiBeta(inf), mono)
 
-    def test_evaluate_batch_matches_evaluate(self):
-        monos = monomial_grid(2, GRID_MULTS)
-        distinct, _ = product_table(monos[::5], monos)
-        # products s^k s*^k with k > 1, where the vector states below differ
-        assert any(p.a == p.b == 1 and p.m == p.n > 1 for p in distinct)
-        phis = [PsiBeta(1.0), PsiBeta(1.5), PsiBeta(inf)]
-        phis += [PsiBetaMu(beta, mu) for beta in (2.5, inf) for mu in MEASURES]
-        phis += [Ground(VectorState(k)) for k in (0, 1, 2)]
-        phis += [Ground(Evaluation(Fraction(1, 3))), Ground(Evaluation(Fraction(3, 8)))]
-        # the second table's products have shifts past int64
-        for left in (monos[::5], [Monomial(2**64, 3, 3, 2**64 + 6), Monomial(2**70, 1, 1, 2**70)]):
-            table = product_table(left, monos)
-            products = [[monomial_mul(x, y) for y in monos] for x in left]
-            for phi in phis:
-                want = [[evaluate(phi, p) for p in row] for row in products]
-                assert np.array_equal(evaluate_batch(phi, *table), want), phi
-        # one monomial: s^2 s*^2 under the vector states at e_1 and e_2
-        one = ([Monomial(2, 1, 1, 2)], np.zeros((1, 1), dtype=np.intp))
-        assert evaluate_batch(Ground(VectorState(1)), *one)[0, 0] == 0
-        assert evaluate_batch(Ground(VectorState(2)), *one)[0, 0] == 1
-
 
 class TestKms:
     def test_defect_examples(self):
@@ -337,18 +314,33 @@ class TestKms:
             (PsiBetaMu(3.0, POINT_I), None),
             (PsiBeta(2.0), 1.5),
             (Ground(VectorState(0)), 3.0),
+            (PsiBeta(1.0), None),
+            (PsiBeta(inf), 2.0),
+            *[(PsiBetaMu(2.5, mu), None) for mu in (POINT_ONE, POINT_OMEGA, LEBESGUE)],
+            *[(PsiBetaMu(inf, mu), 3.0) for mu in MEASURES],
+            (Ground(VectorState(1)), 3.0),
+            (Ground(VectorState(2)), 3.0),
+            (Ground(Evaluation(Fraction(1, 3))), 2.0),
+            (Ground(Evaluation(Fraction(1, 4))), 2.0),
         ],
     )
     def test_kms_grid_matches_scalar_loop(self, phi, beta):
         monos = monomial_grid(1, (1, 2, 3, 6))
-        pairs = [(kms_defect(phi, x, y, beta), (x, y)) for x in monos for y in monos]
-        chars = [(kms_characterisation_check(phi, x, beta), x) for x in monos]
-        # max keeps the first of equal maxima: the witnesses come first in x-major order
-        worst, pair = max(pairs, key=lambda t: t[0])
-        worst_char, at = max(chars, key=lambda t: t[0])
-        assert kms_grid(phi, monos, product_table(monos, monos), beta) == (worst, pair, worst_char, at)
-        # the states checked at a temperature not their own fail
-        assert (worst > 0.1) == (beta is not None)
+        # rows with shifts past int64, and s^2, s*^2: the vector states at e_1 and
+        # e_2 tell s^2 s*^2 apart, so only the second passes on that pair
+        far = [Monomial(2**64, 3, 3, 2**64 + 6), Monomial(2**70, 1, 1, 2**70)]
+        for family in (monos, monos + far, [Monomial.s_power(2), Monomial.s_power(-2)]):
+            pairs = [(kms_defect(phi, x, y, beta), (x, y)) for x in family for y in family]
+            chars = [(kms_characterisation_check(phi, x, beta), x) for x in family]
+            # max keeps the first of equal maxima: the witnesses come first in x-major order
+            worst, pair = max(pairs, key=lambda t: t[0])
+            worst_char, at = max(chars, key=lambda t: t[0])
+            assert kms_grid(phi, family, product_table(family, family), beta) == (worst, pair, worst_char, at)
+            if family == monos:
+                # the states checked at a temperature not their own fail
+                assert (worst > 0.1) == (beta is not None)
+        if phi in (Ground(VectorState(1)), Ground(VectorState(2))):
+            assert worst == (phi.omega.k == 1)
 
     NO_FINITE_BETA = [(PsiBeta(inf), None), (PsiBeta(2), inf), (PsiBeta(2), math.nan), (Ground(VectorState(0)), None)]
 
@@ -426,6 +418,34 @@ class TestMeasureAndConditional:
             for a in range(1, 31):
                 value, tail = measure_cylinder(beta, 0, a)
                 assert abs(value - a ** (-beta)) <= tail + 1e-12
+
+    # (series, tail) at a = 6 and a = 360 to the last bit: the term bound must change no sum at these betas
+    CYLINDERS = {
+        (1.0, 6): (0.16666666666666666, 0.0),
+        (1.0, 360): (0.002777777777777778, 0.0),
+        (1.5, 6): (0.06804138174397034, 2.850964295858991e-14),
+        (1.5, 360): (0.00014640174352629573, 6.228278517100335e-15),
+        (2.0, 6): (0.027777777777776583, 8.724405940807286e-15),
+        (2.0, 360): (7.716049382715638e-06, 1.0434061190952058e-15),
+        (3.0, 6): (0.004629629629629541, 1.956243348645393e-15),
+        (3.0, 360): (2.1433470507544162e-08, 3.7773482121004576e-17),
+    }
+
+    def test_cylinder_values_kept(self):
+        for (beta, a), want in self.CYLINDERS.items():
+            assert measure_cylinder(beta, 0, a) == want
+
+    def test_cylinder_near_beta_one(self):
+        # about 7 M terms, under the bound
+        value, tail = measure_cylinder(1.00001, 0, 6)
+        assert abs(value - 6**-1.00001) <= tail + 1e-12
+        # the term count grows like 1/(beta - 1), and the second beta is the least double above 1:
+        # both are refused before any summing
+        for beta in (1.0000001, 1.0000000000000002):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="needs more than 10000000 terms"):
+                measure_cylinder(beta, 0, 6)
+            assert time.perf_counter() - start < 1.0
 
     def test_conditional_mass(self):
         assert conditional_mass(2.0, PrimeWindow.of([2])) == pytest.approx(0.5)
