@@ -10,8 +10,8 @@ v_p (one per prime) subject to
 Every word in the generators collapses to zero or to a unique monomial
 s^m v_a v_b* s*^n.  The engine below never searches: the middle factor
 v_a* s*^m s^n v_b of any product reduces in one step (`covariance_reduce`)
-through the smallest non-negative solution of (n-m)/gcd = alpha*a' - beta*b',
-and `monomial_mul` splices the result back into the outer factors.  Products
+through the join of (m, a) and (n, b) in the quasi-lattice order, and
+`monomial_mul` splices the result back into the outer factors.  Products
 of two spanning monomials are therefore again spanning-or-zero, which is the
 closure property everything else relies on.
 """
@@ -22,11 +22,10 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
 from .numtheory import is_prime, json_number
-from .semigroup import TupleValue, euclid_smallest
+from .semigroup import TupleValue, join
 
 __all__ = [
     "Monomial",
@@ -125,18 +124,18 @@ _tuple_new = tuple.__new__  # the rewriter's results skip validation; bound once
 
 @lru_cache(maxsize=1 << 16)
 def covariance_reduce(a: int, m: int, n: int, b: int) -> Monomial:
-    """Normal form of v_a* s*^m s^n v_b.
+    """Normal form of v_a* s*^m s^n v_b, the product T_(m,a)* T_(n,b).
 
-    Zero when m and n disagree mod gcd(a, b); otherwise s^alpha v_b' v_a'* s*^beta
-    with a' = a/gcd, b' = b/gcd and (alpha, beta) the smallest non-negative
-    solution of (n - m)/gcd = alpha*a' - beta*b'.  Memoised: sweeps revisit
+    Zero when (m, a) and (n, b) have no common upper bound; otherwise
+    s^alpha v_b' v_a'* s*^beta with (alpha, b'), (beta, a') the complements
+    a^-1 * (join) and b^-1 * (join) from `join`.  Memoised: sweeps revisit
     the same (a, m, n, b) middles constantly.
     """
-    g = gcd(a, b)
-    if (n - m) % g != 0:
+    lub = join((m, a), (n, b))
+    if lub is None:
         return ZERO
-    alpha, beta = euclid_smallest(a // g, b // g, (n - m) // g)
-    return _tuple_new(Monomial, (alpha, b // g, a // g, beta))
+    _, _, alpha, beta, a1, b1 = lub
+    return _tuple_new(Monomial, (alpha, b1, a1, beta))
 
 
 def monomial_mul(left: Monomial, right: Monomial) -> Monomial:

@@ -131,15 +131,13 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_kms_check(args) -> tuple[int, dict]:
-    from .grid import kms_grid, product_table
-
     phi = _state_from_args(args)
     beta = None if args.at_beta is None else _parse_beta(args.at_beta)
     monos = monomial_grid(args.grid, args.mults)
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a non-empty --mults")
     tol = 2.0 ** (-args.precision)
-    defect, (x, y), char, at = kms_grid(phi, monos, product_table(monos, monos), beta)
+    defect, (x, y), char, at = states.kms_grid(phi, monos, beta)
     worst = max(defect, char)
     payload = {"max_defect": worst, "pairs": len(monos) ** 2, "tolerance": tol}
     if worst <= tol:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .algebra import Monomial, monomial_mul
 from .numtheory import PrimeWindow, divisors, factorize, float_power, json_number, zeta, zeta_e
@@ -45,6 +45,7 @@ __all__ = [
     "evaluate_exact",
     "kms_defect",
     "kms_characterisation_check",
+    "kms_grid",
     "ground_check",
     "no_kms_witness",
     "measure_cylinder",
@@ -327,6 +328,27 @@ def kms_characterisation_check(phi: StateSpec, x: Monomial, beta: float | None =
     return abs(value - rhs)
 
 
+def kms_grid(phi: StateSpec, monos: Sequence[Monomial], beta: float | None = None) -> tuple:
+    """`kms_defect` over every pair (x, y) and `kms_characterisation_check` over every
+    x of a grid, at a finite beta (the state's own by default); each x meets only
+    the y of inverse ratio, since no other pair has a defect.  Returns (worst pair
+    defect, its (x, y), worst characterisation defect, its x), each witness the
+    first maximum in x-major order, and (monos[0], monos[0]) when no pair has one."""
+    beta = _finite_beta(phi, beta)
+    chars = [kms_characterisation_check(phi, x, beta) for x in monos]
+    k = chars.index(max(chars))
+    by_ratio: dict[Fraction, list[Monomial]] = {}
+    for y in monos:
+        by_ratio.setdefault(Fraction(y.b, y.a), []).append(y)
+    worst, pair = 0.0, (monos[0], monos[0])
+    for x in monos:
+        for y in by_ratio.get(Fraction(x.a, x.b), ()):
+            defect = kms_defect(phi, x, y, beta)
+            if defect > worst:
+                worst, pair = defect, (x, y)
+    return worst, pair, chars[k], monos[k]
+
+
 def ground_check(phi: StateSpec, x: Monomial, tol: float = 1e-9) -> bool:
     """True when the state kills x, as every ground state must for a != 1 or b != 1.
 
@@ -378,14 +400,15 @@ def measure_cylinder(beta: float, m: int, a: int) -> tuple[float, float]:
         return 1 / a, 0.0
     if beta == inf:
         return (1.0 if a == 1 else 0.0), 0.0
-    # every prime's term count before any summing: the counts grow like
-    # 1/(beta - 1), and a ratio that rounds to 1.0 never reaches the tolerance
+    # every prime's term count before any summing: the counts grow like 1/(beta - 1),
+    # a ratio of 1.0 never reaches the tolerance, and one of 0.0 makes every term 0
     series = []
     for p, e in factorize(a):
         ratio = p ** (1.0 - beta)
-        extra = (
-            inf if ratio == 1.0 else max(8, math.ceil((math.log(_CYLINDER_TOL) - math.log(10)) / math.log(ratio)))
-        )
+        if 0.0 < ratio < 1.0:
+            extra = max(8, math.ceil((math.log(_CYLINDER_TOL) - math.log(10)) / math.log(ratio)))
+        else:
+            extra = inf if ratio else 0
         series.append((p, e, ratio, extra))
     if sum(extra + 1 for *_, extra in series) > _CYLINDER_MAX_TERMS:
         raise ValueError(f"the cylinder series at beta = {beta} and a = {a} needs more than {_CYLINDER_MAX_TERMS} terms")

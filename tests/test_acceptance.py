@@ -21,8 +21,8 @@ from affinetoeplitz.bostconnes import (
     char_euler_sum,
     invariance_ratio,
 )
-from affinetoeplitz.grid import gram_matrix, kms_grid
-from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, zeta
+from affinetoeplitz.grid import gram_matrix
+from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, float_power, zeta
 from affinetoeplitz.representation import (
     relation_suite,
     toeplitz_monomial_apply_batch,
@@ -50,6 +50,7 @@ from affinetoeplitz.states import (
     evaluate,
     evaluate_exact,
     ground_check,
+    kms_characterisation_check,
     measure_cylinder,
     moment,
     no_kms_witness,
@@ -302,12 +303,18 @@ def test_criterion_03_rewriter_vs_representation(grid_monomials, product_table):
 
 
 def test_criterion_04_kms_identity_grid(grid_monomials, product_table):
+    # every pair of the grid, without the degree lemma that `states.kms_grid` relies
+    # on: each distinct product evaluated once, weighted, and set against the transpose
     start = time.monotonic()
-    build_seconds, *table = product_table
+    build_seconds, distinct, index = product_table
     worst_defect = 0.0
     worst_char = 0.0
     for phi in KMS_STATES:
-        defect, _, char, _ = kms_grid(phi, grid_monomials, table)
+        values = np.array([evaluate(phi, p) for p in distinct], dtype=complex)[index]
+        weight_a = np.array([float_power(x.a, phi.beta) for x in grid_monomials])[:, None]
+        weight_b = np.array([float_power(x.b, phi.beta) for x in grid_monomials])[:, None]
+        defect = float(np.abs(weight_a * values - weight_b * values.T).max())
+        char = max(kms_characterisation_check(phi, x) for x in grid_monomials)
         worst_defect = max(worst_defect, defect)
         worst_char = max(worst_char, char)
     elapsed = time.monotonic() - start + build_seconds

@@ -54,9 +54,10 @@ def test_import_builds_no_parser():
     assert fresh_interpreter(probe) == "0\n"
 
 
-# every subcommand but the two that sweep arrays (kms-check, rep-check)
+# every subcommand but rep-check, the one that sweeps arrays
 SCALAR_ARGV = [
     ["euclid", "17", "31", "5"],
+    ["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1"],
     ["join", "1", "1", "0", "2"],
     ["reduce", "v2 s"],
     ["state-eval", "--state", "psi_beta", "--beta", "2", "--word", "s v2 v2* s*"],
@@ -69,7 +70,7 @@ SCALAR_ARGV = [
 
 
 def test_scalar_commands_load_no_numpy():
-    array_argv = [["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1"], ["rep-check", "--model", "x"]]
+    array_argv = [["rep-check", "--model", "x"]]
     probe = (
         "import contextlib, io, sys, affinetoeplitz, affinetoeplitz.cli as cli\n"
         "def codes(argvs):\n"
@@ -78,7 +79,7 @@ def test_scalar_commands_load_no_numpy():
         f"print(codes({SCALAR_ARGV!r}), 'numpy' in sys.modules)\n"
         f"print(codes({array_argv!r}), 'numpy' in sys.modules)\n"
     )
-    assert fresh_interpreter(probe) == f"{[0] * len(SCALAR_ARGV)} False\n[0, 0] True\n"
+    assert fresh_interpreter(probe) == f"{[0] * len(SCALAR_ARGV)} False\n[0] True\n"
 
 
 class TestReduce:
@@ -172,6 +173,14 @@ class TestStateCommands:
         code, out, _ = run_capture(capsys, ["measure", "--beta", "2", "0", "2"])
         assert code == 0
         assert float(json.loads(out)["closed_form"]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("a", ["2", "12"])
+    def test_measure_underflowing_ratio(self, capsys, a):
+        # 2^-1999 is below the least double: every series term is 0, like a^-beta
+        code, out, err = run_capture(capsys, ["measure", "--beta", "2000", "0", a])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [float(payload[key]) for key in ("series", "tail", "closed_form")] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize(
         "argv, path, want",

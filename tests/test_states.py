@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul
-from affinetoeplitz.grid import gram_matrix, kms_grid, product_table
+from affinetoeplitz.grid import gram_matrix
 from affinetoeplitz.numtheory import divisors, factorize, first_primes, float_power, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
@@ -28,6 +28,7 @@ from affinetoeplitz.states import (
     ground_check,
     kms_characterisation_check,
     kms_defect,
+    kms_grid,
     measure_cylinder,
     measure_from_json,
     moment,
@@ -322,6 +323,9 @@ class TestKms:
             (Ground(VectorState(2)), 3.0),
             (Ground(Evaluation(Fraction(1, 3))), 2.0),
             (Ground(Evaluation(Fraction(1, 4))), 2.0),
+            # every pair defect is exactly 1, and np.abs would round a later one up: the
+            # first witness holds only with a correctly rounded modulus
+            (Ground(Evaluation(Fraction(3, 8))), 2.0),
         ],
     )
     def test_kms_grid_matches_scalar_loop(self, phi, beta):
@@ -329,27 +333,39 @@ class TestKms:
         # rows with shifts past int64, and s^2, s*^2: the vector states at e_1 and
         # e_2 tell s^2 s*^2 apart, so only the second passes on that pair
         far = [Monomial(2**64, 3, 3, 2**64 + 6), Monomial(2**70, 1, 1, 2**70)]
-        for family in (monos, monos + far, [Monomial.s_power(2), Monomial.s_power(-2)]):
-            pairs = [(kms_defect(phi, x, y, beta), (x, y)) for x in family for y in family]
+        families = (monos, monomial_grid(1, GRID_MULTS), monos + far, [Monomial.s_power(2), Monomial.s_power(-2)])
+        w = phi.beta if beta is None else beta
+        for family in families:
+            # the oracle rewrites and evaluates every pair, the degree lemma unused
+            pairs = [
+                (abs(float_power(x.a, w) * evaluate(phi, monomial_mul(x, y))
+                     - float_power(x.b, w) * evaluate(phi, monomial_mul(y, x))), (x, y))
+                for x in family
+                for y in family
+            ]
             chars = [(kms_characterisation_check(phi, x, beta), x) for x in family]
             # max keeps the first of equal maxima: the witnesses come first in x-major order
             worst, pair = max(pairs, key=lambda t: t[0])
             worst_char, at = max(chars, key=lambda t: t[0])
-            assert kms_grid(phi, family, product_table(family, family), beta) == (worst, pair, worst_char, at)
+            assert kms_grid(phi, family, beta) == (worst, pair, worst_char, at)
             if family == monos:
                 # the states checked at a temperature not their own fail
                 assert (worst > 0.1) == (beta is not None)
         if phi in (Ground(VectorState(1)), Ground(VectorState(2))):
             assert worst == (phi.omega.k == 1)
 
+    def test_kms_grid_rejects_zero_and_empty(self):
+        for monos in ([Monomial.v(2), ZERO], [ZERO], []):
+            with pytest.raises(ValueError):
+                kms_grid(PsiBeta(2.0), monos)
+
     NO_FINITE_BETA = [(PsiBeta(inf), None), (PsiBeta(2), inf), (PsiBeta(2), math.nan), (Ground(VectorState(0)), None)]
 
     def test_kms_grid_needs_finite_beta(self):
         monos = monomial_grid(0, (1, 2))
-        table = product_table(monos, monos)
         for phi, beta in self.NO_FINITE_BETA:
             with pytest.raises(ValueError):
-                kms_grid(phi, monos, table, beta)
+                kms_grid(phi, monos, beta)
 
     def test_defect_needs_finite_beta(self):
         # an unbalanced pair too: a NaN defect would pass every `defect > tol` gate
