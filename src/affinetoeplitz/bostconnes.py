@@ -13,6 +13,7 @@ projection family.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,12 +68,15 @@ class DirichletCharacter:
     chi(u) = exp(2*pi*i*t).  The table must be completely multiplicative on
     units with chi(1) = 1; that is checked as chi(u g) = chi(u) chi(g) for
     every unit u and every g in a generating set, which implies it for all
-    pairs by induction on the length of a product of generators.
+    pairs by induction on the length of a product of generators.  Each phase
+    exp(2*pi*i*t) is computed once, when the table is checked, so a call is
+    a residue reduction and a lookup.
     """
 
     modulus: int
     values: tuple[tuple[int, Fraction], ...]
     _table: dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    _phases: dict[int, complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.modulus
@@ -93,6 +97,7 @@ class DirichletCharacter:
                 if (table[(u * g) % m or m] - table[u] - t) % 1 != 0:
                     raise ValueError(f"table is not multiplicative at ({u}, {g})")
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_phases", {u: cmath.exp(2j * math.pi * float(t)) for u, t in table.items()})
 
     @classmethod
     def from_angles(cls, modulus: int, angles: dict[int, Fraction | int | str]) -> "DirichletCharacter":
@@ -128,15 +133,18 @@ class DirichletCharacter:
         """The unique nontrivial character mod 4 (value -1 at 3)."""
         return cls.from_angles(4, {1: 0, 3: Fraction(1, 2)})
 
-    def angle(self, u: int) -> Fraction:
-        u %= self.modulus
-        u = u or self.modulus
+    def _unit(self, u: int) -> int:
+        """The residue of u in [1, m]; a ValueError when it is not a unit."""
+        u = u % self.modulus or self.modulus
         if u not in self._table:
             raise ValueError(f"{u} is not a unit mod {self.modulus}")
-        return self._table[u]
+        return u
+
+    def angle(self, u: int) -> Fraction:
+        return self._table[self._unit(u)]
 
     def __call__(self, u: int) -> complex:
-        return cmath.exp(2j * math.pi * float(self.angle(u)))
+        return self._phases[self._unit(u)]
 
 
 @dataclass(frozen=True)
@@ -241,6 +249,7 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
     for p in window.primes:
         subsets += [s + [p] for s in subsets]
 
+    @functools.cache  # k' = k / gcd(k, n) runs over divisors of k, each met many times
     def q_compressed(kp: int) -> float:
         total = 0.0
         for s in subsets:

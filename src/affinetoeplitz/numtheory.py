@@ -2,11 +2,12 @@
 
 Factorizations are plain tuples of increasing (prime, exponent) pairs,
 found by trial division by the primes below 1000 and Pollard-Brent rho on
-the cofactor, so factoring n costs about n^(1/4) steps.  Supernatural
-numbers are formal prime products with exponents in N union {inf}, and a
-finite prime set is a `PrimeWindow`, the one place that checks it is
-nonempty and prime.  Whether an integer divides a supernatural number is
-decided by stripping the listed primes, without factoring the integer.
+the cofactor, so factoring n costs about n^(1/4) steps, and never more than
+a fixed budget of rho steps per split.  Supernatural numbers are formal
+prime products with exponents in N union {inf}, and a finite prime set is
+a `PrimeWindow`, the one place that checks it is nonempty and prime.
+Whether an integer divides a supernatural number is decided by stripping
+the listed primes, without factoring the integer.
 
 All integer arithmetic is exact (Python integers).  Real values are IEEE
 doubles; series are accumulated with `math.fsum`, so the only error that
@@ -170,6 +171,12 @@ _TRIAL_BOUND = 1000
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 
+# rho steps one split may take, about 5 s on a 137-bit cofactor.  A least
+# prime factor p takes a median of 2 sqrt(p) steps and 8 sqrt(p) in 1 case of
+# 10^3 (3000 semiprimes with p near 10^7.5), so p up to about 10^12 splits.
+_RHO_STEPS = 1 << 23
+
+
 def _brent_factor(n: int) -> int:
     """A proper factor of a composite n with no prime factor below `_TRIAL_BOUND`.
 
@@ -178,17 +185,28 @@ def _brent_factor(n: int) -> int:
     128 steps; a block whose gcd is n is replayed one step at a time, and a
     polynomial that still meets n as a whole is replaced by the next c.
     Expected cost about sqrt(p) steps for the least prime factor p of n.
+    Raises ValueError rather than start a round that could take the steps,
+    counted block by block, past `_RHO_STEPS`.
     """
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > _RHO_STEPS:  # a round: r steps ahead, then at most r in blocks
+                raise ValueError(
+                    f"no factor of a {n.bit_length()}-bit cofactor within {_RHO_STEPS} rho steps; "
+                    "its least prime factor is likely past 10^12"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            steps += r
             k = 0
             while k < r and g == 1:
+                block = min(128, r - k)
+                steps += block
                 ys = y
-                for _ in range(min(128, r - k)):
+                for _ in range(block):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -210,7 +228,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     A cofactor with no prime factor below 1000 is prime when it is below
     1000^2, and otherwise `is_prime` decides whether to stop or split it.
     Returns the (prime, exponent) pairs in increasing prime order; the empty
-    tuple represents 1.
+    tuple represents 1.  A composite cofactor that rho cannot split within
+    `_RHO_STEPS` steps raises ValueError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

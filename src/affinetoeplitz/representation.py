@@ -187,9 +187,18 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _peak(*values) -> int:
-    """Largest absolute entry among the arguments, as a Python int."""
-    return max(int(np.asarray(np.abs(v)).max(initial=0)) for v in values)
+def _peak(*values: np.ndarray) -> int:
+    """Largest absolute entry among the arguments, as a Python int.
+
+    Read off the extremes as Python ints, not through np.abs, which maps
+    -2^63 to itself."""
+    peak = 0
+    for v in values:
+        if v.ndim == 0:
+            peak = max(peak, abs(int(v)))
+        else:
+            peak = max(peak, int(v.max(initial=0)), -int(v.min(initial=0)))
+    return peak
 
 
 def _lane_dtype(bound: int) -> type:

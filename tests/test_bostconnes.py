@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import time
@@ -8,6 +9,7 @@ from itertools import islice
 import pytest
 
 from affinetoeplitz.bostconnes import (
+    _RECONSTRUCT_TERMS,
     DirichletCharacter,
     bc_reconstruct_check,
     char_euler_sum,
@@ -15,7 +17,7 @@ from affinetoeplitz.bostconnes import (
     character_to_json,
     invariance_ratio,
 )
-from affinetoeplitz.numtheory import PrimeWindow, first_primes, iter_smooth, zeta_e
+from affinetoeplitz.numtheory import PrimeWindow, first_primes, float_power, iter_smooth, zeta_e
 
 CHI4 = DirichletCharacter.quadratic_mod4()
 
@@ -170,6 +172,97 @@ class TestCharacter:
         for modulus in (4.5, None, [4]):
             with pytest.raises(ValueError):
                 character_from_json({**obj, "modulus": modulus})
+
+
+LOG2_MOD5 = {1: 0, 2: 1, 4: 2, 3: 3}
+# one character of each unit-group shape in use, and a non-cyclic one: (Z/15)* = Z/2 x Z/4,
+# the quadratic character mod 3 times the order-4 character mod 5
+PHASE_CHARACTERS = [
+    CHI4,
+    DirichletCharacter.from_generator(5, 2, Fraction(1, 4)),
+    DirichletCharacter.from_generator(7, 3, Fraction(1, 3)),
+    DirichletCharacter.trivial(2003),
+    DirichletCharacter.from_angles(
+        15, {u: (Fraction(u % 3 == 2, 2) + Fraction(LOG2_MOD5[u % 5], 4)) % 1 for u in (1, 2, 4, 7, 8, 11, 13, 14)}
+    ),
+]
+
+
+class PerCallPhases:
+    """A character whose phase is computed afresh on every call, the formula before the phase table."""
+
+    def __init__(self, chi):
+        self.chi, self.modulus = chi, chi.modulus
+
+    def __call__(self, u):
+        return cmath.exp(2j * math.pi * float(self.chi.angle(u)))
+
+
+def reconstruct_per_n(primes, beta, k):
+    """bc_reconstruct_check with the compression recomputed for every smooth n."""
+    window = PrimeWindow.of(primes)
+    zeta_window = zeta_e(beta, window)
+    subsets = [[]]
+    for p in window.primes:
+        subsets += [s + [p] for s in subsets]
+
+    def q_compressed(kp):
+        total = 0.0
+        for s in subsets:
+            ns = math.prod(s)
+            total += (-1.0) ** len(s) * float_power(ns * kp // math.gcd(ns, kp), -beta)
+        return total * zeta_window
+
+    terms = []
+    for count, n in enumerate(iter_smooth(window.primes)):
+        weight = float_power(n, -beta)
+        if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
+            break
+        terms.append(weight / zeta_window * q_compressed(k // math.gcd(k, n)))
+    return abs(float_power(k, -beta) - math.fsum(terms))
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("chi", PHASE_CHARACTERS, ids=lambda chi: f"mod{chi.modulus}")
+    def test_phases_are_the_per_call_formula_bit_for_bit(self, chi):
+        m = chi.modulus
+        for u, _ in chi.values:
+            for v in (u, u + m, u + 7 * m, u - 3 * m, u + 10**30 * m, -u):
+                assert chi(v) == cmath.exp(2j * math.pi * float(chi.angle(v))), (m, v)
+
+    @pytest.mark.parametrize("chi", PHASE_CHARACTERS, ids=lambda chi: f"mod{chi.modulus}")
+    def test_non_units_refused_with_the_same_message(self, chi):
+        m = chi.modulus
+        prime = next(p for p in range(2, m + 1) if m % p == 0)
+        for v, residue in ((0, m), (m, m), (-m, m), (prime, prime), (5 * m + prime, prime)):
+            message = f"^{residue} is not a unit mod {m}$"
+            with pytest.raises(ValueError, match=message):
+                chi(v)
+            with pytest.raises(ValueError, match=message):
+                chi.angle(v)
+
+    def test_equality_hash_and_repr_read_the_table_only(self):
+        mod5 = DirichletCharacter.from_angles(5, {1: 0, 2: "1/4", 4: "1/2", 3: "3/4"})
+        assert mod5 == PHASE_CHARACTERS[1] and hash(mod5) == hash(PHASE_CHARACTERS[1])
+        assert hash(mod5) == hash((5, mod5.values))
+        assert repr(mod5) == f"DirichletCharacter(modulus=5, values={mod5.values!r})"
+        assert len(set(PHASE_CHARACTERS + [mod5, DirichletCharacter.quadratic_mod4()])) == len(PHASE_CHARACTERS)
+        assert DirichletCharacter.trivial(4) != CHI4
+
+    def test_checks_equal_the_per_call_reference(self):
+        # criterion 13's inputs, and the other characters on shorter sums
+        assert char_euler_sum(CHI4, [3, 5, 7, 11, 13], 1.0, 10**5) == char_euler_sum(
+            PerCallPhases(CHI4), [3, 5, 7, 11, 13], 1.0, 10**5
+        )
+        assert invariance_ratio(CHI4, 1.0, 40) == invariance_ratio(PerCallPhases(CHI4), 1.0, 40)
+        for chi in PHASE_CHARACTERS[1:]:
+            primes = [p for p in first_primes(8) if chi.modulus % p][:5]
+            assert char_euler_sum(chi, primes, 0.5, 2000) == char_euler_sum(PerCallPhases(chi), primes, 0.5, 2000)
+            assert invariance_ratio(chi, 0.75, 30) == invariance_ratio(PerCallPhases(chi), 0.75, 30)
+        for primes, ks in (([2], (1, 2, 3, 4, 8)), ([2, 3], (6, 12)), ([2, 3, 5], (30,))):
+            for beta in (2.0, 3.0):
+                for k in ks:
+                    assert bc_reconstruct_check(primes, beta, k) == reconstruct_per_n(primes, beta, k), (primes, k)
 
 
 class TestEulerSum:

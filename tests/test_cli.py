@@ -42,11 +42,12 @@ def run_capture(capsys, argv):
     return results[0]
 
 
-def fresh_interpreter(probe):
+def fresh_interpreter(probe, timeout=None):
     """The stdout of `probe` run in a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(affinetoeplitz.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    argv = [sys.executable, "-c", probe]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=timeout).stdout
 
 
 def test_import_builds_no_parser():
@@ -211,6 +212,22 @@ class TestStateCommands:
         assert code == 0, err
         value = json.loads(out)["value"]
         assert float(value["re"]) == 0.0 and float(value["im"]) == 0.0
+
+    def test_point_measure_semiprime_shift_exit_2(self):
+        # (10^20 + 39)(10^21 + 117): a point measure needs the divisors, and rho would need
+        # about 10^10 steps, so factoring stops at its step budget and the CLI exits 2
+        argv = ["state-eval", "--state", "psi_beta_mu", "--beta", "3",
+                "--word", "s^100000000000000000050700000000000000004563"]
+        probe = (
+            "import contextlib, io, affinetoeplitz.cli as cli\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            f"    code = cli.run({argv!r})\n"
+            "print(code, repr(out.getvalue()), repr(err.getvalue()))\n"
+        )
+        code, out, err = fresh_interpreter(probe, timeout=60).split(" ", 2)
+        assert (code, out) == ("2", "''")
+        assert err.startswith("'error: no factor of a 137-bit cofactor") and err.count("\\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_payload_past_the_digit_limit_exit_2(self, capsys, fmt):

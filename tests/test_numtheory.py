@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinetoeplitz import numtheory
 from affinetoeplitz.numtheory import (
     NABLA,
     _strong_lucas_probable_prime,
@@ -193,6 +194,16 @@ class TestFactorize:
         assert factorize(PSI_12) == oracle_of_product(399165290221, 798330580441)
         assert factorize(PSI_13) == oracle_of_product(1287836182261, 2575672364521)
         assert PSI_13 == 1287836182261 * 2575672364521
+        # a least prime factor near 10^12 splits within the rho step budget
+        assert factorize(1000000000039 * 10000000000037) == oracle_of_product(1000000000039, 10000000000037)
+
+    def test_rho_step_budget(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_RHO_STEPS", 1 << 12)
+        n = 1000000000039 * 10000000000037
+        with pytest.raises(ValueError, match=f"no factor of a {n.bit_length()}-bit cofactor within 4096 rho steps"):
+            factorize(n)
+        # small factors never reach rho, and a cofactor that splits within the budget still does
+        assert factorize(2**10 * 1009 * 1013) == ((2, 10), (1009, 1), (1013, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -17,6 +17,7 @@ from affinetoeplitz.representation import (
     _diagonal_profile,
     _fibered_window,
     _monomial_word,
+    _peak,
     _run_word,
     _x_step,
     monomial_apply,
@@ -228,6 +229,25 @@ class TestBatchAppliers:
             x_monomial_apply_batch(2**62, 1, 1, 2**62, [False], [0], [1], [0])
         with pytest.raises(ValueError):
             toeplitz_monomial_apply_batch(0, 2**40, 1, 0, [False], [0], [2**30])
+        # np.abs maps -2^63 to itself, which once read as a bound of 0 and picked int32 lanes
+        with pytest.raises(ValueError):
+            x_monomial_apply_batch(0, 1, 1, 1, np.zeros(1, bool), np.array([0]), np.array([1]), np.array([-(2**63)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1])),
+                     max_size=6),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(-(2**63), 2**63 - 1),
+    )
+    def test_peak_is_the_exact_largest_absolute_value(self, rows, scalar):
+        arrays = [np.array(row, dtype=np.int64) for row in rows] + [np.asarray(np.int64(scalar))]
+        want = max([abs(scalar)] + [abs(v) for row in rows for v in row])
+        assert _peak(*arrays) == want
+        assert _peak(*(a.astype(object) for a in arrays)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(
