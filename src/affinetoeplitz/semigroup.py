@@ -4,9 +4,10 @@ Group elements (r, x) act on numbers by t -> r + x*t, so the product is
 (r, x)(s, y) = (r + x*s, x*y).  The monoid of elements with r in N and
 x in N^x induces a left-invariant order on the group, and any two elements
 with a common upper bound have a least one; computing it reduces to finding
-the smallest non-negative solution of k = alpha*c - beta*d for coprime c, d,
-which `euclid_smallest` does by the alternating subtraction scheme (with a
-direct modular formula alongside as an independent check).
+the smallest non-negative solution of k = alpha*c - beta*d for coprime c, d.
+`join` solves it by the modular inverse, in O(log d) steps.  The alternating
+subtraction scheme of `euclid_smallest`, up to about min(c, d) rounds, stays
+as the reference implementation and as join's independent check.
 """
 
 from __future__ import annotations
@@ -142,8 +143,14 @@ def _smallest(route, c: int, d: int, k: int) -> tuple[int, int]:
 
 
 def _euclid_modular(c: int, d: int, k: int) -> tuple[int, int]:
-    """Modular-inverse formula for k >= 0, gcd(c, d) = 1: alpha is the least
-    residue of k/c mod d, lifted by multiples of d until alpha*c >= k."""
+    """Modular-inverse formula for gcd(c, d) = 1: alpha is the least residue
+    of k/c mod d, lifted by multiples of d until alpha*c >= k.
+
+    The non-negative solutions form one chain (alpha + t*d, beta + t*c),
+    t >= 0, whichever role is minimised first.  For k < 0 the least residue
+    is already its least element (beta = (alpha*c - k)/d > 0), so the
+    formula needs no role swap for either sign of k.
+    """
     alpha = (k % d) * pow(c % d, -1, d) % d if d > 1 else 0
     if alpha * c < k:
         alpha += d * (-(-(k - alpha * c) // (c * d)))
@@ -156,12 +163,17 @@ def euclid_smallest(c: int, d: int, k: int) -> tuple[int, int]:
     For k >= 0 alpha is minimal (and beta comes along); for k < 0 the roles
     swap: (beta, alpha) is the smallest non-negative solution of
     -k = beta*d - alpha*c.  Requires gcd(c, d) = 1.
+
+    The reference implementation: the alternating subtraction scheme, at
+    most about min(alpha, beta) + 1 rounds, so up to about min(c, d), kept
+    as the oracle that `join`'s modular route is tested against.
     """
     return _smallest(_euclid_iterative, c, d, k)
 
 
 def euclid_smallest_direct(c: int, d: int, k: int) -> tuple[int, int]:
-    """Modular-inverse route to the same smallest solution (cross-check path)."""
+    """The same smallest solution by the modular inverse, in O(log d) steps,
+    with `euclid_smallest`'s argument checks; `join` takes this route unchecked."""
     return _smallest(_euclid_modular, c, d, k)
 
 
@@ -184,12 +196,21 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
     (m, a) and (n, b) have an upper bound iff the progressions m + aN and
     n + bN meet, i.e. gcd(a, b) | m - n; the join is then (l, lcm(a, b))
     where l = m + a*alpha = n + b*beta is the least common value.
+
+    (alpha, beta) is the smallest non-negative solution of
+    (n - m)/g = alpha*a' - beta*b' with g = gcd(a, b), a' = a/g, b' = b/g,
+    found by the modular inverse of a' mod b' in O(log b') steps, without
+    `euclid_smallest_direct`'s checks: a' and b' are coprime and positive by
+    construction.  Plain (m, a) pairs are accepted, and a multiplicative part
+    below 1 raises ValueError as SemigroupElement does.
     """
     m, a = p
     n, b = q
+    if a < 1 or b < 1:
+        raise ValueError(f"multiplicative part must be >= 1, got {a if a < 1 else b}")
     g = gcd(a, b)
     if (m - n) % g != 0:
         return None
     a1, b1 = a // g, b // g
-    alpha, beta = euclid_smallest(a1, b1, (n - m) // g)
+    alpha, beta = _euclid_modular(a1, b1, (n - m) // g)
     return tuple.__new__(Join, (m + a * alpha, a * b // g, alpha, beta, a1, b1))

@@ -23,7 +23,7 @@ from affinetoeplitz.algebra import (
 )
 from affinetoeplitz.grid import product_table
 from affinetoeplitz.numtheory import first_primes
-from affinetoeplitz.representation import XBasis, monomial_apply
+from affinetoeplitz.representation import XBasis, monomial_apply, toeplitz_apply
 from affinetoeplitz.semigroup import SemigroupElement
 from conftest import graded_pairs
 
@@ -239,6 +239,43 @@ class TestRelations:
     def test_composite_equals_prime_product(self):
         assert reduce_word("v12", True) == reduce_word("v2^2 v3")
         assert reduce_word("v12", True) == Monomial.v(12)
+
+
+def largest_exponent(p, bound):
+    e = 0
+    while p ** (e + 1) <= bound:
+        e += 1
+    return e
+
+
+class TestLargeIndices:
+    @staticmethod
+    def covariance_word(p, e, k, q, f, x):
+        """v_p^e* s^k v_q^f applied to e_x token by token, rightmost first."""
+        out = toeplitz_apply(SemigroupElement(0, q**f), x)
+        out = toeplitz_apply(SemigroupElement(k, 1), out.basis)
+        return toeplitz_apply(SemigroupElement(0, p**e), out.basis, star=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pq=st.permutations((2, 3, 5, 7, 11, 13)).map(lambda ps: ps[:2]), data=st.data())
+    def test_covariance_word_on_left_regular_vectors(self, pq, data):
+        # p^e, q^f and k up to 10^12: the join behind the rewrite solves its euclid step
+        # by the modular inverse, where the alternating scheme ran up to min(p^e, q^f) rounds
+        p, q = pq
+        e = data.draw(st.integers(1, largest_exponent(p, 10**12)))
+        f = data.draw(st.integers(1, largest_exponent(q, 10**12)))
+        k = data.draw(st.integers(0, 10**12))
+        normal = reduce_word(f"v{p}^{e}* s^{k} v{q}^{f}")
+        assert not normal.is_zero  # p^e and q^f are coprime, so the join exists
+        shift, b = normal.n, normal.b
+        draw = data.draw
+        vectors = [SemigroupElement(draw(st.integers(0, 10**14)), draw(st.integers(1, 10**14))) for _ in range(4)]
+        # the support of s*^n v_b* is (n + b*t, b*c); probe it and the vectors just below
+        t, c = draw(st.integers(0, 10**6)), draw(st.integers(1, 10**6))
+        for m in (shift - 1, shift, shift + b * t - 1, shift + b * t, shift + b * t + 1):
+            vectors += [SemigroupElement(m, a) for a in (b, b * c, b * c // p) if m >= 0]
+        for x in vectors:
+            assert monomial_apply(normal, x) == self.covariance_word(p, e, k, q, f, x), x
 
 
 class TestParser:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affinetoeplitz.algebra import ZERO, Monomial, covariance_reduce, monomial_mul
 from affinetoeplitz.semigroup import (
     GroupElement,
     Join,
@@ -28,6 +29,16 @@ def brute_euclid(c, d, k):
     while (beta * d + k) % c != 0 or beta * d < -k:
         beta += 1
     return (k + beta * d) // c, beta
+
+
+def euclid_join(p, q):
+    """The Join assembled from the alternating scheme: join's oracle."""
+    (m, a), (n, b) = p, q
+    g = gcd(a, b)
+    if (m - n) % g:
+        return None
+    alpha, beta = euclid_smallest(a // g, b // g, (n - m) // g)
+    return Join(m + a * alpha, a * b // g, alpha, beta, a // g, b // g)
 
 
 def brute_join(p, q, slack=3):
@@ -71,6 +82,11 @@ class TestGroup:
 
 
 elements = st.builds(SemigroupElement, st.integers(0, 10**30), st.integers(1, 10**30))
+multiplicative_at_scale = st.one_of(
+    st.tuples(st.integers(1, 10**18), st.integers(1, 10**18)),
+    # a shared factor, so that a gcd that does not divide m - n is common
+    st.builds(lambda g, u, w: (g * u, g * w), st.integers(1, 10**6), st.integers(1, 10**12), st.integers(1, 10**12)),
+)
 
 
 class TestSemigroupElement:
@@ -218,6 +234,48 @@ class TestJoin:
         else:
             assert (jq.l, jq.lcm) == (jp.l, jp.lcm)
             assert (jq.alpha, jq.beta, jq.a_prime, jq.b_prime) == (jp.beta, jp.alpha, jp.b_prime, jp.a_prime)
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**4), st.integers(0, 10**6), st.integers(1, 10**4))
+    def test_matches_alternating_scheme(self, m, a, n, b):
+        # the modular route against the reference scheme, at most about 10^4 rounds each
+        p, q = SemigroupElement(m, a), SemigroupElement(n, b)
+        for x, y in ((p, q), (q, p)):
+            got = join(x, y)
+            assert got == euclid_join(x, y)
+            assert got is None or type(got) is Join
+
+    @given(st.integers(0, 10**30), st.integers(0, 10**30), multiplicative_at_scale)
+    def test_least_common_value_at_scale(self, m, n, ab):
+        a, b = ab
+        j = join(SemigroupElement(m, a), SemigroupElement(n, b))
+        g = gcd(a, b)
+        if (m - n) % g:
+            assert j is None
+            return
+        lcm = a * b // g
+        assert j is not None and j.lcm == lcm
+        assert j.l >= max(m, n)
+        assert (j.l - m) % a == 0 and (j.l - n) % b == 0
+        assert j.l - lcm < max(m, n)  # every common value is j.l + t*lcm
+        assert (j.alpha, j.beta) == ((j.l - m) // a, (j.l - n) // b)
+        assert (j.a_prime, j.b_prime) == (a // g, b // g)
+
+    def test_large_cores_in_bounded_time(self):
+        # coprime cores near 10^12: the alternating scheme would run about 10^12 rounds
+        j = join(SemigroupElement(0, 10**12), SemigroupElement(5, 10**12 + 1))
+        assert j.l == 10**12 * j.alpha == 5 + (10**12 + 1) * j.beta
+        assert (j.alpha, j.beta) == (10**12 - 4, 10**12 - 5)
+
+    def test_rejects_multiplicative_part_below_one(self):
+        # plain pairs skip SemigroupElement's constructor; join checks them itself
+        for p, q, bad in (((0, 0), (1, 2), 0), ((0, 0), (2, 2), 0), ((1, 2), (0, 0), 0), ((3, 1), (3, -2), -2)):
+            with pytest.raises(ValueError, match=rf"^multiplicative part must be >= 1, got {bad}$"):
+                join(p, q)
+        with pytest.raises(ValueError, match=r"^multiplicative part must be >= 1, got 0$"):
+            covariance_reduce(0, 0, 1, 2)
+        # valid plain pairs and elements agree, and the rewriter filters ZERO before any join
+        assert join((0, 2), (1, 3)) == join(SemigroupElement(0, 2), SemigroupElement(1, 3))
+        assert monomial_mul(ZERO, Monomial(1, 2, 3, 4)) == ZERO == monomial_mul(Monomial(1, 2, 3, 4), ZERO)
 
     def test_least_upper_bound_property(self):
         # every common upper bound with entries <= 200 dominates the join

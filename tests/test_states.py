@@ -406,6 +406,18 @@ class TestGround:
         defect = kms_defect(Ground(VectorState(0)), Monomial.s_power(1), Monomial.s_power(-1), beta=3.0)
         assert defect == pytest.approx(1.0)
 
+    def test_ground_states_strictly_contain_kms_infinity(self, grid_monomials):
+        # every KMS_inf state is a ground state with phi(s s*) = 1; the ground
+        # state of the vacuum vector gives phi(s s*) = 0, so it is no KMS_inf state
+        ss_star = Monomial(1, 1, 1, 1)
+        for mu in MEASURES:
+            phi = PsiBetaMu(inf, mu)
+            assert evaluate(phi, ss_star) == 1
+            assert all(ground_check(phi, x) for x in grid_monomials)
+        vacuum = Ground(VectorState(0))
+        assert all(ground_check(vacuum, x) for x in grid_monomials)
+        assert evaluate(vacuum, ss_star) == 0
+
     def test_boundedness_surrogate(self):
         # phi(Y X) = 0 whenever X's multiplicative parts satisfy a < b
         rng = random.Random(31)
