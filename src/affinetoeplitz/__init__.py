@@ -8,8 +8,7 @@ generators as exact weighted permutations of basis vectors (the brute-force
 oracles), `spectrum` parametrises the character space of the diagonal,
 `states` evaluates the equilibrium states of the natural time evolution, and
 `bostconnes` covers the related Hecke-algebra Euler-product machinery.  Only
-`representation` and `grid` (array sweeps over monomial grids) use numpy,
-and neither is imported here.
+`representation` uses numpy, and it is not imported here.
 """
 
 from . import bostconnes, numtheory, semigroup, spectrum, states

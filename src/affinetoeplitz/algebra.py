@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -119,6 +118,7 @@ class Monomial(TupleValue, namedtuple("Monomial", "m a b n")):
 
 
 ZERO = Monomial(0, 0, 0, 0)
+_IDENTITY = Monomial.identity()
 _tuple_new = tuple.__new__  # the rewriter's results skip validation; bound once for the hot paths
 
 
@@ -182,17 +182,16 @@ def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorToken:
+class GeneratorToken(TupleValue, namedtuple("GeneratorToken", "kind index power star", defaults=(None, 1, False))):
     """One parsed term: base generator, power, and whether it is starred.
 
-    kind is "s" or "v"; `index` is the v-subscript (None for s).
+    An immutable tuple (kind, index, power, star), equal to (and hashing like)
+    the plain tuple.  kind is "s" or "v"; `index` is the v-subscript (None
+    for s).  The constructor does not validate: `parse_word` checks the
+    power and the index before it builds a token.
     """
 
-    kind: str
-    index: int | None = None
-    power: int = 1
-    star: bool = False
+    __slots__ = ()
 
 
 _MAX_INDEX_BITS = 1 << 20  # bound on k * bitlength(p) for a word's term v_p^k
@@ -209,6 +208,15 @@ class WordSyntaxError(ValueError):
 # one term: base, v-digits, power digits, star, and any text left after the
 # term; the final alternative is a character no term starts with
 _TERM = re.compile(r"(s|v(\d*))(?:\^(\d*))?(\*?)(\S*)|\S")
+
+
+def _uint(digits: str, position: int) -> int:
+    """The digit run at `position` as an int; a run past int()'s digit limit
+    (4300 digits by default since Python 3.11) is refused where it starts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise WordSyntaxError(f"a run of {len(digits)} digits is too long to read", position) from None
 
 
 def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken]:
@@ -230,7 +238,7 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
         if digits is not None:
             if not digits:
                 raise WordSyntaxError("expected digits after 'v'", start + 1)
-            index = int(digits)
+            index = _uint(digits, start + 1)
             if index < 1:
                 raise WordSyntaxError("v-index must be >= 1", start)
             if not expand_composite and not is_prime(index):
@@ -238,24 +246,26 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
                 raise WordSyntaxError(message, start)
         if power == "":
             raise WordSyntaxError("expected digits after '^'", term.start(3))
-        power = 1 if power is None else int(power)
+        power = 1 if power is None else _uint(power, term.start(3))
         if index is not None and power * index.bit_length() > _MAX_INDEX_BITS:
             raise WordSyntaxError(f"{text[start:term.start(4)]} builds an index past {_MAX_INDEX_BITS} bits", start)
         if rest:
             raise WordSyntaxError(f"unexpected character {rest[0]!r}", term.start(5))
-        tokens.append(GeneratorToken(base[0], index, power, star == "*"))
+        tokens.append(_tuple_new(GeneratorToken, (base[0], index, power, star == "*")))
     if not tokens:
         raise WordSyntaxError("empty word", 0)
     return tokens
 
 
 def reduce_word(word: str, expand_composite: bool = False) -> Monomial:
-    """Normal form of a word: fold the monomial of each term through `monomial_mul`."""
-    out = Monomial.identity()
-    for tok in parse_word(word, expand_composite):
-        shift, index = (tok.power, 1) if tok.kind == "s" else (0, tok.index**tok.power)
-        term = Monomial(shift, index, 1, 0)
-        out = monomial_mul(out, adjoint(term) if tok.star else term)
-        if out.is_zero:
-            return ZERO
+    """Normal form of a word: fold the monomial of each term through `monomial_mul`.
+
+    A term is s^k v_q with k = 0 or q = 1, or its star v_q* s*^k, built with
+    tuple.__new__ since the parser has checked its power and index.  Zero
+    absorbs, so the fold runs to the end.
+    """
+    out = _IDENTITY
+    for kind, index, power, star in parse_word(word, expand_composite):
+        shift, index = (power, 1) if kind == "s" else (0, index**power)
+        out = monomial_mul(out, _tuple_new(Monomial, (0, 1, index, shift) if star else (shift, index, 1, 0)))
     return out

@@ -2,14 +2,16 @@ import functools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from affinetoeplitz import algebra, grid
-from affinetoeplitz.algebra import Monomial
+from affinetoeplitz import algebra
+from affinetoeplitz.algebra import Monomial, adjoint, monomial_mul
 from affinetoeplitz.semigroup import SemigroupElement
 from affinetoeplitz.spectrum import contains
+from affinetoeplitz.states import evaluate
 
 GRID_MULTS = (1, 2, 3, 4, 6)
 
@@ -58,15 +60,41 @@ def grid_monomials():
     return sorted(algebra.monomial_grid(5, GRID_MULTS))
 
 
+def tabulate_products(left, right):
+    """All products left[i] * right[j], as (distinct, index).
+
+    distinct lists each product once, in first-seen order, ZERO included when
+    some product vanishes; index is an intp array of shape
+    (len(left), len(right)) with distinct[index[i, j]] = left[i] * right[j].
+    """
+    slots = {}
+    index = np.fromiter(
+        (slots.setdefault(monomial_mul(x, y), len(slots)) for x in left for y in right),
+        dtype=np.intp,
+        count=len(left) * len(right),
+    )
+    return list(slots), index.reshape(len(left), len(right))
+
+
+def gram_matrix(phi, xs):
+    """Gram matrix G[i][j] = phi(x_i* x_j) and its least eigenvalue.
+
+    Positive semidefiniteness of G certifies positivity of the state formula
+    on the span of the chosen monomials.
+    """
+    gram = np.array([[evaluate(phi, monomial_mul(adjoint(x), y)) for y in xs] for x in xs], dtype=complex)
+    return gram, float(np.linalg.eigvalsh(gram)[0])
+
+
 @pytest.fixture(scope="session")
 def product_table(grid_monomials):
     """All pairwise products of the grid, each distinct product stored once.
 
-    Returns (seconds, distinct, index): `grid.product_table` of the grid
+    Returns (seconds, distinct, index): `tabulate_products` of the grid
     with itself, where distinct[index[i, j]] is monomial_mul(grid[i], grid[j])
     for the (900, 900) index array.  `seconds` is the build time, charged to
     the runtime budget of every criterion using the table.
     """
     start = time.monotonic()
-    table = grid.product_table(grid_monomials, grid_monomials)
+    table = tabulate_products(grid_monomials, grid_monomials)
     return time.monotonic() - start, *table

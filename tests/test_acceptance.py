@@ -13,7 +13,6 @@ from math import gcd, inf
 
 import numpy as np
 
-from affinetoeplitz import grid
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_mul, reduce_word
 from affinetoeplitz.bostconnes import (
     DirichletCharacter,
@@ -21,7 +20,6 @@ from affinetoeplitz.bostconnes import (
     char_euler_sum,
     invariance_ratio,
 )
-from affinetoeplitz.grid import gram_matrix
 from affinetoeplitz.numtheory import NABLA, SupernaturalNumber, first_primes, float_power, zeta
 from affinetoeplitz.representation import (
     relation_suite,
@@ -57,7 +55,7 @@ from affinetoeplitz.states import (
     partition_sum,
     reconstruct_sn,
 )
-from conftest import enumerate_members
+from conftest import enumerate_members, gram_matrix, tabulate_products
 
 MEASURES = {
     "delta_1": CircleMeasure.point(0),
@@ -402,7 +400,7 @@ def test_gram_matrix_matches_product_table_route(grid_monomials):
     # the oracle: a product table of the adjoints against the family, and one
     # `evaluate` per distinct product
     for family in gram_families(grid_monomials):
-        distinct, index = grid.product_table([adjoint(x) for x in family], family)
+        distinct, index = tabulate_products([adjoint(x) for x in family], family)
         for phi in KMS_STATES:
             want = np.array([evaluate(phi, p) for p in distinct], dtype=complex)[index]
             gram, least = gram_matrix(phi, family)

@@ -21,11 +21,10 @@ from affinetoeplitz.algebra import (
     parse_word,
     reduce_word,
 )
-from affinetoeplitz.grid import product_table
 from affinetoeplitz.numtheory import first_primes
 from affinetoeplitz.representation import XBasis, monomial_apply, toeplitz_apply
 from affinetoeplitz.semigroup import SemigroupElement
-from conftest import graded_pairs
+from conftest import graded_pairs, tabulate_products
 
 PRIMES_SMALL = first_primes(6)
 
@@ -46,6 +45,37 @@ def monomial_pairs(draw):
     x = Monomial(draw(shift), draw(index), g * draw(st.integers(1, 100)), n)
     y = Monomial(q, g * draw(st.integers(1, 100)), draw(index), draw(shift))
     return x, y
+
+
+def reference_reduce(word, expand_composite=False):
+    """The fold reduce_word is checked against: one validated Monomial per term,
+    `adjoint` for a starred term, and `monomial_mul` from the identity."""
+    out = Monomial.identity()
+    for tok in parse_word(word, expand_composite):
+        shift, index = (tok.power, 1) if tok.kind == "s" else (0, tok.index**tok.power)
+        term = Monomial(shift, index, 1, 0)
+        out = monomial_mul(out, adjoint(term) if tok.star else term)
+        if out.is_zero:
+            return ZERO
+    return out
+
+
+@st.composite
+def words(draw):
+    """(text, expand_composite): up to 8 terms s^k and v_c^k, each starred or not.
+
+    Powers run to 10^3 and shifts to 10^18; c is a prime up to 47, or with
+    composite expansion any index up to 10^3.
+    """
+    expand = draw(st.booleans())
+    index = st.integers(1, 10**3) if expand else st.sampled_from(first_primes(15))
+    shift = st.integers(0, 10**3) | st.integers(0, 10**18)
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = "s" if draw(st.booleans()) else f"v{draw(index)}"
+        power = draw(shift if base == "s" else st.integers(0, 10**3))
+        terms.append(f"{base}^{power}{'*' if draw(st.booleans()) else ''}")
+    return " ".join(terms), expand
 
 
 class TestMonomialType:
@@ -194,15 +224,15 @@ class TestMonomialMul:
         right = left[::3]
         # a shift past int64 is held exactly; identity rows give no vanishing product
         for rows in (left, left + [Monomial(2**63, 2, 3, 5)], [Monomial.identity()]):
-            distinct, index = product_table(rows, right)
+            distinct, index = tabulate_products(rows, right)
             assert index.dtype == np.intp and index.shape == (len(rows), len(right))
             products = [[monomial_mul(x, y) for y in right] for x in rows]
             assert [[distinct[k] for k in row] for row in index.tolist()] == products
             assert len(set(distinct)) == len(distinct)
             assert (ZERO in distinct) == any(p.is_zero for row in products for p in row)
-        assert ZERO in product_table(left, right)[0]
+        assert ZERO in tabulate_products(left, right)[0]
         for rows, cols in (([], right), (left, [])):
-            distinct, index = product_table(rows, cols)
+            distinct, index = tabulate_products(rows, cols)
             assert distinct == [] and index.shape == (len(rows), len(cols))
 
 
@@ -314,6 +344,37 @@ class TestParser:
             parse_word("s v3 v2^99999999999999999999 s*")
         assert err.value.position == 5
         assert parse_word("v2^1100")[0].power == 1100
+
+    def test_digit_runs_past_the_int_limit_raise_with_a_position(self):
+        # int() refuses a run of more than 4300 digits; the parser says where the run starts
+        run = "7" * 4301
+        for text, position in ((f"v{run}", 1), (f"s v2^{run}*", 5), (f"s^{run}", 2), (f"v3 v{run}^2", 4)):
+            with pytest.raises(WordSyntaxError, match="4301 digits") as err:
+                parse_word(text, expand_composite=True)
+            assert err.value.position == position
+
+    def test_token_tuple_semantics(self):
+        tok = GeneratorToken("v", 3, 2, True)
+        assert tok == ("v", 3, 2, True) and hash(tok) == hash(("v", 3, 2, True))
+        assert GeneratorToken("s") == ("s", None, 1, False)
+        assert parse_word("v3^2* s") == [tok, GeneratorToken("s")]
+        assert all(type(t) is GeneratorToken for t in parse_word("v3^2* s"))
+        with pytest.raises(AttributeError):
+            tok.power = 5
+
+    def test_token_tuple_operators_refused(self):
+        tok = GeneratorToken("s")
+        for op in (lambda: tok + tok, lambda: tok + ("s",), lambda: tok * 2, lambda: 2 * tok):
+            with pytest.raises(TypeError, match="GeneratorToken"):
+                op()
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=words())
+    def test_reduce_word_matches_reference_fold(self, word):
+        text, expand = word
+        out = reduce_word(text, expand)
+        assert out == reference_reduce(text, expand)
+        assert type(out) is Monomial and all(type(c) is int for c in out)
 
     def test_composite_rejected_without_flag(self):
         with pytest.raises(WordSyntaxError):

@@ -102,6 +102,12 @@ class TestReduce:
         assert out == ""
         assert "position" in err
 
+    def test_digit_run_past_int_limit_exit_2(self, capsys):
+        for word, position in (("v" + "7" * 4301, 1), ("s^" + "9" * 4301, 2)):
+            code, out, err = run_capture(capsys, ["reduce", word])
+            assert (code, out) == (2, "")
+            assert f"4301 digits is too long to read (at position {position})" in err
+
     def test_composite_needs_flag(self, capsys):
         code, _, err = run_capture(capsys, ["reduce", "v6"])
         assert code == 2

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monomial_mul
-from affinetoeplitz.grid import gram_matrix
 from affinetoeplitz.numtheory import divisors, factorize, first_primes, float_power, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
@@ -39,7 +38,7 @@ from affinetoeplitz.states import (
     state_from_json,
     state_to_json,
 )
-from conftest import GRID_MULTS, graded_pairs
+from conftest import GRID_MULTS, graded_pairs, gram_matrix
 
 POINT_ONE = CircleMeasure.point(0)
 POINT_I = CircleMeasure.point(Fraction(1, 4))
