@@ -206,8 +206,9 @@ class WordSyntaxError(ValueError):
 
 
 # one term: base, v-digits, power digits, star, and any text left after the
-# term; the final alternative is a character no term starts with
-_TERM = re.compile(r"(s|v(\d*))(?:\^(\d*))?(\*?)(\S*)|\S")
+# term; the final alternative is a character no term starts with.  Digits are
+# ASCII only: \d would also take other scripts' digits, which int() reads
+_TERM = re.compile(r"(s|v([0-9]*))(?:\^([0-9]*))?(\*?)(\S*)|\S")
 
 
 def _uint(digits: str, position: int) -> int:
@@ -222,11 +223,12 @@ def _uint(digits: str, position: int) -> int:
 def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken]:
     """Parse whitespace-separated terms  base power? star?  into tokens.
 
-    base := "s" | "v" uint ; power := "^" uint ; star := "*".  The star
-    applies to the whole powered term.  v-subscripts must be prime unless
-    `expand_composite` is set, in which case any integer >= 1 is accepted
-    as a single token (v1 is the identity).  A term v_p^k with
-    k * bitlength(p) past `_MAX_INDEX_BITS` is refused.
+    base := "s" | "v" uint ; power := "^" uint ; star := "*", where a uint
+    is a run of ASCII digits 0-9.  The star applies to the whole powered
+    term.  v-subscripts must be prime unless `expand_composite` is set, in
+    which case any integer >= 1 is accepted as a single token (v1 is the
+    identity).  A term v_p^k with k * bitlength(p) past `_MAX_INDEX_BITS` is
+    refused.
     """
     tokens: list[GeneratorToken] = []
     for term in _TERM.finditer(text):

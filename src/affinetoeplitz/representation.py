@@ -16,13 +16,14 @@ that applies one generator power to a whole array of basis vectors, from that
 generator's own definition, and one word runner (`_run_word`) drives either.
 The arrays hold Python integers (dtype=object), so indices stay exact at any
 size.  `relation_suite`, `q_projector_check` and `monomial_apply` all run on
-these steppers.  Independently of them, the batch appliers evaluate closed
-per-generator-block formulas for a whole spanning monomial over int32 lanes
-(int64 when the indices need it), for the big verification sweeps and the
-`trace_state` profile; the test suite checks the two paths against each
-other.  Phases are tracked as integer exponents of z, so all comparisons are
-exact in the cyclotomic field; conversion to complex happens only at the edge
-(`trace_state`).
+these steppers.  Independently of them, the batch appliers apply a whole
+spanning monomial in one closed step over int32 lanes (int64 when the
+indices need it), on the fibered model one affine lift of the
+representative and one carry into the z-exponent per lane, for the big
+verification sweeps and the `trace_state` profile; the test suite checks the
+two paths against each other.  Phases are tracked as integer exponents of z,
+so all comparisons are exact in the cyclotomic field; conversion to complex
+happens only at the edge (`trace_state`).
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
 
 
 # --------------------------------------------------------------------------
-# batch application (closed per-block formulas over int32 or int64 lanes)
+# batch application (one closed step per lane, over int32 or int64 lanes)
 # --------------------------------------------------------------------------
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -214,48 +215,48 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
 
     Parameters broadcast against the state arrays (null, r, x, w), where w is
     the accumulated z-exponent.  Requires a, b >= 1 (a vanished monomial is a
-    mask, not a parameter row).  Killed lanes come back canonicalised to
-    r = 0, x = 1, w = 0 with the null flag set, so the level stays a valid
-    divisor and the arrays remain safe to feed back in.  Lanes are int32 when
-    every index and z-exponent stays within int32, int64 otherwise; the
-    results come back in the dtype of r, x and w (widened to int64 when the
-    lanes needed it).  Raises ValueError when a value could leave int64.
+    mask, not a parameter row).  One affine step on the integer lift of r:
+    a lane survives iff b | x and b | (r - n); then, with k = (r - n)/b, it
+    moves to level X = a x / b with representative (a k + m) mod X, and w
+    grows by floor((a k + m) / X), one carry for s*^n and s^m together.
+    Killed lanes come back canonicalised to r = 0, x = 1, w = 0 with the null
+    flag set, so the level stays a valid divisor and the arrays remain safe
+    to feed back in.  Lanes are int32 when (max|x| + max|n|) max|a| + max|m|
+    + max|w| + 2 fits int32 (the lift a k reaches -a n / b), int64 otherwise;
+    the results come back in the dtype of r, x and w (widened to int64 when
+    the lanes needed it).  Raises ValueError, never wrapping, when that bound
+    passes int64, as it does wherever a n alone does.
     """
     m, a, b, n, r, x, w = map(np.asarray, (m, a, b, n, r, x, w))
-    lane = _lane_dtype(max(_peak(x) * _peak(a) + _peak(m) + _peak(n) + _peak(w) + 2, _peak(b)))
+    lane = _lane_dtype(max((_peak(x) + _peak(n)) * _peak(a) + _peak(m) + _peak(w) + 2, _peak(b)))
     out = np.promote_types(np.result_type(r, x, w), lane)
     m, a, b, n, r, x, w = (v.astype(lane, copy=False) for v in (m, a, b, n, r, x, w))
-    # t gets the full broadcast shape (at least 1-d), and so does every array
-    # made from it, so they are updated in place: few lane arrays stay alive
+    # t, k and level get the full broadcast shape (at least 1-d) and are
+    # updated in place: few lane arrays stay alive
     shape = np.broadcast(m, a, b, n, null, r, x, w).shape
-    # s*^n: walk down n steps; q = floor((r - n) / x) <= 0 counts one zbar per crossing of 0
+    # v_b* s*^n: defined when b | x and b | (r - n), on the lift k = (r - n)/b;
+    # a killed lane keeps a level >= 1 until the end
     t = np.subtract(r, n, out=np.empty(shape or (1,), lane))
-    q = t // x
-    w = w + q
-    q *= x
-    t -= q  # t = (r - n) mod x
-    # v_b*: defined when b | x and b | r (t becomes r mod b); a killed lane
-    # keeps a level >= 1 until the end
-    r = t // b
-    t -= r * b
-    np.floor_divide(x, b, out=q)
-    null = np.asarray(null, dtype=bool) | (t != 0) | (q * b != x)
-    x = np.maximum(q, 1, out=q)
-    # v_a scales the fiber, then s^m walks up with one z per crossing of 0
-    r *= a
-    r += m
-    x *= a
-    np.floor_divide(r, x, out=t)
-    w += t
-    t *= x
-    r -= t
+    k = t // b
+    level = np.floor_divide(x, b, out=np.empty_like(t))
+    null = np.asarray(null, dtype=bool) | (k * b != t) | (level * b != x)
+    np.maximum(level, 1, out=level)
+    # s^m v_a: the lift a k + m on the level X = a x / b; its floor carries
+    # one z per crossing of 0 for the walk down and the walk up together
+    level *= a
+    k *= a
+    k += m
+    np.floor_divide(k, level, out=t)
+    w = w + t
+    t *= level
+    k -= t
     # killed lanes to r = 0, x = 1, w = 0
     live = ~null
-    r *= live
-    x *= live
-    x += null
+    k *= live
+    level *= live
+    level += null
     w *= live
-    r, x, w = (v.astype(out, copy=False).reshape(shape) for v in (r, x, w))
+    r, x, w = (v.astype(out, copy=False).reshape(shape) for v in (k, level, w))
     return null.reshape(shape), r, x, w
 
 

@@ -191,6 +191,7 @@ class Ground:
 
 
 StateSpec = PsiBeta | PsiBetaMu | Ground
+_THERMAL = (PsiBeta, PsiBetaMu)  # the families with an inverse temperature of their own
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
 
 
 def _beta_of(phi: StateSpec) -> float:
-    if isinstance(phi, (PsiBeta, PsiBetaMu)):
+    if isinstance(phi, _THERMAL):
         return phi.beta
     raise ValueError("ground states have no inverse temperature")
 
@@ -297,7 +298,11 @@ def kms_defect(phi: StateSpec, x: Monomial, y: Monomial, beta: float | None = No
     _, c, d, _ = y
     if not a or not c:  # ZERO is the only monomial with a vanishing index
         raise ValueError("zero monomial")
-    beta = _finite_beta(phi, beta)
+    # a finite beta, given or the state's own, needs no call; _finite_beta resolves or rejects the rest
+    if beta is None and isinstance(phi, _THERMAL):
+        beta = phi.beta
+    if beta is None or not math.isfinite(beta):
+        beta = _finite_beta(phi, beta)
     if a * c != b * d:
         return 0.0
     xy = monomial_mul(x, y)

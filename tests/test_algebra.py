@@ -338,6 +338,13 @@ class TestParser:
         with pytest.raises(WordSyntaxError):
             parse_word("s^")
 
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic three and two: int() reads them, the grammar's uint does not
+        for text, position in (("v\u0663", 1), ("s^\u0662", 2)):
+            with pytest.raises(WordSyntaxError) as err:
+                parse_word(text)
+            assert err.value.position == position
+
     def test_oversized_index_rejected_before_it_is_built(self):
         # v2^(10^20) would need 10^20 bits; the parser refuses the term where it starts
         with pytest.raises(WordSyntaxError) as err:

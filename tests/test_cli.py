@@ -108,6 +108,11 @@ class TestReduce:
             assert (code, out) == (2, "")
             assert f"4301 digits is too long to read (at position {position})" in err
 
+    def test_non_ascii_digits_exit_2(self, capsys):
+        code, out, err = run_capture(capsys, ["reduce", "v\u0663 s^\u0662"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_composite_needs_flag(self, capsys):
         code, _, err = run_capture(capsys, ["reduce", "v6"])
         assert code == 2

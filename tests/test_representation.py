@@ -304,8 +304,8 @@ class TestBatchAppliers:
     def test_x_batch_across_the_int32_boundary(self, data, params, offset):
         monos = [Monomial(*p) for p in params]
         m, a, b, n = (np.array([[getattr(y, f)] for y in monos], dtype=np.int64) for f in "mabn")
-        # the level `top` puts the overflow bound x*a + m + n + w + 2 within 2^16 of int32's top
-        top = (INT32_MAX + offset - int(m.max()) - int(n.max()) - 2) // int(a.max())
+        # the level `top` puts the lane bound (x + n)*a + m + w + 2 within 2^16 of int32's top
+        top = (INT32_MAX + offset - int(m.max()) - 2) // int(a.max()) - int(n.max())
         vectors = [(0, top)]
         for y in monos:  # vectors that y does not kill: after s*^n, b divides r and x
             for level in (top // y.b, data.draw(st.integers(1, top // y.b)), data.draw(st.integers(1, top // y.b))):
@@ -315,7 +315,7 @@ class TestBatchAppliers:
             rs = np.array([v[0] for v in vectors], dtype=dtype)
             xs = np.array([v[1] for v in vectors], dtype=dtype)
             batch = x_monomial_apply_batch(m, a, b, n, np.zeros(rs.shape, bool), rs, xs, np.zeros_like(rs))
-            widened = top * int(a.max()) + int(m.max()) + int(n.max()) + 2 > INT32_MAX
+            widened = (top + int(n.max())) * int(a.max()) + int(m.max()) + 2 > INT32_MAX
             assert all(arr.dtype == (np.int64 if widened else dtype) for arr in batch[1:])
             assert batch[1].shape == (len(monos), len(vectors))
             for i, y in enumerate(monos):
@@ -323,6 +323,35 @@ class TestBatchAppliers:
                 assert_same_action(row, stepper_on_window(y, rs, xs))
                 assert (row[1][row[0]] == 0).all() and (row[2][row[0]] == 1).all() and (row[3][row[0]] == 0).all()
                 assert not row[0][1 + 3 * i : 4 + 3 * i].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        a=st.integers(2, 720),
+        b=st.integers(1, 720),
+        m=st.integers(0, 10**4),
+        levels=st.lists(st.integers(1, 1000), min_size=1, max_size=8),
+    )
+    def test_x_batch_widens_for_the_lift_of_a_long_walk_down(self, data, a, b, m, levels):
+        # n >> x: the lift a (r - n)/b reaches -a n/b, so the lanes widen once
+        # (x + n)*a passes int32, even where x*a + m + n stays inside it
+        top = max(levels) * b
+        n = data.draw(st.integers((INT32_MAX - m - 2) // a - top + 1, INT32_MAX - top * a - m - 2))
+        xs = np.array([level * b for level in levels], dtype=np.int32)
+        # vectors that survive (b divides r - n) and vectors that b kills
+        rs = np.array([(data.draw(st.integers(0, level - 1)) * b + n) % (level * b) for level in levels]
+                      + [data.draw(st.integers(0, x - 1)) for x in xs], dtype=np.int32)
+        xs = np.concatenate([xs, xs])
+        batch = x_monomial_apply_batch(m, a, b, n, np.zeros(rs.shape, bool), rs, xs, np.zeros_like(rs))
+        assert all(arr.dtype == np.int64 for arr in batch[1:])
+        assert not batch[0][: len(levels)].any()
+        assert_same_action(batch, stepper_on_window(Monomial(m, a, b, n), rs, xs))
+
+    def test_x_batch_refuses_a_lift_past_int64(self):
+        # x*a + m + n + w + 2 fits int64 and only a n passes it: the lift would wrap, so it raises
+        n = 2**62
+        with pytest.raises(ValueError):
+            x_monomial_apply_batch(0, 4, 1, n, np.zeros(1, bool), np.array([0]), np.array([1]), np.array([0]))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -385,6 +385,45 @@ class TestKms:
         right = float_power(x.b, at) * evaluate(phi, monomial_mul(y, x))
         assert repr(kms_defect(phi, x, y, beta)) == repr(abs(left - right))
 
+    # one state per family; pairs off ratio (a c != b d), on the diagonal, and
+    # balanced with a shift, with the defect at the state's own beta and at 2.5
+    DEFECT_PAIRS = {
+        "off": (Monomial(2, 2, 1, 0), Monomial(0, 3, 1, 1)),
+        "diagonal": (Monomial(1, 2, 1, 0), Monomial(0, 1, 2, 1)),
+        "shifted": (Monomial(2, 2, 1, 0), Monomial(0, 1, 2, 0)),
+    }
+
+    @pytest.mark.parametrize(
+        "phi, pair, own, at_2_5",
+        [
+            (PsiBeta(2.0), "off", "0.0", "0.0"),
+            (PsiBeta(2.0), "diagonal", "0.0", "0.41421356237309515"),
+            (PsiBeta(2.0), "shifted", "0.0", "0.0"),
+            (PsiBetaMu(3.0, POINT_I), "off", "0.0", "0.0"),
+            (PsiBetaMu(3.0, POINT_I), "diagonal", "0.0", "0.2928932188134524"),
+            (PsiBetaMu(3.0, POINT_I), "shifted", "0.0", "0.17805772566590683"),
+            (Ground(Evaluation(Fraction(1, 3))), "off", None, "0.0"),
+            (Ground(Evaluation(Fraction(1, 3))), "diagonal", None, "1.0"),
+            (Ground(Evaluation(Fraction(1, 3))), "shifted", None, "0.9999999999999999"),
+        ],
+    )
+    def test_defect_examples_per_family(self, phi, pair, own, at_2_5):
+        x, y = self.DEFECT_PAIRS[pair]
+        assert repr(kms_defect(phi, x, y, 2.5)) == at_2_5
+        if own is None:  # a ground state has no beta of its own
+            with pytest.raises(ValueError):
+                kms_defect(phi, x, y)
+        else:
+            assert repr(kms_defect(phi, x, y)) == own
+
+    @pytest.mark.parametrize("pair", sorted(DEFECT_PAIRS))
+    def test_defect_of_a_non_state_raises(self, pair):
+        # without a beta there is nothing to resolve it from, off ratio too
+        x, y = self.DEFECT_PAIRS[pair]
+        for obj in (object(), "psi_beta", 3.0):
+            with pytest.raises(ValueError):
+                kms_defect(obj, x, y)
+
     def test_unbalanced_defect_past_double_range(self):
         # 2^1100 overflows a double; v2 v3 and v3 v2 lie off every state's support,
         # and only the balanced pair still needs the weight
