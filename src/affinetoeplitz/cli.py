@@ -156,7 +156,7 @@ def _cmd_ground_check(args) -> tuple[int, dict]:
     elif args.vector is not None:
         phi = states.Ground(states.VectorState(args.vector))
     elif args.evaluation is not None:
-        phi = states.Ground(states.Evaluation(Fraction(args.evaluation)))
+        phi = states.Ground(states.CircleMeasure.point(args.evaluation))
     else:
         raise ValueError("pass --vector, --evaluation or --state")
     tol = 2.0 ** (-args.precision)

@@ -11,7 +11,9 @@ equilibrium at inverse temperature beta is governed by monomial weights
   circle: supported on a = b with m = n mod a, with a divisor sum over the
   moments of mu weighted by x^(1-beta)/zeta(beta-1).
 * ground states, one per state omega of the one-isometry Toeplitz algebra:
-  supported on a = b = 1 with value omega(s^m s*^n).
+  supported on a = b = 1 with value omega(s^m s*^n), for omega a vector
+  state of the shift model or a circle measure mu lifted through C(T);
+  Ground(mu) equals the KMS_inf state psi_{inf,mu}.
 
 Float comparisons target 1e-9 absolute; psi_beta with integer beta can also
 be evaluated exactly (Fractions).  The infinite-temperature conventions are
@@ -33,8 +35,6 @@ from .numtheory import PrimeWindow, divisors, factorize, float_power, json_numbe
 __all__ = [
     "CircleMeasure",
     "VectorState",
-    "Evaluation",
-    "ToeplitzState",
     "PsiBeta",
     "PsiBetaMu",
     "Ground",
@@ -70,8 +70,9 @@ __all__ = [
 class CircleMeasure:
     """A probability measure on the circle: finitely many atoms, or Lebesgue.
 
-    Atoms are (angle, weight) pairs with rational angles in [0, 1) and
-    positive rational weights summing to 1.  `atoms` is None for Lebesgue.
+    Atoms are (angle, weight) Fraction pairs with angles in [0, 1) and positive
+    weights summing to 1; `atoms` is None for Lebesgue.  As the state of the
+    one-isometry algebra lifted from C(T), omega(s^m s*^n) = moment(mu, m - n).
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...] | None
@@ -79,6 +80,7 @@ class CircleMeasure:
     def __post_init__(self) -> None:
         if self.atoms is None:
             return
+        object.__setattr__(self, "atoms", tuple((Fraction(t), Fraction(w)) for t, w in self.atoms))
         total = Fraction(0)
         seen = set()
         for theta, weight in self.atoms:
@@ -99,11 +101,11 @@ class CircleMeasure:
 
     @classmethod
     def point(cls, theta: Fraction | int | str) -> "CircleMeasure":
-        return cls(((Fraction(theta), Fraction(1)),))
+        return cls(((theta, 1),))
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Fraction | str, Fraction | str]]) -> "CircleMeasure":
-        return cls(tuple((Fraction(t), Fraction(w)) for t, w in pairs))
+        return cls(tuple(pairs))
 
     @property
     def is_lebesgue(self) -> bool:
@@ -132,27 +134,8 @@ class VectorState:
         if self.k < 0:
             raise ValueError("basis index must be >= 0")
 
-    def shift_moment(self, m: int, n: int) -> complex:
-        return 1.0 + 0j if m == n and self.k >= n else 0j
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """omega lifted from evaluation at z on the circle: omega(s^m s*^n) = z^(m-n)."""
-
-    angle: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", Fraction(self.angle))
-        if not 0 <= self.angle < 1:
-            raise ValueError("angle must lie in [0, 1)")
-
-    def shift_moment(self, m: int, n: int) -> complex:
-        den = self.angle.denominator
-        return cmath.exp(2j * math.pi * ((m - n) * self.angle.numerator % den / den))
-
-
-ToeplitzState = VectorState | Evaluation
+    def shift_moment(self, m: int, n: int) -> int:
+        return int(m == n and self.k >= n)
 
 
 # --------------------------------------------------------------------------
@@ -185,9 +168,14 @@ class PsiBetaMu:
 
 @dataclass(frozen=True)
 class Ground:
-    """A ground state, parametrised by a state of the one-isometry algebra."""
+    """A ground state, parametrised by a state of the one-isometry algebra: a
+    vector state, or a circle measure lifted through C(T)."""
 
-    omega: ToeplitzState
+    omega: VectorState | CircleMeasure
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.omega, (VectorState, CircleMeasure)):
+            raise TypeError(f"omega is a VectorState or a CircleMeasure, got {self.omega!r}")
 
 
 StateSpec = PsiBeta | PsiBetaMu | Ground
@@ -244,7 +232,10 @@ def evaluate(phi: StateSpec, x: Monomial) -> complex:
             return 0j  # a >= 2^1024: the value is at most a^-beta, below every double
         return _divisor_sum(phi, k, [a * e for e in divisors(abs(k) // a)]) / norm
     elif isinstance(phi, Ground):
-        return phi.omega.shift_moment(m, n) if a == 1 else 0j
+        if a != 1:
+            return 0j
+        omega = phi.omega
+        return moment(omega, m - n) if isinstance(omega, CircleMeasure) else complex(omega.shift_moment(m, n))
     raise TypeError(f"not a state specification: {phi!r}")
 
 
@@ -262,9 +253,7 @@ def evaluate_exact(phi: StateSpec, x: Monomial) -> Fraction:
             raise ValueError("exact evaluation needs an integer beta")
         return Fraction(1, x.a ** int(phi.beta))
     if isinstance(phi, Ground) and isinstance(phi.omega, VectorState):
-        if x.a != 1 or x.b != 1:
-            return Fraction(0)
-        return Fraction(1) if (x.m == x.n and phi.omega.k >= x.n) else Fraction(0)
+        return Fraction(phi.omega.shift_moment(x.m, x.n) if x.a == x.b == 1 else 0)
     raise ValueError(f"no exact mode for {phi!r}")
 
 
@@ -513,6 +502,8 @@ def partition_sum(beta: float, n_max: int) -> tuple[float, float]:
     """
     if beta <= 2:
         raise ValueError("partition function converges only for beta > 2")
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
     value = math.fsum(x ** (1.0 - beta) for x in range(1, n_max + 1))
     return value, n_max ** (2.0 - beta) / (beta - 2.0)
 
@@ -572,12 +563,11 @@ def state_to_json(phi: StateSpec) -> dict:
             "mu": measure_to_json(phi.mu),
         }
     if isinstance(phi, Ground):
-        omega = (
-            {"vector": phi.omega.k}
-            if isinstance(phi.omega, VectorState)
-            else {"evaluation": str(phi.omega.angle)}
-        )
-        return {"variant": "ground", "omega": omega}
+        if isinstance(phi.omega, VectorState):
+            return {"variant": "ground", "omega": {"vector": phi.omega.k}}
+        if len(phi.omega.atoms or ()) == 1:  # a point of the circle keeps its one-angle form
+            return {"variant": "ground", "omega": {"evaluation": str(phi.omega.atoms[0][0])}}
+        return {"variant": "ground", "omega": {"mu": measure_to_json(phi.omega)}}
     raise TypeError(f"not a state: {phi!r}")
 
 
@@ -595,5 +585,7 @@ def state_from_json(obj: dict) -> StateSpec:
             raise ValueError(f"omega is a JSON object, got {omega!r}")
         if "vector" in omega:
             return Ground(VectorState(json_number(omega["vector"])))
-        return Ground(Evaluation(json_number(omega["evaluation"], Fraction)))
+        if "mu" in omega:
+            return Ground(measure_from_json(omega["mu"]))
+        return Ground(CircleMeasure.point(json_number(omega["evaluation"], Fraction)))
     raise ValueError(f"unknown state variant {variant!r}")

@@ -38,7 +38,6 @@ from affinetoeplitz.spectrum import (
 )
 from affinetoeplitz.states import (
     CircleMeasure,
-    Evaluation,
     Ground,
     PrimeWindow,
     PsiBeta,
@@ -446,7 +445,7 @@ def test_criterion_09_low_beta_obstruction():
 
 def test_criterion_10_ground_states(grid_monomials):
     omegas = [Ground(VectorState(k)) for k in range(6)] + [
-        Ground(Evaluation(theta)) for theta in (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(5, 8))
+        Ground(CircleMeasure.point(theta)) for theta in (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(5, 8))
     ]
     off_diag = [x for x in grid_monomials if x.a != 1 or x.b != 1]
     ground_ok = all(ground_check(phi, x) for phi in omegas for x in off_diag)

@@ -463,6 +463,7 @@ JSON_ARGUMENTS = {
             {"variant": "psi_beta_mu", "beta": 3, "mu": MU},
             {"variant": "ground", "omega": {"vector": 1}},
             {"variant": "ground", "omega": {"evaluation": "1/4"}},
+            {"variant": "ground", "omega": {"mu": MU}},
         ],
         [
             ["state-eval", "--word", "s^2 v2 v2* s*"],

@@ -14,7 +14,6 @@ from affinetoeplitz.algebra import ZERO, Monomial, adjoint, monomial_grid, monom
 from affinetoeplitz.numtheory import divisors, factorize, first_primes, float_power, zeta, zeta_e
 from affinetoeplitz.states import (
     CircleMeasure,
-    Evaluation,
     Ground,
     PrimeWindow,
     PsiBeta,
@@ -49,12 +48,16 @@ MEASURES = (POINT_ONE, POINT_I, POINT_OMEGA, LEBESGUE, TWO_ATOM)
 
 
 def finite_states():
-    """Every state family at a finite beta; ground states over both kinds of omega."""
+    """Every state family at a finite beta; ground states over both kinds of omega,
+    every test measure among them."""
     return st.one_of(
         st.builds(PsiBeta, st.floats(1, 12)),
         st.builds(PsiBetaMu, st.floats(2, 12, exclude_min=True), st.sampled_from(MEASURES)),
         st.builds(Ground, st.builds(VectorState, st.integers(0, 20))),
-        st.builds(Ground, st.builds(Evaluation, st.fractions(0, 1, max_denominator=12).filter(lambda t: t < 1))),
+        st.builds(
+            Ground, st.builds(CircleMeasure.point, st.fractions(0, 1, max_denominator=12).filter(lambda t: t < 1))
+        ),
+        st.builds(Ground, st.sampled_from(MEASURES)),
     )
 
 def brute_psi_beta_mu(beta, mu, mono, cutoff=10**5):
@@ -113,9 +116,15 @@ class TestMoments:
         omega = cmath.exp(2j * math.pi / 3)
         assert moment(CircleMeasure.point(Fraction(1, 2)), 10**15) == 1
         assert abs(moment(POINT_OMEGA, 3 * 10**17 + 1) - omega) < 1e-15
-        assert abs(Evaluation(Fraction(1, 3)).shift_moment(3 * 10**17 + 1, 0) - omega) < 1e-15
+        assert abs(evaluate(Ground(POINT_OMEGA), Monomial.s_power(3 * 10**17 + 1)) - omega) < 1e-15
         value = evaluate(PsiBetaMu(3, CircleMeasure.point(Fraction(1, 2))), Monomial.s_power(10**17))
         assert abs(value.imag) < 1e-15
+
+    def test_raw_atoms_become_fractions(self):
+        raw = CircleMeasure(((0.25, 1),))
+        assert raw == POINT_I and all(type(value) is Fraction for atom in raw.atoms for value in atom)
+        for k in (-3, 0, 1, 2, 5, 10**17 + 1):
+            assert moment(raw, k) == moment(POINT_I, k)
 
     def test_invalid_measures(self):
         with pytest.raises(ValueError):
@@ -215,8 +224,8 @@ class TestEvaluate:
         assert evaluate(phi, Monomial(1, 1, 1, 1)) == 1
 
     def test_ground(self):
-        assert evaluate(Ground(Evaluation(Fraction(1, 4))), Monomial(0, 2, 2, 0)) == 0
-        got = evaluate(Ground(Evaluation(Fraction(1, 4))), Monomial.s_power(3))
+        assert evaluate(Ground(CircleMeasure.point(Fraction(1, 4))), Monomial(0, 2, 2, 0)) == 0
+        got = evaluate(Ground(CircleMeasure.point(Fraction(1, 4))), Monomial.s_power(3))
         assert abs(got - cmath.exp(3j * math.pi / 2)) < 1e-15
         omega = Ground(VectorState(2))
         assert evaluate(omega, Monomial(1, 1, 1, 1)) == 1
@@ -232,6 +241,9 @@ class TestEvaluate:
             PsiBeta(0.5)
         with pytest.raises(ValueError):
             PsiBetaMu(2.0, POINT_ONE)
+        for omega in (5, None, Fraction(1, 4), PsiBeta(2)):
+            with pytest.raises(TypeError):
+                Ground(omega)
 
     def test_zero_and_off_support_contract(self):
         # each family with the predicate of its support
@@ -240,7 +252,7 @@ class TestEvaluate:
                      for beta in (2.5, 4.0) for mu in MEASURES]
         families += [(PsiBetaMu(inf, mu), lambda m, a, b, n: a == b == 1) for mu in (POINT_I, LEBESGUE)]
         families += [(Ground(omega), lambda m, a, b, n: a == b == 1)
-                     for omega in (VectorState(0), VectorState(3), Evaluation(Fraction(1, 3)))]
+                     for omega in (VectorState(0), VectorState(3), *MEASURES)]
         monos = monomial_grid(4, (1, 2, 3, 4, 6, 12))
         for phi, supported in families:
             assert evaluate(phi, ZERO) == 0
@@ -250,7 +262,7 @@ class TestEvaluate:
                 value = evaluate(phi, x)
                 assert type(value) is complex and value == 0j, (phi, x)
 
-    @pytest.mark.parametrize("phi", ["psi_beta", None, 2.5, VectorState(0), Evaluation(0), POINT_ONE])
+    @pytest.mark.parametrize("phi", ["psi_beta", None, 2.5, VectorState(0), LEBESGUE, POINT_ONE])
     def test_non_state_raises_type_error(self, phi):
         # monomials in the support of every family, of some, and of none
         every = [Monomial.identity(), Monomial(1, 1, 1, 1)]
@@ -295,7 +307,7 @@ class TestKms:
         assert kms_characterisation_check(PsiBetaMu(3, POINT_I), Monomial(2, 2, 2, 0)) < 1e-15
         # states violating the characterisation show up: a ground state
         # kills v2 v2*, but the equilibrium identity demands 2^-beta there
-        bad = kms_characterisation_check(Ground(Evaluation(Fraction(0))), Monomial(0, 2, 2, 0), beta=2.0)
+        bad = kms_characterisation_check(Ground(CircleMeasure.point(Fraction(0))), Monomial(0, 2, 2, 0), beta=2.0)
         assert bad == pytest.approx(0.25)
 
     def test_kms_grid_small(self):
@@ -320,11 +332,11 @@ class TestKms:
             *[(PsiBetaMu(inf, mu), 3.0) for mu in MEASURES],
             (Ground(VectorState(1)), 3.0),
             (Ground(VectorState(2)), 3.0),
-            (Ground(Evaluation(Fraction(1, 3))), 2.0),
-            (Ground(Evaluation(Fraction(1, 4))), 2.0),
+            (Ground(CircleMeasure.point(Fraction(1, 3))), 2.0),
+            (Ground(CircleMeasure.point(Fraction(1, 4))), 2.0),
             # every pair defect is exactly 1, and np.abs would round a later one up: the
             # first witness holds only with a correctly rounded modulus
-            (Ground(Evaluation(Fraction(3, 8))), 2.0),
+            (Ground(CircleMeasure.point(Fraction(3, 8))), 2.0),
         ],
     )
     def test_kms_grid_matches_scalar_loop(self, phi, beta):
@@ -402,9 +414,9 @@ class TestKms:
             (PsiBetaMu(3.0, POINT_I), "off", "0.0", "0.0"),
             (PsiBetaMu(3.0, POINT_I), "diagonal", "0.0", "0.2928932188134524"),
             (PsiBetaMu(3.0, POINT_I), "shifted", "0.0", "0.17805772566590683"),
-            (Ground(Evaluation(Fraction(1, 3))), "off", None, "0.0"),
-            (Ground(Evaluation(Fraction(1, 3))), "diagonal", None, "1.0"),
-            (Ground(Evaluation(Fraction(1, 3))), "shifted", None, "0.9999999999999999"),
+            (Ground(CircleMeasure.point(Fraction(1, 3))), "off", None, "0.0"),
+            (Ground(CircleMeasure.point(Fraction(1, 3))), "diagonal", None, "1.0"),
+            (Ground(CircleMeasure.point(Fraction(1, 3))), "shifted", None, "0.9999999999999999"),
         ],
     )
     def test_defect_examples_per_family(self, phi, pair, own, at_2_5):
@@ -452,6 +464,10 @@ class TestGround:
             phi = PsiBetaMu(inf, mu)
             assert evaluate(phi, ss_star) == 1
             assert all(ground_check(phi, x) for x in grid_monomials)
+            # the ground state over mu lifted through C(T) is that KMS_inf state, value for value
+            ground = Ground(mu)
+            assert all(evaluate(ground, x) == evaluate(phi, x) for x in grid_monomials)
+            assert all(ground_check(ground, x) for x in grid_monomials)
         vacuum = Ground(VectorState(0))
         assert all(ground_check(vacuum, x) for x in grid_monomials)
         assert evaluate(vacuum, ss_star) == 0
@@ -459,7 +475,7 @@ class TestGround:
     def test_boundedness_surrogate(self):
         # phi(Y X) = 0 whenever X's multiplicative parts satisfy a < b
         rng = random.Random(31)
-        grounds = [Ground(VectorState(k)) for k in range(4)] + [Ground(Evaluation(Fraction(1, 3)))]
+        grounds = [Ground(VectorState(k)) for k in range(4)] + [Ground(CircleMeasure.point(Fraction(1, 3)))]
         monos = monomial_grid(2, GRID_MULTS)
         for _ in range(3000):
             x, y = rng.choice(monos), rng.choice(monos)
@@ -603,7 +619,7 @@ class TestGramAndPartition:
         rng = random.Random(5)
         monos = monomial_grid(3, GRID_MULTS)
         phis = (PsiBeta(1.5), PsiBetaMu(2.5, TWO_ATOM), PsiBetaMu(inf, POINT_I), Ground(VectorState(1)))
-        for phi in phis + (Ground(Evaluation(Fraction(1, 4))),):
+        for phi in phis + (Ground(CircleMeasure.point(Fraction(1, 4))),):
             xs = rng.sample(monos, 12)
             products = ((monomial_mul(adjoint(xi), xj) for xj in xs) for xi in xs)
             want = np.array([[evaluate(phi, p) for p in row] for row in products])
@@ -615,6 +631,10 @@ class TestGramAndPartition:
         value, tail = partition_sum(3.0, 10**4)
         assert abs(value - zeta(2)) <= tail
         assert abs(zeta(2) - math.pi**2 / 6) < 1e-6
+        # an empty or negative truncation has no sum and no tail bound to report
+        for beta, n_max in ((3.0, -1), (2.5, -1), (3.0, 0), (3.0, True), (3.0, 10.0)):
+            with pytest.raises(ValueError):
+                partition_sum(beta, n_max)
 
     def test_moment_recovery(self):
         got = moments_from_state(PsiBetaMu(3.0, TWO_ATOM), 12)
@@ -650,14 +670,17 @@ class TestJson:
             PsiBetaMu(3, TWO_ATOM),
             PsiBetaMu(inf, LEBESGUE),
             Ground(VectorState(4)),
-            Ground(Evaluation(Fraction(1, 4))),
+            Ground(CircleMeasure.point(Fraction(1, 4))),
+            Ground(LEBESGUE),
+            Ground(TWO_ATOM),
         ):
             assert state_from_json(state_to_json(phi)) == phi
 
     def test_spec_shapes(self):
         assert state_to_json(PsiBeta(1.5)) == {"variant": "psi_beta", "beta": 1.5}
-        obj = state_to_json(Ground(Evaluation(Fraction(1, 4))))
+        obj = state_to_json(Ground(CircleMeasure.point(Fraction(1, 4))))
         assert obj == {"variant": "ground", "omega": {"evaluation": "1/4"}}
+        assert state_to_json(Ground(LEBESGUE)) == {"variant": "ground", "omega": {"mu": {"lebesgue": True}}}
         phi = state_from_json({"variant": "psi_beta_mu", "beta": 3, "mu": {"atoms": [["0", "1"]]}})
         assert phi == PsiBetaMu(3.0, CircleMeasure.point(0))
 
@@ -666,7 +689,7 @@ class TestJson:
         assert measure_from_json({"atoms": [[0.1, 1]]}) == measure_from_json({"atoms": [["1/10", 1]]})
         assert measure_from_json({"atoms": [[0.1, 1]]}) == CircleMeasure.point(Fraction(1, 10))
         ground = state_from_json({"variant": "ground", "omega": {"evaluation": 0.1}})
-        assert ground == Ground(Evaluation(Fraction(1, 10)))
+        assert ground == Ground(CircleMeasure.point(Fraction(1, 10)))
         for bad in (True, None, [0], {"t": 0}):
             with pytest.raises(ValueError):
                 measure_from_json({"atoms": [[0, bad]]})
