@@ -361,7 +361,10 @@ def run(argv: list[str] | None = None) -> int:
         code, payload = args.fn(args)
         # an int past Python's int-to-str digit limit fails here, before any output
         text = _render(payload, args.format)
-    except (WordSyntaxError, ValueError, KeyError, json.JSONDecodeError, ZeroDivisionError, OverflowError) as exc:
+    except KeyError as exc:
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except (WordSyntaxError, ValueError, json.JSONDecodeError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

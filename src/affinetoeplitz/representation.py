@@ -300,13 +300,19 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def _fibered_window(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives and levels of every e_(r, x) with first <= x <= last, level by level."""
+    """Representatives and levels of every e_(r, x) with first <= x <= last, level by level.
+
+    Cached and read-only: the arrays depend on (first, last) alone, so every
+    cold `_diagonal_profile` at one n_max shares its level blocks (8 blocks,
+    about 1 MB in all, at n_max = 500) instead of rebuilding them."""
     lanes = (first + last) * (last - first + 1) // 2
     dtype = np.int32 if lanes <= _INT32_MAX else np.int64
     sizes = np.arange(first, last + 1, dtype=dtype)
     levels = np.repeat(sizes, sizes)
     reps = np.arange(lanes, dtype=dtype) - np.repeat(np.cumsum(sizes, dtype=dtype) - sizes, sizes)
+    reps.flags.writeable = levels.flags.writeable = False
     return reps, levels
 
 
@@ -439,7 +445,9 @@ One pass over all of a profile's lanes (125,250 at n_max = 500) makes
 temporaries of about 0.5 MB each, which the allocator maps for the call and
 hands back to the system after it, so every cold profile faults them in
 again.  A block's temporaries (64 KB per int32 array) stay in the heap and
-in cache from one block to the next."""
+in cache from one block to the next.  The blocks' windows depend on n_max
+alone and come from `_fibered_window`'s cache, so cold profiles at one n_max
+build them once."""
 
 
 @lru_cache(maxsize=8192)
@@ -451,8 +459,10 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
     the monomial to every basis vector, not from any closed formula.  The
     window is applied in blocks of whole levels (`_PROFILE_BLOCK_LANES`), so
     that a cold profile reuses small temporaries instead of mapping and
-    faulting in large ones; each block keeps only its diagonal hits, and the
-    hits are tallied once at the end.
+    faulting in large ones; the blocks are `_fibered_window`'s cached
+    read-only windows, shared by every profile at the same n_max.  Each
+    block keeps only its diagonal hits, and the hits are tallied once at the
+    end; with no hit at all the profile is () without a tally.
     """
     hit_levels, hit_ws = [], []
     first = 1
@@ -461,13 +471,17 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
         last = (math.isqrt(8 * _PROFILE_BLOCK_LANES + 4 * first * (first - 1) + 1) - 1) // 2
         last = min(max(last, first), n_max)
         reps, levels = _fibered_window(first, last)
-        null, r2, x2, w2 = x_monomial_apply_batch(
-            mono.m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels, np.zeros_like(levels)
-        )
+        # no lane starts killed or with a phase: scalars, not arrays, and the
+        # zero in the lane dtype so that the output dtypes stay those of the window
+        zero = levels.dtype.type(0)
+        null, r2, x2, w2 = x_monomial_apply_batch(mono.m, mono.a, mono.b, mono.n, False, reps, levels, zero)
         diag = ~null & (r2 == reps) & (x2 == levels)
-        hit_levels.append(levels[diag])
-        hit_ws.append(w2[diag])
+        if diag.any():
+            hit_levels.append(levels[diag])
+            hit_ws.append(w2[diag])
         first = last + 1
+    if not hit_levels:
+        return ()
     # tally (x, w) pairs through one integer key: x * (number of distinct w) + rank of w
     w_vals, w_rank = np.unique(np.concatenate(hit_ws), return_inverse=True)
     width = w_vals.size

@@ -5,9 +5,11 @@ Group elements (r, x) act on numbers by t -> r + x*t, so the product is
 x in N^x induces a left-invariant order on the group, and any two elements
 with a common upper bound have a least one; computing it reduces to finding
 the smallest non-negative solution of k = alpha*c - beta*d for coprime c, d.
-`join` solves it by the modular inverse, in O(log d) steps.  The alternating
-subtraction scheme of `euclid_smallest`, up to about min(c, d) rounds, stays
-as the reference implementation and as join's independent check.
+`join` solves it by the modular inverse, in O(log d) steps, and is the one
+home of that formula: `euclid_smallest_direct` is its argument checks plus a
+join.  The alternating subtraction scheme of `euclid_smallest`, up to about
+min(c, d) rounds, stays as the reference implementation and as join's
+independent check.
 """
 
 from __future__ import annotations
@@ -130,31 +132,11 @@ def _euclid_iterative(c: int, d: int, k: int) -> tuple[int, int]:
         beta += beta_n
 
 
-def _smallest(route, c: int, d: int, k: int) -> tuple[int, int]:
-    """Check gcd(c, d) = 1, then solve with `route` (k >= 0) or with the roles swapped (k < 0)."""
+def _check_coprime(c: int, d: int) -> None:
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
     if gcd(c, d) != 1:
         raise ValueError(f"gcd({c}, {d}) != 1")
-    if k >= 0:
-        return route(c, d, k)
-    beta, alpha = route(d, c, -k)
-    return alpha, beta
-
-
-def _euclid_modular(c: int, d: int, k: int) -> tuple[int, int]:
-    """Modular-inverse formula for gcd(c, d) = 1: alpha is the least residue
-    of k/c mod d, lifted by multiples of d until alpha*c >= k.
-
-    The non-negative solutions form one chain (alpha + t*d, beta + t*c),
-    t >= 0, whichever role is minimised first.  For k < 0 the least residue
-    is already its least element (beta = (alpha*c - k)/d > 0), so the
-    formula needs no role swap for either sign of k.
-    """
-    alpha = (k % d) * pow(c % d, -1, d) % d if d > 1 else 0
-    if alpha * c < k:
-        alpha += d * (-(-(k - alpha * c) // (c * d)))
-    return alpha, (alpha * c - k) // d
 
 
 def euclid_smallest(c: int, d: int, k: int) -> tuple[int, int]:
@@ -168,13 +150,20 @@ def euclid_smallest(c: int, d: int, k: int) -> tuple[int, int]:
     most about min(alpha, beta) + 1 rounds, so up to about min(c, d), kept
     as the oracle that `join`'s modular route is tested against.
     """
-    return _smallest(_euclid_iterative, c, d, k)
+    _check_coprime(c, d)
+    if k >= 0:
+        return _euclid_iterative(c, d, k)
+    beta, alpha = _euclid_iterative(d, c, -k)
+    return alpha, beta
 
 
 def euclid_smallest_direct(c: int, d: int, k: int) -> tuple[int, int]:
-    """The same smallest solution by the modular inverse, in O(log d) steps,
-    with `euclid_smallest`'s argument checks; `join` takes this route unchecked."""
-    return _smallest(_euclid_modular, c, d, k)
+    """The same smallest solution by the modular inverse, in O(log d) steps:
+    `euclid_smallest`'s argument checks, then the complement data of
+    join((0, c), (k, d)), whose euclid step is exactly this one."""
+    _check_coprime(c, d)
+    jn = join((0, c), (k, d))
+    return jn.alpha, jn.beta
 
 
 class Join(TupleValue, namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
@@ -199,10 +188,10 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
 
     (alpha, beta) is the smallest non-negative solution of
     (n - m)/g = alpha*a' - beta*b' with g = gcd(a, b), a' = a/g, b' = b/g,
-    found by the modular inverse of a' mod b' in O(log b') steps, without
-    `euclid_smallest_direct`'s checks: a' and b' are coprime and positive by
-    construction.  Plain (m, a) pairs are accepted, and a multiplicative part
-    below 1 raises ValueError as SemigroupElement does.
+    found inline by the modular inverse of a' mod b' in O(log b') steps, with
+    no coprimality check: a' and b' are coprime and positive by construction.
+    Plain (m, a) pairs are accepted, and a multiplicative part below 1 raises
+    ValueError as SemigroupElement does.
     """
     m, a = p
     n, b = q
@@ -212,5 +201,12 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
     if (m - n) % g != 0:
         return None
     a1, b1 = a // g, b // g
-    alpha, beta = _euclid_modular(a1, b1, (n - m) // g)
-    return tuple.__new__(Join, (m + a * alpha, a * b // g, alpha, beta, a1, b1))
+    # alpha is the least residue of k/a' mod b' (pow(a', -1, 1) is 0), lifted
+    # by multiples of b' until alpha*a' >= k.  The non-negative solutions form
+    # one chain (alpha + t*b', beta + t*a'), t >= 0, and for k < 0 the least
+    # residue is already its least element: neither sign needs a role swap.
+    k = (n - m) // g
+    alpha = k % b1 * pow(a1, -1, b1) % b1
+    if alpha * a1 < k:
+        alpha += b1 * (-(-(k - alpha * a1) // (a1 * b1)))
+    return tuple.__new__(Join, (m + a * alpha, a * b1, alpha, (alpha * a1 - k) // b1, a1, b1))

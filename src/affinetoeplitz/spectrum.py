@@ -204,11 +204,12 @@ def verify_hereditary_directed(
         raise ValueError(f"bound must be >= 1, got {bound}")
     if isinstance(members, (APoint, BPoint)):
         point = members
+        # (m, a) with m >= 0 and a >= 1 by the ranges: built without re-validation
         window = [
             x
             for a in range(1, bound + 1)
             for m in range(0, bound + 1)
-            if contains(point, x := SemigroupElement(m, a))
+            if contains(point, x := tuple.__new__(SemigroupElement, (m, a)))
         ]
         member_set = set(window)
     else:
@@ -230,7 +231,8 @@ def verify_hereditary_directed(
             jn = join(x, y)
             if jn is None:
                 return False
-            if jn.l <= bound and jn.lcm <= bound and (jn.l, jn.lcm) not in member_set:
+            l, lcm = jn.l, jn.lcm
+            if l <= bound and lcm <= bound and (l, lcm) not in member_set:
                 return False
     return True
 

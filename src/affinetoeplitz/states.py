@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import inf
 from typing import Iterable, Sequence
@@ -66,6 +67,14 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _brief(q: Fraction) -> str:
+    """q exactly when numerator and denominator have at most 12 digits, else
+    `~` and six significant digits, so that an error message stays one short line."""
+    if abs(q.numerator) < 10**12 and q.denominator < 10**12:
+        return str(q)
+    return "~" + format(Decimal(q.numerator) / q.denominator, ".6g")
+
+
 @dataclass(frozen=True)
 class CircleMeasure:
     """A probability measure on the circle: finitely many atoms, or Lebesgue.
@@ -85,15 +94,15 @@ class CircleMeasure:
         seen = set()
         for theta, weight in self.atoms:
             if not 0 <= theta < 1:
-                raise ValueError(f"angle {theta} outside [0, 1)")
+                raise ValueError(f"angle {_brief(theta)} outside [0, 1)")
             if weight <= 0:
                 raise ValueError("atom weights must be positive")
             if theta in seen:
-                raise ValueError(f"duplicate atom at angle {theta}")
+                raise ValueError(f"duplicate atom at angle {_brief(theta)}")
             seen.add(theta)
             total += weight
         if total != 1:
-            raise ValueError(f"atom weights sum to {total}, not 1")
+            raise ValueError(f"atom weights sum to {_brief(total)}, not 1")
 
     @classmethod
     def lebesgue(cls) -> "CircleMeasure":
@@ -587,5 +596,7 @@ def state_from_json(obj: dict) -> StateSpec:
             return Ground(VectorState(json_number(omega["vector"])))
         if "mu" in omega:
             return Ground(measure_from_json(omega["mu"]))
-        return Ground(CircleMeasure.point(json_number(omega["evaluation"], Fraction)))
+        if "evaluation" in omega:
+            return Ground(CircleMeasure.point(json_number(omega["evaluation"], Fraction)))
+        raise ValueError("omega needs a 'vector', 'evaluation' or 'mu' field")
     raise ValueError(f"unknown state variant {variant!r}")

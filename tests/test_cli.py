@@ -240,6 +240,26 @@ class TestStateCommands:
         assert (code, out) == ("2", "''")
         assert err.startswith("'error: no factor of a 137-bit cofactor") and err.count("\\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ground-check", "--state", '{"variant":"ground","omega":{}}'],
+             "error: omega needs a 'vector', 'evaluation' or 'mu' field\n"),
+            (["state-eval", "--state", "psi_beta_mu", "--beta", "3", "--mu", '{"lebesgue": false}', "--word", "s"],
+             "error: missing field 'atoms'\n"),
+            (["state-eval", "--state", '{"variant":"ground","omega":{"evaluation":1.1400058588937053e+219}}',
+              "--word", "s^2"],
+             "error: angle ~1.14001e+219 outside [0, 1)\n"),
+            (["state-eval", "--state", '{"variant":"ground","omega":{"evaluation":1}}', "--word", "s^2"],
+             "error: angle 1 outside [0, 1)\n"),
+        ],
+    )
+    def test_bad_state_messages(self, capsys, argv, message):
+        # one short line that names the fault: a missing field, or an angle in brief
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out, err) == (2, "", message)
+        assert err.count("\n") == 1 and len(err) < 60
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_payload_past_the_digit_limit_exit_2(self, capsys, fmt):
         # 2^20000 has 6021 digits, past Python's int-to-str limit

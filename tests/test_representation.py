@@ -486,6 +486,48 @@ class TestDiagonalProfile:
         assert _diagonal_profile.__wrapped__(mono, n_max) == one_pass_profile(mono, n_max)
 
 
+    def test_window_is_cached_and_read_only(self):
+        _fibered_window.cache_clear()
+        _diagonal_profile.__wrapped__(Monomial(2, 3, 3, 5), 500)
+        cold = _fibered_window.cache_info()
+        _diagonal_profile.__wrapped__(Monomial(0, 1, 1, 0), 500)
+        warm = _fibered_window.cache_info()
+        # the second cold profile at one n_max builds no window: one hit per block
+        blocks = 1 + sum(last < 500 for last in block_boundaries(9))
+        assert cold.misses == blocks == 8 and cold.hits == 0
+        assert (warm.misses, warm.hits) == (cold.misses, cold.misses)
+        for array in _fibered_window(1, 40):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("n_max", [1, 40, 500])
+    def test_no_diagonal_hit(self, n_max):
+        # a != b moves every vector to another level
+        for mono in (Monomial(0, 2, 1, 0), Monomial(3, 1, 6, 2)):
+            assert _diagonal_profile.__wrapped__(mono, n_max) == () == one_pass_profile(mono, n_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mono=st.builds(Monomial, st.integers(0, 8), st.integers(1, 12), st.integers(1, 12), st.integers(0, 8)),
+        first=st.integers(1, 60),
+        width=st.integers(0, 20),
+        wide=st.booleans(),
+    )
+    def test_scalar_null_and_w_match_arrays(self, mono, first, width, wide):
+        """The profile's scalar null flag and zero z-exponent give the arrays and dtypes of the array form."""
+        reps, levels = _fibered_window(first, first + width)
+        # a shift past int32 puts the step on int64 lanes
+        m = mono.m + (INT32_MAX if wide else 0)
+        zero = levels.dtype.type(0)
+        scalar = x_monomial_apply_batch(m, mono.a, mono.b, mono.n, False, reps, levels, zero)
+        arrays = x_monomial_apply_batch(m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels,
+                                        np.zeros_like(levels))
+        assert scalar[1].dtype == (np.int64 if wide else np.int32)
+        for got, want in zip(scalar, arrays):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestTrace:
     def test_normalisation(self):
         res = trace_state(Monomial.identity(), 3.0, Fraction(0), 400)

@@ -176,6 +176,9 @@ class TestEuclid:
                     assert got == expected, (c, d, k)
                     assert got[0] * c - got[1] * d == k
                     assert euclid_smallest_direct(c, d, k) == expected
+                    # join holds the modular formula: its complement data, for either sign of k
+                    jn = join((0, c), (k, d))
+                    assert (jn.alpha, jn.beta) == expected, (c, d, k)
 
 
 class TestJoin:

@@ -684,6 +684,30 @@ class TestJson:
         phi = state_from_json({"variant": "psi_beta_mu", "beta": 3, "mu": {"atoms": [["0", "1"]]}})
         assert phi == PsiBetaMu(3.0, CircleMeasure.point(0))
 
+    def test_omega_without_a_known_field(self):
+        for omega in ({}, {"angle": "1/4"}):
+            with pytest.raises(ValueError, match="omega needs a 'vector', 'evaluation' or 'mu' field"):
+                state_from_json({"variant": "ground", "omega": omega})
+
+    def test_long_values_in_messages_are_brief(self):
+        # short values keep their exact text
+        with pytest.raises(ValueError, match=r"^angle 1 outside \[0, 1\)$"):
+            CircleMeasure.point(1)
+        with pytest.raises(ValueError, match=r"^atom weights sum to 3/4, not 1$"):
+            CircleMeasure.from_atoms([(0, Fraction(3, 4))])
+        # a 220-digit angle, and a sum 10^-400 past 1, each in a few characters
+        cases = [
+            (lambda: CircleMeasure.point(Fraction("1.1400058588937053e+219")), "angle ~1.14001e+219 outside [0, 1)"),
+            (lambda: CircleMeasure.point(-(10**5000)), "angle ~-1.00000e+5000 outside [0, 1)"),
+            (lambda: CircleMeasure.from_atoms([(0, 1 + Fraction(1, 10**400))]), "atom weights sum to ~1.00000, not 1"),
+            (lambda: CircleMeasure.from_atoms([(Fraction(1, 3**40), 1), (Fraction(1, 3**40), 1)]),
+             "duplicate atom at angle ~8.22526e-20"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message and len(message) < 50
+
     def test_float_angles_read_by_their_decimal_text(self):
         # 0.1 is the angle 1/10, not the binary double nearest to it
         assert measure_from_json({"atoms": [[0.1, 1]]}) == measure_from_json({"atoms": [["1/10", 1]]})
