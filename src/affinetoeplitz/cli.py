@@ -20,7 +20,7 @@ from math import inf, isnan
 from . import bostconnes, spectrum, states
 from .algebra import Monomial, WordSyntaxError, monomial_grid, reduce_word
 from .numtheory import PrimeWindow, float_power
-from .semigroup import SemigroupElement, euclid_smallest, join
+from .semigroup import SemigroupElement, euclid_smallest_direct, join
 
 REAL_DIGITS = 12
 
@@ -117,7 +117,7 @@ def _cmd_join(args) -> tuple[int, dict]:
 
 
 def _cmd_euclid(args) -> tuple[int, dict]:
-    alpha, beta = euclid_smallest(args.c, args.d, args.k)
+    alpha, beta = euclid_smallest_direct(args.c, args.d, args.k)
     return 0, {"alpha": alpha, "beta": beta}
 
 

@@ -15,15 +15,17 @@ The fibered and shift models each have one stepper (`_x_step`, `_z_step`)
 that applies one generator power to a whole array of basis vectors, from that
 generator's own definition, and one word runner (`_run_word`) drives either.
 The arrays hold Python integers (dtype=object), so indices stay exact at any
-size.  `relation_suite`, `q_projector_check` and `monomial_apply` all run on
-these steppers.  Independently of them, the batch appliers apply a whole
-spanning monomial in one closed step over int32 lanes (int64 when the
-indices need it), on the fibered model one affine lift of the
-representative and one carry into the z-exponent per lane, for the big
-verification sweeps and the `trace_state` profile; the test suite checks the
-two paths against each other.  Phases are tracked as integer exponents of z,
-so all comparisons are exact in the cyclotomic field; conversion to complex
-happens only at the edge (`trace_state`).
+size.  `relation_suite`, `q_projector_check` and `monomial_apply` (off the
+monoid model) run on these steppers, with one token per monoid generator: a
+monomial is the word [s^m, v_a, v_b*, s*^n], no index factored.
+Independently of them, the batch appliers apply a whole spanning monomial in
+one closed step over int32 lanes (int64 when the indices need it), on the
+fibered model one affine lift of the representative and one carry into the
+z-exponent per lane, for the big verification sweeps and the `trace_state`
+profile; the test suite checks the two paths against each other.  Phases are
+tracked as integer exponents of z, so all comparisons are exact in the
+cyclotomic field; conversion to complex happens only at the edge
+(`trace_state`).
 """
 
 from __future__ import annotations
@@ -152,27 +154,21 @@ def _run_word(step, word: list[GeneratorToken], *basis):
 
 
 def _monomial_word(mono: Monomial) -> list[GeneratorToken]:
-    """s^m, v_a prime by prime, v_b* prime by prime, s*^n, in operator order."""
-    word = [GeneratorToken("s", power=mono.m)]
-    word += [GeneratorToken("v", p, e) for p, e in factorize(mono.a)]
-    word += [GeneratorToken("v", p, e, star=True) for p, e in factorize(mono.b)]
-    word.append(GeneratorToken("s", power=mono.n, star=True))
-    return [tok for tok in word if tok.power]
+    """s^m, v_a, v_b*, s*^n in operator order, one token per monoid generator: a stepper
+    applies v_q for any q in one step, so no index is factored, and s^0 and v_1 are identities."""
+    return [GeneratorToken("s", power=mono.m), GeneratorToken("v", mono.a),
+            GeneratorToken("v", mono.b, star=True), GeneratorToken("s", power=mono.n, star=True)]
 
 
 def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
-    """Apply a monomial generator-by-generator to one basis vector; the zero element kills everything."""
+    """Apply a monomial to one basis vector, on the monoid model as T_(m,a) T_(n,b)*; the zero
+    element kills everything."""
     if mono.is_zero:
         return NULL
-    word = _monomial_word(mono)
     if isinstance(e, SemigroupElement):
-        for tok in reversed(word):
-            y = SemigroupElement(tok.power, 1) if tok.kind == "s" else SemigroupElement(0, tok.index**tok.power)
-            out = toeplitz_apply(y, e, star=tok.star)
-            if out.is_null:
-                return NULL
-            e = out.basis
-        return WeightedBasis(0, e)
+        inner = toeplitz_apply(SemigroupElement(mono.n, mono.b), e, star=True)
+        return inner if inner.is_null else toeplitz_apply(SemigroupElement(mono.m, mono.a), inner.basis)
+    word = _monomial_word(mono)
     if isinstance(e, XBasis):
         null, r, x, w = _run_word(_x_step, word, *(np.array([v], dtype=object) for v in (e.r, e.x, 0)))
         return NULL if null[0] else WeightedBasis(w[0], XBasis(r[0], x[0]))
@@ -325,12 +321,6 @@ def _check_window(primes: list[int], window: int) -> None:
         raise ValueError(f"generator indices must be >= 1, got {min(primes)}")
 
 
-def _projection_word(p: int, k: int) -> list[GeneratorToken]:
-    """s^k v_p v_p* s*^k, the range projection of s^k v_p."""
-    return [GeneratorToken("s", power=k), GeneratorToken("v", p), GeneratorToken("v", p, star=True),
-            GeneratorToken("s", power=k, star=True)]
-
-
 def relation_suite(model: str, primes: list[int], window: int) -> dict:
     """Check the defining relations on every window basis vector.
 
@@ -404,7 +394,7 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     for p in primes:
         hits = np.zeros(n.shape, dtype=np.int64)
         for k in range(p):
-            null, moved = _run_word(step, _projection_word(p, k), *basis)
+            null, moved = _run_word(step, _monomial_word(Monomial(k, p, p, k)), *basis)
             hits += ~null & (moved == n)
         record(f"Q5[p={p}]", hits != 1, lambda i: {"n": n[i], "hits": int(hits[i])})
     return report
@@ -417,14 +407,7 @@ def nica_covariance_rhs(x: SemigroupElement, y: SemigroupElement, e: SemigroupEl
     is finite, and 0 otherwise; the join carries both complements.
     """
     jn = join(x, y)
-    if jn is None:
-        return NULL
-    u = tuple.__new__(SemigroupElement, (jn.alpha, jn.b_prime))
-    v = tuple.__new__(SemigroupElement, (jn.beta, jn.a_prime))
-    inner = toeplitz_apply(v, e, star=True)
-    if inner.is_null:
-        return NULL
-    return toeplitz_apply(u, inner.basis)
+    return NULL if jn is None else monomial_apply(Monomial(jn.alpha, jn.b_prime, jn.a_prime, jn.beta), e)
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +511,7 @@ def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fracti
     alive = np.ones(r.shape, bool)
     for p in primes:
         for j in range(p):
-            null, r2, x2, w2 = _run_word(_x_step, _projection_word(p, j), r, x, w)
+            null, r2, x2, w2 = _run_word(_x_step, _monomial_word(Monomial(j, p, p, j)), r, x, w)
             fixed = ~null & (r2 == r) & (x2 == x) & (w2 == 0)
             # (1 - P) on a basis vector: either untouched or annihilated
             if np.any(alive & ~null & ~fixed):

@@ -175,9 +175,9 @@ def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueFamil
     return {p: ResidueFamily(value, p**e) for p, e in factorize(level)}
 
 
-def recompose(parts: Mapping[int, ResidueFamily], N: SupernaturalNumber | None = None) -> BPoint:
+def recompose(parts: Mapping[int, ResidueFamily]) -> BPoint:
     """Inverse of `decompose`: the Chinese remainder theorem over finite,
-    pairwise coprime levels, whose product is the modulus unless N is given."""
+    pairwise coprime levels, whose product is the modulus."""
     levels = [part.level for part in parts.values()]
     if None in levels or math.prod(levels) != math.lcm(*levels):
         raise ValueError(f"levels {levels} must be finite and pairwise coprime")
@@ -185,8 +185,7 @@ def recompose(parts: Mapping[int, ResidueFamily], N: SupernaturalNumber | None =
     for part in parts.values():
         other = level // part.level
         value += part.value * other * pow(other, -1, part.level)
-    modulus = N if N is not None else SupernaturalNumber.from_int(level)
-    return BPoint(ResidueFamily(value, level), modulus)
+    return BPoint(ResidueFamily(value, level), SupernaturalNumber.from_int(level))
 
 
 def verify_hereditary_directed(

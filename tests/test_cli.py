@@ -138,6 +138,12 @@ class TestJoinEuclid:
         assert code == 0
         assert json.loads(out) == {"alpha": 2, "beta": 1, "precision": 12}
 
+    def test_euclid_coprime_cores_near_1e12(self):
+        # a subprocess under a timeout: the alternating scheme would run about 10^12 rounds
+        probe = "import affinetoeplitz.cli as cli; cli.run(['euclid', '1000000000000', '1000000000001', '5'])"
+        out = fresh_interpreter(probe, timeout=10)
+        assert json.loads(out) == {"alpha": 999999999996, "beta": 999999999995, "precision": 12}
+
 
 class TestStateCommands:
     def test_state_eval(self, capsys):
@@ -165,6 +171,23 @@ class TestStateCommands:
     def test_ground_check(self, capsys):
         code, out, _ = run_capture(capsys, ["ground-check", "--vector", "0", "--grid", "1"])
         assert code == 0
+
+    def test_kms_check_precision(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1", "--precision", "10"]
+        )
+        assert code == 0
+        assert json.loads(out)["tolerance"] == "9.765625000000e-04"
+
+    def test_kms_check_characterisation_counterexample(self, capsys):
+        # the vector state at e_0 gives s s* the value 0, where a KMS_2 state gives 1
+        state = json.dumps({"variant": "ground", "omega": {"vector": 0}})
+        code, out, _ = run_capture(capsys, ["kms-check", "--state", state, "--at-beta", "2", "--grid", "1"])
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "kind": "characterisation",
+            "x": {"a": 1, "b": 1, "kind": "mono", "m": 1, "n": 1},
+        }
 
     def test_kms_check_fails_at_wrong_temperature(self, capsys):
         code, out, _ = run_capture(
@@ -300,6 +323,13 @@ class TestSuiteCommands:
             capsys, ["bc", "--mode", "euler", "--primes", "3,5", "--beta", "1", "--truncation", "2000"]
         )
         assert code == 0
+
+    def test_bc_reconstruct(self, capsys):
+        code, out, _ = run_capture(capsys, ["bc", "--mode", "reconstruct", "--beta", "2", "--k", "6", "--primes", "2,3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == 6
+        assert float(payload["defect"]) <= float(payload["tolerance"])
 
     def test_bc_invariance(self, capsys):
         code, out, _ = run_capture(capsys, ["bc", "--mode", "invariance", "--beta", "1", "--kmax", "5"])

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, Monomial, monomial_grid, monomial_mul
-from affinetoeplitz.numtheory import zeta
+from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, monomial_grid, monomial_mul
+from affinetoeplitz.numtheory import factorize, zeta
 from affinetoeplitz.representation import (
     _PROFILE_BLOCK_LANES,
     NULL,
@@ -20,6 +22,7 @@ from affinetoeplitz.representation import (
     _peak,
     _run_word,
     _x_step,
+    _z_step,
     monomial_apply,
     nica_covariance_rhs,
     q_projector_check,
@@ -386,6 +389,74 @@ class TestBatchAppliers:
                     assert null[i, k] and (j2[i, k], c2[i, k]) == (0, 1)
                 else:
                     assert not null[i, k] and (step.basis.m, step.basis.a) == (j2[i, k], c2[i, k])
+
+
+def prime_by_prime_word(mono):
+    """s^m, v_a prime by prime, v_b* prime by prime, s*^n, zero powers dropped: the
+    factored word that `_monomial_word`'s one token per generator must act like."""
+    word = [GeneratorToken("s", power=mono.m)]
+    word += [GeneratorToken("v", p, e) for p, e in factorize(mono.a)]
+    word += [GeneratorToken("v", p, e, star=True) for p, e in factorize(mono.b)]
+    word.append(GeneratorToken("s", power=mono.n, star=True))
+    return [tok for tok in word if tok.power]
+
+
+def assert_same_vectors(one, other):
+    """Two runs of `_run_word` kill the same lanes and agree on every surviving lane;
+    a killed lane's leftover values are not part of the action."""
+    null, *out = one
+    null2, *out2 = other
+    assert np.array_equal(null, null2)
+    for got, want in zip(out, out2):
+        assert np.array_equal(got[~null], want[~null])
+
+
+SMOOTH = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=8).map(math.prod)
+
+
+class TestMonomialWord:
+    def test_one_token_per_generator(self):
+        assert _monomial_word(Monomial(2, 12, 1, 0)) == [
+            GeneratorToken("s", power=2),
+            GeneratorToken("v", 12),
+            GeneratorToken("v", 1, star=True),
+            GeneratorToken("s", power=0, star=True),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mono=st.builds(Monomial, st.integers(0, 10**6), SMOOTH, SMOOTH, st.integers(0, 10**6)),
+        data=st.data(),
+    )
+    def test_composite_index_acts_as_its_prime_factors(self, mono, data):
+        b, n = mono.b, mono.n
+        word, factored = _monomial_word(mono), prime_by_prime_word(mono)
+        # fibered vectors, half of them ones the monomial does not kill: b | x and b | (r - n)
+        levels = data.draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=12))
+        ks = data.draw(st.lists(st.integers(0, 10**6), min_size=len(levels), max_size=len(levels)))
+        xs = [level * b if i % 2 else level for i, level in enumerate(levels)]
+        rs = [(k * b + n) % x if i % 2 else k % x for i, (k, x) in enumerate(zip(ks, xs))]
+        basis = (np.array(rs, dtype=object), np.array(xs, dtype=object), np.zeros(len(xs), dtype=object))
+        assert_same_vectors(_run_word(_x_step, word, *basis), _run_word(_x_step, factored, *basis))
+        # shift vectors, again half of them surviving: b | (t - n)
+        ts = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12))
+        ts = np.array([t * b + n if i % 2 else t for i, t in enumerate(ts)], dtype=object)
+        assert_same_vectors(_run_word(_z_step, word, ts), _run_word(_z_step, factored, ts))
+
+    def test_semiprime_index_past_rho(self):
+        # (10^14 + 31)(10^14 + 67): factoring it would stop at rho's step budget, and
+        # acting by it is one multiplication on every model
+        q = 100000000000031 * 100000000000067
+        start = time.perf_counter()
+        up, down = Monomial(0, q, 1, 0), Monomial(0, 1, q, 0)
+        assert monomial_apply(up, SemigroupElement(3, 5)) == WeightedBasis(0, SemigroupElement(3 * q, 5 * q))
+        assert monomial_apply(up, XBasis(3, 5)) == WeightedBasis(0, XBasis(3 * q, 5 * q))
+        assert monomial_apply(up, -3) == WeightedBasis(0, -3 * q)
+        assert monomial_apply(down, SemigroupElement(3 * q, 5 * q)) == WeightedBasis(0, SemigroupElement(3, 5))
+        assert monomial_apply(down, XBasis(3 * q, 5 * q)) == WeightedBasis(0, XBasis(3, 5))
+        assert monomial_apply(down, -3 * q) == WeightedBasis(0, -3)
+        assert monomial_apply(down, XBasis(3, 5 * q)).is_null
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOracleEquivalence:

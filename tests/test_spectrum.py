@@ -180,7 +180,7 @@ class TestDecompose:
             modulus = rng.randrange(1, 10_001)
             value = rng.randrange(modulus)
             b = BPoint(ResidueFamily.from_residue(value, modulus), sn(modulus))
-            back = recompose(decompose(b), b.N)
+            back = recompose(decompose(b))
             assert back.r.at(modulus) == value
 
     def test_round_trip_all_moduli_to_1e4(self):
@@ -230,6 +230,12 @@ class TestHereditaryDirected:
         members = {SemigroupElement(0, 1), SemigroupElement(0, 2), SemigroupElement(0, 3)}
         assert not verify_hereditary_directed(members, 6)
         assert verify_hereditary_directed(members | {SemigroupElement(0, 6)}, 6)
+
+    def test_joinless_pair(self):
+        # the full window is hereditary, but (0, 2) and (1, 2) have no common upper bound
+        window = {SemigroupElement(m, a) for m in range(3) for a in (1, 2)}
+        assert not verify_hereditary_directed(window, 2)
+        assert verify_hereditary_directed({x for x in window if x.m % 2 == 0 or x.a == 1}, 2)
 
     def test_random_points(self):
         rng = random.Random(29)

@@ -147,6 +147,15 @@ class TestEvaluate:
         assert evaluate(phi, Monomial(1, 1, 1, 1)) == 1
         assert evaluate(phi, Monomial(0, 2, 2, 0)) == 0
 
+    def test_evaluate_exact_branches(self):
+        # off the diagonal, at beta = inf, and a refusal of a non-integer beta
+        assert evaluate_exact(PsiBeta(2), Monomial(1, 2, 2, 0)) == 0
+        assert evaluate_exact(PsiBeta(2), Monomial(0, 2, 3, 0)) == 0
+        assert evaluate_exact(PsiBeta(inf), Monomial(1, 1, 1, 1)) == 1
+        assert evaluate_exact(PsiBeta(inf), Monomial(0, 2, 2, 0)) == 0
+        with pytest.raises(ValueError, match="integer beta"):
+            evaluate_exact(PsiBeta(2.5), Monomial(0, 2, 2, 0))
+
     def test_large_prime_shifts(self):
         # the divisor sum of a prime shift k has two terms once k is factored,
         # and factoring costs about k^(1/4)
@@ -495,6 +504,11 @@ class TestMeasureAndConditional:
         value, tail = measure_cylinder(1.0, 3, 6)
         assert value == pytest.approx(1 / 6) and tail == 0.0
 
+    def test_cylinder_at_beta_infinity(self):
+        # the mass a^-beta tends to [a = 1], whatever m
+        assert measure_cylinder(inf, 0, 1) == (1.0, 0.0)
+        assert measure_cylinder(inf, 3, 6) == (0.0, 0.0)
+
     def test_cylinder_matches_closed_form(self):
         for beta in (1.5, 2.0, 3.0):
             for a in range(1, 31):
@@ -567,6 +581,15 @@ class TestMeasureAndConditional:
             # factor zeta_E/zeta distinguishes the two
             scale = zeta_e(2.0, window) / zeta(2.0)
             assert abs(got - want * (scale if k else 1.0)) < 1e-12
+
+    def test_conditional_moment_psi_beta_and_beta_infinity(self):
+        window = PrimeWindow.of([2, 3])
+        # psi_beta: the conditional moments collapse to [k = 0]
+        assert [conditional_moment(PsiBeta(2.5), window, k) for k in (0, 1, 6, -4)] == [1, 0, 0, 0]
+        # psi_{inf, mu}: the plain moments of mu, whatever the window
+        phi = PsiBetaMu(inf, TWO_ATOM)
+        for k in (1, 2, 6, -5):
+            assert conditional_moment(phi, window, k) == moment(TWO_ATOM, k)
 
 
 class TestReconstruction:
