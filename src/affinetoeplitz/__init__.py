@@ -8,58 +8,8 @@ generators as exact weighted permutations of basis vectors (the brute-force
 oracles), `spectrum` parametrises the character space of the diagonal,
 `states` evaluates the equilibrium states of the natural time evolution, and
 `bostconnes` covers the related Hecke-algebra Euler-product machinery.  Only
-`representation` uses numpy, and it is not imported here.
+`representation` uses numpy, and it is not imported here.  Import each name
+from the module that defines it.
 """
 
 from . import bostconnes, numtheory, semigroup, spectrum, states
-from .numtheory import (
-    PrimeWindow,
-    SupernaturalNumber,
-    factorize,
-    sn_divides,
-    zeta,
-    zeta_e,
-)
-from .semigroup import (
-    GroupElement,
-    Join,
-    SemigroupElement,
-    euclid_smallest,
-    euclid_smallest_direct,
-    join,
-    leq,
-)
-from .algebra import (
-    ZERO,
-    Monomial,
-    WordSyntaxError,
-    adjoint,
-    covariance_reduce,
-    monomial_mul,
-    parse_word,
-    reduce_word,
-)
-
-__all__ = [
-    "PrimeWindow",
-    "SupernaturalNumber",
-    "factorize",
-    "sn_divides",
-    "zeta",
-    "zeta_e",
-    "GroupElement",
-    "Join",
-    "SemigroupElement",
-    "euclid_smallest",
-    "euclid_smallest_direct",
-    "join",
-    "leq",
-    "ZERO",
-    "Monomial",
-    "WordSyntaxError",
-    "adjoint",
-    "covariance_reduce",
-    "monomial_mul",
-    "parse_word",
-    "reduce_word",
-]

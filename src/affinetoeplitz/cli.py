@@ -18,7 +18,7 @@ from functools import cache
 from math import inf, isnan
 
 from . import bostconnes, spectrum, states
-from .algebra import Monomial, WordSyntaxError, monomial_grid, reduce_word
+from .algebra import Monomial, monomial_grid, reduce_word
 from .numtheory import PrimeWindow, float_power
 from .semigroup import SemigroupElement, euclid_smallest_direct, join
 
@@ -224,11 +224,9 @@ def _cmd_bc(args) -> tuple[int, dict]:
     if args.mode == "invariance":
         ratios = bostconnes.invariance_ratio(chi, beta, args.kmax)
         return 0, {"ratios": ratios}
-    if args.mode == "reconstruct":
-        defect = bostconnes.bc_reconstruct_check(args.primes, beta, args.k)
-        tol = 2.0 ** (-args.precision)
-        return (0 if defect <= tol else 1), {"defect": defect, "k": args.k, "tolerance": tol}
-    raise ValueError(f"unknown bc mode {args.mode!r}")
+    defect = bostconnes.bc_reconstruct_check(args.primes, beta, args.k)
+    tol = 2.0 ** (-args.precision)
+    return (0 if defect <= tol else 1), {"defect": defect, "k": args.k, "tolerance": tol}
 
 
 def _cmd_spectrum(args) -> tuple[int, dict]:
@@ -364,7 +362,8 @@ def run(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except (WordSyntaxError, ValueError, json.JSONDecodeError, ZeroDivisionError, OverflowError) as exc:
+    # a MemoryError is an allocation numpy refuses outright, such as a rep-check window past the address space
+    except (ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -122,9 +122,11 @@ class CircleMeasure:
 
 
 def moment(mu: CircleMeasure, k: int) -> complex:
-    """k-th moment: the integral of z^k.  Lebesgue kills every k != 0."""
+    """k-th moment: the integral of z^k.  Lebesgue kills every k != 0; k = 0 is the exact mass 1."""
+    if k == 0:
+        return 1.0 + 0j
     if mu.is_lebesgue:
-        return 1.0 + 0j if k == 0 else 0j
+        return 0j
     total = 0j
     for theta, weight in mu.atoms:
         # k * theta reduced mod 1 in exact arithmetic before the float

@@ -90,6 +90,7 @@ class TestMonomialType:
         assert x == (1, 2, 3, 4) and hash(x) == hash((1, 2, 3, 4))
         assert repr(x) == "Monomial(m=1, a=2, b=3, n=4)" and str(x) == "s v2 v3* s^4*"
         assert Monomial.from_json(x.to_json()) == x and ZERO.to_json() == {"kind": "zero"}
+        assert str(ZERO) == "0" and Monomial.from_json({"kind": "zero"}) is ZERO
         with pytest.raises(AttributeError):
             x.m = 5
 

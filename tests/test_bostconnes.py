@@ -366,3 +366,15 @@ def _factors(n):
     if n > 1:
         out.add(n)
     return out
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (DirichletCharacter, (0, ()), "modulus must be positive"),
+        (bc_reconstruct_check, ([2], 2.0, 0), "k must be >= 1"),
+    ],
+)
+def test_error_branches(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

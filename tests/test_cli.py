@@ -28,6 +28,9 @@ LIST_DEFAULTS = [
 ]
 
 
+A_POINT = json.dumps({"kind": "A", "k": 4, "N": {"factors": {"2": 2}, "default": 0}})
+
+
 def run_capture(capsys, argv):
     """Run argv twice in this process: the reused parser must answer the same both times
     and keep its list defaults."""
@@ -365,6 +368,28 @@ class TestSuiteCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, want_code, want_out, want_err",
+        [
+            (["ground-check"], 2, "", "error: pass --vector, --evaluation or --state\n"),
+            (["spectrum", "--point", A_POINT, "--decompose"], 2, "", "error: decompose applies to B-points\n"),
+            (["spectrum", "--point", A_POINT, "--act", "1", "2"], 2, "", "error: the action applies to B-points\n"),
+            # the CSV walk over a list
+            (
+                ["--format", "csv", "bc", "--mode", "invariance", "--kmax", "2"],
+                0,
+                "precision,12\nratios[0],5.000000000000e-01\nratios[1],5.000000000000e-01\n",
+                "",
+            ),
+            # numpy refuses a 364 TiB window at once: past a 47-bit address space, it is never mapped
+            (["rep-check", "--model", "x", "--primes", "2", "--window", "10000000"], 2, "", "error: Unable to allocate"),
+        ],
+    )
+    def test_error_and_format_branches(self, capsys, argv, want_code, want_out, want_err):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (want_code, want_out)
+        assert err.startswith(want_err) and err.count("\n") == (1 if want_err else 0)
 
     @pytest.mark.parametrize(
         "argv",

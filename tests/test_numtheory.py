@@ -465,3 +465,16 @@ class TestZeta:
         val40 = zeta_e(1, PrimeWindow.of(first_primes(40)))
         assert 9.3 < val40 < 9.35
         assert zeta_e(1, PrimeWindow.of(first_primes(60))) > 10
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (SupernaturalNumber, (((3, 1), (2, 1)),), "primes must increase"),
+        (SupernaturalNumber, (((2, 1.5),),), "exponent at 2 must be a natural number or inf"),
+        (NABLA.to_int, (), "supernatural number is infinite"),
+    ],
+)
+def test_error_branches(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

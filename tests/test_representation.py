@@ -651,3 +651,16 @@ class TestQProjector:
     def test_rejects_empty_input(self, primes, window):
         with pytest.raises(ValueError):
             q_projector_check(primes, window)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (XBasis, (0, 0), "level must be >= 1"),
+        (XBasis, (3, 2), "representative 3 outside"),
+        (relation_suite, ("y", [2], 3), "unknown model 'y'"),
+    ],
+)
+def test_error_branches(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

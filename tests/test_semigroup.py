@@ -295,3 +295,15 @@ class TestJoin:
                     u = SemigroupElement(m, a)
                     if leq(p, u) and leq(q, u):
                         assert leq(j.element(), u)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (GroupElement, (0, 0), "multiplicative part must be positive"),
+        (euclid_smallest, (0, 1, 1), "c and d must be positive"),
+    ],
+)
+def test_error_branches(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

@@ -276,3 +276,14 @@ class TestJson:
         ):
             with pytest.raises(ValueError):
                 point_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (APoint, (-1, NABLA), "cap must be >= 0"),
+    ],
+)
+def test_error_branches(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

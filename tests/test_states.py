@@ -126,6 +126,18 @@ class TestMoments:
         for k in (-3, 0, 1, 2, 5, 10**17 + 1):
             assert moment(raw, k) == moment(POINT_I, k)
 
+    def test_zeroth_moment_is_the_exact_mass(self):
+        # ten float weights of 1/10 sum to 0.9999999999999999
+        tenths = CircleMeasure.from_atoms([(Fraction(j, 10), Fraction(1, 10)) for j in range(10)])
+        assert moment(tenths, 0) == 1
+        assert evaluate(Ground(tenths), Monomial.identity()) == 1
+        assert evaluate(PsiBetaMu(inf, tenths), Monomial(3, 1, 1, 3)) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=finite_states() | st.builds(PsiBetaMu, st.just(inf), CIRCLE_MEASURES))
+    def test_states_are_unital(self, phi):
+        assert evaluate(phi, Monomial.identity()) == 1
+
     def test_invalid_measures(self):
         with pytest.raises(ValueError):
             CircleMeasure.from_atoms([(0, Fraction(1, 2))])
@@ -742,3 +754,25 @@ class TestJson:
                 measure_from_json({"atoms": [[0, bad]]})
             with pytest.raises(ValueError):
                 measure_from_json({"atoms": [[bad, 1]]})
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, match",
+    [
+        (CircleMeasure.from_atoms, ([(0, 2), (Fraction(1, 2), -1)],), ValueError, "atom weights must be positive"),
+        (VectorState, (-1,), ValueError, "basis index must be >= 0"),
+        (evaluate_exact, (PsiBetaMu(3.0, POINT_ONE), Monomial.identity()), ValueError, "no exact mode"),
+        (no_kms_witness, (0.5, 1), ValueError, "a must be >= 2"),
+        (measure_cylinder, (0.5, 0, 2), ValueError, "requires beta >= 1"),
+        (measure_cylinder, (2.0, -1, 2), ValueError, "need a >= 1 and m >= 0"),
+        (conditional_moment, (PsiBeta(1.0), PrimeWindow.of([2]), 1), ValueError, "needs beta > 1"),
+        (reconstruct_sn, (PsiBeta(1.0), PrimeWindow.of([2]), 1), ValueError, "requires beta > 1"),
+        (reconstruct_sn, (PsiBeta(2.0), PrimeWindow.of([2]), -1), ValueError, "n must be >= 0"),
+        (partition_sum, (2.0, 10), ValueError, "converges only for beta > 2"),
+        (moments_from_state, (PsiBeta(1.5), 3), ValueError, "finite beta > 2"),
+        (state_to_json, ("x",), TypeError, "not a state"),
+    ],
+)
+def test_error_branches(fn, args, error, match):
+    with pytest.raises(error, match=match):
+        fn(*args)
