@@ -29,7 +29,6 @@ __all__ = [
     "invariance_ratio",
     "bc_reconstruct_check",
     "character_from_json",
-    "character_to_json",
 ]
 
 
@@ -224,7 +223,7 @@ def invariance_ratio(
 _RECONSTRUCT_TERMS = 10**5
 
 
-def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
+def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> tuple[float, float]:
     """Reconstruction defect for the model equilibrium values on mu_k mu_k*.
 
     The model state assigns phi(mu_k mu_k*) = k^-beta (and phi(1) = 1 at
@@ -233,10 +232,13 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
     compression by Q_E = prod (1 - mu_p mu_p*) has values computed by
     inclusion-exclusion over subsets S of E:
         phi(Q_E mu_k' mu_k'*) = sum_S (-1)^|S| lcm(prod S, k')^-beta.
-    The check sums the first `_RECONSTRUCT_TERMS` window-supported n and returns
-    |phi(mu_k mu_k*) - sum_n (n^-beta / zeta_E(beta)) phi_{Q_E}(...)| plus
-    nothing else; the dropped tail is geometric and far below the comparison
-    tolerances for beta > 1.
+    The check sums the window-supported n in increasing order, stopping at
+    `_RECONSTRUCT_TERMS` terms or at a weight n^-beta below 1e-18, and returns
+    (defect, tail_bound): the defect is |phi(mu_k mu_k*) - sum_n (n^-beta /
+    zeta_E(beta)) phi_{Q_E}(...)|, and the tail bound is the dropped weight
+    share (zeta_E(beta) - sum_kept n^-beta) / zeta_E(beta), clamped at 0.  It
+    bounds the dropped terms, since phi(Q_E mu_k' mu_k'*) <= phi(Q_E) =
+    1/zeta_E(beta) makes each at most n^-beta / zeta_E(beta).
     """
     if beta <= 1:
         raise ValueError("the model state values need beta > 1")
@@ -259,26 +261,20 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> float:
         return total * zeta_window  # conditional state: normalised compression
 
     lhs = float_power(k, -beta)
-    terms = []
+    terms, weights = [], []
     for count, n in enumerate(iter_smooth(window.primes)):
         weight = float_power(n, -beta)
         if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
-            break  # |conditional values| <= zeta_window, so the tail is negligible
-        kp = k // gcd(k, n)
-        terms.append(weight / zeta_window * q_compressed(kp))
-    return abs(lhs - math.fsum(terms))
+            break
+        terms.append(weight / zeta_window * q_compressed(k // gcd(k, n)))
+        weights.append(weight)
+    tail = (zeta_window - math.fsum(weights)) / zeta_window
+    return abs(lhs - math.fsum(terms)), max(tail, 0.0)
 
 
 # --------------------------------------------------------------------------
 # JSON
 # --------------------------------------------------------------------------
-
-
-def character_to_json(chi: DirichletCharacter) -> dict:
-    return {
-        "modulus": chi.modulus,
-        "values": {str(u): (0 if t == 0 else str(t)) for u, t in chi.values},
-    }
 
 
 def character_from_json(obj: dict) -> DirichletCharacter:

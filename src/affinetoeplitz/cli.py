@@ -5,7 +5,7 @@ stdout and exits 0 on success / verified, 1 on a verification failure (the
 payload carries the first counterexample), 2 on usage or parse errors (which
 go to stderr).  Output is deterministic: keys are sorted and every real is a
 fixed-precision decimal string, with the digit count echoed in a "precision"
-field; exact rationals are "p/q" strings.
+field.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from math import inf, isnan
 
@@ -29,10 +28,6 @@ def _fmt_real(x: float) -> str:
     return f"{x:.{REAL_DIGITS}e}"
 
 
-def _fmt_complex(z: complex) -> dict:
-    return {"re": _fmt_real(z.real), "im": _fmt_real(z.imag)}
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -43,9 +38,7 @@ def _jsonable(obj):
     if isinstance(obj, float):
         return _fmt_real(obj)
     if isinstance(obj, complex):
-        return _fmt_complex(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return {"re": _fmt_real(obj.real), "im": _fmt_real(obj.imag)}
     return str(obj)
 
 
@@ -127,7 +120,7 @@ def _cmd_state_eval(args) -> tuple[int, dict]:
         mono = reduce_word(args.word, expand_composite=args.expand_composite)
     else:
         mono = Monomial.from_json(json.loads(args.monomial))
-    return 0, {"monomial": mono.to_json(), "value": _fmt_complex(states.evaluate(phi, mono))}
+    return 0, {"monomial": mono.to_json(), "value": states.evaluate(phi, mono)}
 
 
 def _cmd_kms_check(args) -> tuple[int, dict]:
@@ -224,9 +217,10 @@ def _cmd_bc(args) -> tuple[int, dict]:
     if args.mode == "invariance":
         ratios = bostconnes.invariance_ratio(chi, beta, args.kmax)
         return 0, {"ratios": ratios}
-    defect = bostconnes.bc_reconstruct_check(args.primes, beta, args.k)
+    defect, tail_bound = bostconnes.bc_reconstruct_check(args.primes, beta, args.k)
     tol = 2.0 ** (-args.precision)
-    return (0 if defect <= tol else 1), {"defect": defect, "k": args.k, "tolerance": tol}
+    payload = {"defect": defect, "k": args.k, "tail_bound": tail_bound, "tolerance": tol}
+    return (0 if defect <= tail_bound + tol else 1), payload
 
 
 def _cmd_spectrum(args) -> tuple[int, dict]:

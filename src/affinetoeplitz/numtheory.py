@@ -157,18 +157,8 @@ def first_primes(k: int) -> list[int]:
     return list(itertools.islice(filter(is_prime, itertools.count(2)), max(k, 0)))
 
 
-def _primes_below(limit: int) -> tuple[int, ...]:
-    """The primes below `limit`, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * limit
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return tuple(itertools.compress(range(limit), sieve))
-
-
 _TRIAL_BOUND = 1000
-_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_BOUND)))
 
 
 # rho steps one split may take, about 5 s on a 137-bit cofactor.  A least

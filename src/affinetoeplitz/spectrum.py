@@ -131,8 +131,11 @@ def includes(w1: SpectrumPoint, w2: SpectrumPoint, level: int) -> bool:
     divisibility with k in the residue class at each a | N; A(l, N) sits
     inside A(k, M) iff N | M and k - l is a non-negative multiple of every
     a | N (which for infinite N forces k = l); and a B-point is never
-    contained in an A-point.  The divisor quantifiers run over a <= level.
+    contained in an A-point.  The divisor quantifiers run over a <= level;
+    raises on level < 1, which would test no divisor.
     """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
     if isinstance(w2, BPoint) and isinstance(w1, APoint):
         return False
     if not sn_divides(w2.N, w1.N):
@@ -169,6 +172,8 @@ def decompose(point: BPoint, level: int | None = None) -> dict[int, ResidueFamil
         if not point.N.is_finite:
             raise ValueError("infinite modulus: pass an explicit level")
         level = point.N.to_int()
+    elif level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
     if not int_divides_sn(level, point.N):
         raise ValueError(f"{level} does not divide the modulus")
     value = point.r.at(level)

@@ -56,7 +56,6 @@ __all__ = [
     "partition_sum",
     "moments_from_state",
     "state_from_json",
-    "state_to_json",
     "measure_from_json",
     "measure_to_json",
 ]
@@ -562,24 +561,6 @@ def measure_from_json(obj: dict) -> CircleMeasure:
     if not isinstance(atoms, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in atoms):
         raise ValueError(f"atoms are a JSON list of [angle, weight] pairs, got {atoms!r}")
     return CircleMeasure.from_atoms((json_number(t, Fraction), json_number(w, Fraction)) for t, w in atoms)
-
-
-def state_to_json(phi: StateSpec) -> dict:
-    if isinstance(phi, PsiBeta):
-        return {"variant": "psi_beta", "beta": "inf" if phi.beta == inf else phi.beta}
-    if isinstance(phi, PsiBetaMu):
-        return {
-            "variant": "psi_beta_mu",
-            "beta": "inf" if phi.beta == inf else phi.beta,
-            "mu": measure_to_json(phi.mu),
-        }
-    if isinstance(phi, Ground):
-        if isinstance(phi.omega, VectorState):
-            return {"variant": "ground", "omega": {"vector": phi.omega.k}}
-        if len(phi.omega.atoms or ()) == 1:  # a point of the circle keeps its one-angle form
-            return {"variant": "ground", "omega": {"evaluation": str(phi.omega.atoms[0][0])}}
-        return {"variant": "ground", "omega": {"mu": measure_to_json(phi.omega)}}
-    raise TypeError(f"not a state: {phi!r}")
 
 
 def state_from_json(obj: dict) -> StateSpec:

@@ -573,7 +573,7 @@ def test_criterion_13_character_machinery():
     for primes, ks in (([2], (1, 2, 3, 4, 8)), ([2, 3], (6, 12)), ([2, 3, 5], (30,))):
         for beta in (2.0, 3.0):
             for k in ks:
-                worst_rec = max(worst_rec, bc_reconstruct_check(primes, beta, k))
+                worst_rec = max(worst_rec, bc_reconstruct_check(primes, beta, k)[0])
     ok = euler_gap <= 1e-6 and ratios[39] < 0.2 and worst_rec <= 1e-9
     report(
         13,

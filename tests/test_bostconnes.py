@@ -14,7 +14,6 @@ from affinetoeplitz.bostconnes import (
     bc_reconstruct_check,
     char_euler_sum,
     character_from_json,
-    character_to_json,
     invariance_ratio,
 )
 from affinetoeplitz.numtheory import PrimeWindow, first_primes, float_power, iter_smooth, zeta_e
@@ -164,14 +163,13 @@ class TestCharacter:
         with pytest.raises(ValueError, match="not a unit"):
             chi.angle(2003)
 
-    def test_json_round_trip(self):
-        for chi in (CHI4, DirichletCharacter.trivial(6)):
-            assert character_from_json(character_to_json(chi)) == chi
-        obj = character_to_json(CHI4)
-        assert obj == {"modulus": 4, "values": {"1": 0, "3": "1/2"}}
+    def test_json_documents(self):
+        chi4 = {"modulus": 4, "values": {"1": 0, "3": "1/2"}}
+        for obj, chi in ((chi4, CHI4), ({"modulus": 6, "values": {"1": 0, "5": 0}}, DirichletCharacter.trivial(6))):
+            assert character_from_json(obj) == chi, obj
         for modulus in (4.5, None, [4]):
             with pytest.raises(ValueError):
-                character_from_json({**obj, "modulus": modulus})
+                character_from_json({**chi4, "modulus": modulus})
 
 
 LOG2_MOD5 = {1: 0, 2: 1, 4: 2, 3: 3}
@@ -199,7 +197,7 @@ class PerCallPhases:
 
 
 def reconstruct_per_n(primes, beta, k):
-    """bc_reconstruct_check with the compression recomputed for every smooth n."""
+    """bc_reconstruct_check with the compression recomputed for every smooth n: (defect, tail_bound)."""
     window = PrimeWindow.of(primes)
     zeta_window = zeta_e(beta, window)
     subsets = [[]]
@@ -213,13 +211,15 @@ def reconstruct_per_n(primes, beta, k):
             total += (-1.0) ** len(s) * float_power(ns * kp // math.gcd(ns, kp), -beta)
         return total * zeta_window
 
-    terms = []
+    terms, weights = [], []
     for count, n in enumerate(iter_smooth(window.primes)):
         weight = float_power(n, -beta)
         if count >= _RECONSTRUCT_TERMS or weight < 1e-18:
             break
         terms.append(weight / zeta_window * q_compressed(k // math.gcd(k, n)))
-    return abs(float_power(k, -beta) - math.fsum(terms))
+        weights.append(weight)
+    tail = max((zeta_window - math.fsum(weights)) / zeta_window, 0.0)
+    return abs(float_power(k, -beta) - math.fsum(terms)), tail
 
 
 class TestPhaseTable:
@@ -262,7 +262,9 @@ class TestPhaseTable:
         for primes, ks in (([2], (1, 2, 3, 4, 8)), ([2, 3], (6, 12)), ([2, 3, 5], (30,))):
             for beta in (2.0, 3.0):
                 for k in ks:
-                    assert bc_reconstruct_check(primes, beta, k) == reconstruct_per_n(primes, beta, k), (primes, k)
+                    pair = bc_reconstruct_check(primes, beta, k)
+                    # these windows stop at the 1e-18 weight cutoff before the term cap: only rounding is left
+                    assert pair == reconstruct_per_n(primes, beta, k) and pair[1] < 1e-15, (primes, k)
 
 
 class TestEulerSum:
@@ -330,20 +332,31 @@ class TestInvarianceRatio:
 
 class TestReconstruction:
     def test_identity_element(self):
-        assert bc_reconstruct_check([2], 2.0, 1) < 1e-12
+        assert bc_reconstruct_check([2], 2.0, 1)[0] < 1e-12
 
     def test_single_prime_powers(self):
         for k in (2, 4, 8):
-            assert bc_reconstruct_check([2], 2.0, k) < 1e-12
+            assert bc_reconstruct_check([2], 2.0, k)[0] < 1e-12
 
     def test_coprime_passthrough(self):
         # conjugation by window-supported isometries commutes past mu_3
-        assert bc_reconstruct_check([2], 2.0, 3) < 1e-12
+        assert bc_reconstruct_check([2], 2.0, 3)[0] < 1e-12
 
     def test_mixed_windows(self):
         for primes, k in (([2, 3], 12), ([2, 3, 5], 30), ([2, 3], 7)):
             for beta in (1.5, 2.5):
-                assert bc_reconstruct_check(primes, beta, k) < 1e-9
+                assert bc_reconstruct_check(primes, beta, k)[0] < 1e-9
+
+    def test_capped_windows_stay_within_the_tail_bound(self):
+        # each window reaches _RECONSTRUCT_TERMS terms before the 1e-18 weight cutoff
+        for primes, beta, k in (
+            ([2, 3, 5, 7, 11, 13], 1.01, 2),
+            ([2, 3, 5, 7, 11, 13], 1.5, 2),
+            ([2, 3, 5, 7, 11], 1.2, 2),
+            (first_primes(10), 1.05, 30),
+        ):
+            defect, tail_bound = bc_reconstruct_check(primes, beta, k)
+            assert defect <= tail_bound and tail_bound > 1e-15, (primes, beta, defect, tail_bound)
 
     def test_rejects_low_beta(self):
         with pytest.raises(ValueError):

@@ -333,6 +333,16 @@ class TestSuiteCommands:
         payload = json.loads(out)
         assert payload["k"] == 6
         assert float(payload["defect"]) <= float(payload["tolerance"])
+        assert sorted(payload) == ["defect", "k", "precision", "tail_bound", "tolerance"]
+        assert float(payload["tail_bound"]) < 1e-15
+
+    def test_bc_reconstruct_passes_within_the_tail_bound(self, capsys):
+        # 10^5 smooth n leave a weight share of 6.9e-9 unsummed, past the 2^-30 tolerance
+        argv = ["bc", "--mode", "reconstruct", "--primes", "2,3,5,7,11,13", "--beta", "1.01", "--k", "2"]
+        code, out, _ = run_capture(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert float(payload["tolerance"]) < float(payload["defect"]) <= float(payload["tail_bound"])
 
     def test_bc_invariance(self, capsys):
         code, out, _ = run_capture(capsys, ["bc", "--mode", "invariance", "--beta", "1", "--kmax", "5"])

@@ -282,6 +282,9 @@ class TestJson:
     "fn, args, match",
     [
         (APoint, (-1, NABLA), "cap must be >= 0"),
+        # a level below 1 would test no divisor, so two different sets would pass as nested
+        (includes, (BPoint(ResidueFamily(1), NABLA), BPoint(ResidueFamily(0), NABLA), 0), "^level must be >= 1, got 0$"),
+        (decompose, (BPoint(ResidueFamily(1), sn(12)), 0), "^level must be >= 1, got 0$"),
     ],
 )
 def test_error_branches(fn, args, match):

@@ -35,7 +35,6 @@ from affinetoeplitz.states import (
     partition_sum,
     reconstruct_sn,
     state_from_json,
-    state_to_json,
 )
 from conftest import GRID_MULTS, graded_pairs, gram_matrix
 
@@ -698,26 +697,22 @@ class TestWeakStarLimit:
 
 
 class TestJson:
-    def test_round_trip(self):
-        for phi in (
-            PsiBeta(1.5),
-            PsiBeta(inf),
-            PsiBetaMu(3, TWO_ATOM),
-            PsiBetaMu(inf, LEBESGUE),
-            Ground(VectorState(4)),
-            Ground(CircleMeasure.point(Fraction(1, 4))),
-            Ground(LEBESGUE),
-            Ground(TWO_ATOM),
-        ):
-            assert state_from_json(state_to_json(phi)) == phi
-
     def test_spec_shapes(self):
-        assert state_to_json(PsiBeta(1.5)) == {"variant": "psi_beta", "beta": 1.5}
-        obj = state_to_json(Ground(CircleMeasure.point(Fraction(1, 4))))
-        assert obj == {"variant": "ground", "omega": {"evaluation": "1/4"}}
-        assert state_to_json(Ground(LEBESGUE)) == {"variant": "ground", "omega": {"mu": {"lebesgue": True}}}
-        phi = state_from_json({"variant": "psi_beta_mu", "beta": 3, "mu": {"atoms": [["0", "1"]]}})
-        assert phi == PsiBetaMu(3.0, CircleMeasure.point(0))
+        # every form the reader accepts, each as a literal document
+        two_atom = {"atoms": [["1/8", "1/4"], ["2/3", "3/4"]]}
+        for obj, phi in (
+            ({"variant": "psi_beta", "beta": 1.5}, PsiBeta(1.5)),
+            ({"variant": "psi_beta", "beta": "inf"}, PsiBeta(inf)),
+            ({"variant": "psi_beta_mu", "beta": 3, "mu": two_atom}, PsiBetaMu(3, TWO_ATOM)),
+            ({"variant": "psi_beta_mu", "beta": 3, "mu": {"atoms": [["0", "1"]]}}, PsiBetaMu(3.0, CircleMeasure.point(0))),
+            ({"variant": "psi_beta_mu", "beta": 3, "mu": {"lebesgue": True}}, PsiBetaMu(3, LEBESGUE)),
+            ({"variant": "psi_beta_mu", "beta": "inf", "mu": {"lebesgue": True}}, PsiBetaMu(inf, LEBESGUE)),
+            ({"variant": "ground", "omega": {"vector": 4}}, Ground(VectorState(4))),
+            ({"variant": "ground", "omega": {"evaluation": "1/4"}}, Ground(POINT_I)),
+            ({"variant": "ground", "omega": {"mu": {"lebesgue": True}}}, Ground(LEBESGUE)),
+            ({"variant": "ground", "omega": {"mu": two_atom}}, Ground(TWO_ATOM)),
+        ):
+            assert state_from_json(obj) == phi, obj
 
     def test_omega_without_a_known_field(self):
         for omega in ({}, {"angle": "1/4"}):
@@ -770,7 +765,6 @@ class TestJson:
         (reconstruct_sn, (PsiBeta(2.0), PrimeWindow.of([2]), -1), ValueError, "n must be >= 0"),
         (partition_sum, (2.0, 10), ValueError, "converges only for beta > 2"),
         (moments_from_state, (PsiBeta(1.5), 3), ValueError, "finite beta > 2"),
-        (state_to_json, ("x",), TypeError, "not a state"),
     ],
 )
 def test_error_branches(fn, args, error, match):
