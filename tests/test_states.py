@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import time
@@ -29,6 +30,7 @@ from affinetoeplitz.states import (
     kms_grid,
     measure_cylinder,
     measure_from_json,
+    measure_to_json,
     moment,
     moments_from_state,
     no_kms_witness,
@@ -697,6 +699,22 @@ class TestWeakStarLimit:
 
 
 class TestJson:
+    def test_round_trip(self):
+        # measure_to_json is the one writer left; each state passes through its JSON text
+        for mu in (POINT_I, TWO_ATOM, LEBESGUE):
+            assert measure_from_json(json.loads(json.dumps(measure_to_json(mu)))) == mu
+        for obj, phi in (
+            ({"variant": "psi_beta", "beta": 1.5}, PsiBeta(1.5)),
+            ({"variant": "psi_beta", "beta": "inf"}, PsiBeta(inf)),
+            ({"variant": "psi_beta_mu", "beta": 3, "mu": measure_to_json(TWO_ATOM)}, PsiBetaMu(3, TWO_ATOM)),
+            ({"variant": "psi_beta_mu", "beta": "inf", "mu": measure_to_json(LEBESGUE)}, PsiBetaMu(inf, LEBESGUE)),
+            ({"variant": "ground", "omega": {"vector": 4}}, Ground(VectorState(4))),
+            ({"variant": "ground", "omega": {"mu": measure_to_json(POINT_I)}}, Ground(POINT_I)),
+            ({"variant": "ground", "omega": {"mu": measure_to_json(LEBESGUE)}}, Ground(LEBESGUE)),
+            ({"variant": "ground", "omega": {"mu": measure_to_json(TWO_ATOM)}}, Ground(TWO_ATOM)),
+        ):
+            assert state_from_json(json.loads(json.dumps(obj))) == phi, obj
+
     def test_spec_shapes(self):
         # every form the reader accepts, each as a literal document
         two_atom = {"atoms": [["1/8", "1/4"], ["2/3", "3/4"]]}
