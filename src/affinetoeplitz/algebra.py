@@ -13,7 +13,9 @@ v_a* s*^m s^n v_b of any product reduces in one step (`covariance_reduce`)
 through the join of (m, a) and (n, b) in the quasi-lattice order, and
 `monomial_mul` splices the result back into the outer factors.  Products
 of two spanning monomials are therefore again spanning-or-zero, which is the
-closure property everything else relies on.
+closure property everything else relies on.  `reduce_word` grows the
+normal form of a word in closed form, by (T1) and its adjoint, and takes
+that one step only where an unstarred term follows a starred part.
 """
 
 from __future__ import annotations
@@ -260,14 +262,27 @@ def parse_word(text: str, expand_composite: bool = False) -> list[GeneratorToken
 
 
 def reduce_word(word: str, expand_composite: bool = False) -> Monomial:
-    """Normal form of a word: fold the monomial of each term through `monomial_mul`.
+    """Normal form of a word, grown term by term as s^m v_a v_b* s*^n.
 
-    A term is s^k v_q with k = 0 or q = 1, or its star v_q* s*^k, built with
-    tuple.__new__ since the parser has checked its power and index.  Zero
-    absorbs, so the fold runs to the end.
+    A term is s^k v_q with k = 0 or q = 1, or its star v_q* s*^k.  Three cases:
+
+    * a starred term: v_b* s*^n v_q* s*^k = v_(b*q)* s*^(n*q + k), the
+      adjoint of (T1), so no join is needed;
+    * an unstarred term while nothing is starred (b = 1, n = 0):
+      v_a s^k v_q = s^(a*k) v_(a*q), which is (T1);
+    * an unstarred term after a starred part (a junction): `monomial_mul`,
+      whose middle v_b* s*^n s^k v_q is the one covariance step.  A zero
+      there is the whole word's value.
     """
-    out = _IDENTITY
+    m, a, b, n = _IDENTITY
     for kind, index, power, star in parse_word(word, expand_composite):
         shift, index = (power, 1) if kind == "s" else (0, index**power)
-        out = monomial_mul(out, _tuple_new(Monomial, (0, 1, index, shift) if star else (shift, index, 1, 0)))
-    return out
+        if star:
+            b, n = b * index, n * index + shift
+        elif b == 1 and n == 0:
+            m, a = m + a * shift, a * index
+        else:
+            m, a, b, n = monomial_mul(_tuple_new(Monomial, (m, a, b, n)), _tuple_new(Monomial, (shift, index, 1, 0)))
+            if a == 0:
+                return ZERO
+    return _tuple_new(Monomial, (m, a, b, n))

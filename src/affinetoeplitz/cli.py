@@ -224,6 +224,8 @@ def _cmd_bc(args) -> tuple[int, dict]:
 
 
 def _cmd_spectrum(args) -> tuple[int, dict]:
+    if args.level is not None and not args.decompose:
+        raise ValueError("--level needs --decompose")
     point = spectrum.point_from_json(json.loads(args.point))
     if args.contains:
         m, a = args.contains

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetoeplitz.algebra import (
+    _MAX_INDEX_BITS,
     ZERO,
     GeneratorToken,
     Monomial,
@@ -65,7 +66,11 @@ def words(draw):
     """(text, expand_composite): up to 8 terms s^k and v_c^k, each starred or not.
 
     Powers run to 10^3 and shifts to 10^18; c is a prime up to 47, or with
-    composite expansion any index up to 10^3.
+    composite expansion any index up to 10^3.  A third of the words carry a
+    zero v_p* s^k v_p (p not dividing k) at a random place, so the fold meets
+    a zero junction with terms after it; with composite expansion another
+    third carry a starred v2^k with 2k, the parser's measure of its index,
+    within 64 of `_MAX_INDEX_BITS`.
     """
     expand = draw(st.booleans())
     index = st.integers(1, 10**3) if expand else st.sampled_from(first_primes(15))
@@ -75,6 +80,13 @@ def words(draw):
         base = "s" if draw(st.booleans()) else f"v{draw(index)}"
         power = draw(shift if base == "s" else st.integers(0, 10**3))
         terms.append(f"{base}^{power}{'*' if draw(st.booleans()) else ''}")
+    at = draw(st.integers(0, len(terms)))
+    extra = draw(st.sampled_from(("", "zero", "wide") if expand else ("", "zero")))
+    if extra == "zero":
+        p = draw(st.sampled_from(first_primes(15)))
+        terms[at:at] = [f"v{p}*", f"s^{draw(shift.filter(lambda k: k % p))}", f"v{p}"]
+    elif extra == "wide":
+        terms[at:at] = [f"v2^{(_MAX_INDEX_BITS - draw(st.integers(0, 64))) // 2}*"]
     return " ".join(terms), expand
 
 
@@ -383,6 +395,24 @@ class TestParser:
         out = reduce_word(text, expand)
         assert out == reference_reduce(text, expand)
         assert type(out) is Monomial and all(type(c) is int for c in out)
+
+    def test_covariance_steps_only_at_junctions(self):
+        # a starred term, or an unstarred one before any star, grows the normal
+        # form in closed form; each unstarred term after the first star is one
+        # covariance step
+        for word, calls in (("s^3 v2 v3^2 v5* s^4* v7*", 0), ("v2^3* s^5 v3", 2), ("v2* s v3 v5* s^2 v7", 4)):
+            covariance_reduce.cache_clear()
+            out = reduce_word(word)
+            info = covariance_reduce.cache_info()
+            assert info.hits + info.misses == calls, word
+            assert out == reference_reduce(word) != ZERO
+
+    def test_pinned_words(self):
+        # closed-form growth on both sides of two junctions; v2* s v2 = 0 by (T5),
+        # and the terms after a zero junction do not bring the word back
+        assert reduce_word("s^2 v3 v2* s* v5 s^4 v2*") == Monomial(38, 15, 4, 2)
+        assert reduce_word("v3* s v3 s^2*") is ZERO
+        assert reduce_word("v2* s v2 s^5 v3* v7") is ZERO
 
     def test_composite_rejected_without_flag(self):
         with pytest.raises(WordSyntaxError):

@@ -385,6 +385,9 @@ class TestSuiteCommands:
             (["ground-check"], 2, "", "error: pass --vector, --evaluation or --state\n"),
             (["spectrum", "--point", A_POINT, "--decompose"], 2, "", "error: decompose applies to B-points\n"),
             (["spectrum", "--point", A_POINT, "--act", "1", "2"], 2, "", "error: the action applies to B-points\n"),
+            # a level only sets the decomposition's depth: alone, or with another mode, it is refused
+            (["spectrum", "--point", A_POINT, "--level", "0", "--bound", "5"], 2, "", "error: --level needs --decompose\n"),
+            (["spectrum", "--point", A_POINT, "--contains", "0", "2", "--level", "3"], 2, "", "error: --level needs --decompose\n"),
             # the CSV walk over a list
             (
                 ["--format", "csv", "bc", "--mode", "invariance", "--kmax", "2"],
