@@ -385,9 +385,6 @@ class TestSuiteCommands:
             (["ground-check"], 2, "", "error: pass --vector, --evaluation or --state\n"),
             (["spectrum", "--point", A_POINT, "--decompose"], 2, "", "error: decompose applies to B-points\n"),
             (["spectrum", "--point", A_POINT, "--act", "1", "2"], 2, "", "error: the action applies to B-points\n"),
-            # a level only sets the decomposition's depth: alone, or with another mode, it is refused
-            (["spectrum", "--point", A_POINT, "--level", "0", "--bound", "5"], 2, "", "error: --level needs --decompose\n"),
-            (["spectrum", "--point", A_POINT, "--contains", "0", "2", "--level", "3"], 2, "", "error: --level needs --decompose\n"),
             # the CSV walk over a list
             (
                 ["--format", "csv", "bc", "--mode", "invariance", "--kmax", "2"],
@@ -397,6 +394,9 @@ class TestSuiteCommands:
             ),
             # numpy refuses a 364 TiB window at once: past a 47-bit address space, it is never mapped
             (["rep-check", "--model", "x", "--primes", "2", "--window", "10000000"], 2, "", "error: Unable to allocate"),
+            # a level only sets the decomposition's depth: alone, or with another mode, it is refused
+            (["spectrum", "--point", A_POINT, "--level", "0", "--bound", "5"], 2, "", "error: --level needs --decompose\n"),
+            (["spectrum", "--point", A_POINT, "--contains", "0", "2", "--level", "3"], 2, "", "error: --level needs --decompose\n"),
         ],
     )
     def test_error_and_format_branches(self, capsys, argv, want_code, want_out, want_err):
