@@ -181,12 +181,14 @@ def char_euler_sum(
             )
     ns = list(islice(iter_smooth(window.primes), truncation))
     abs_terms = [float_power(n, -beta) for n in ns]
-    # support of n lies in the window, already checked disjoint, so chi(u_n) = chi(n mod m)
-    terms = [weight * chi(n) for weight, n in zip(abs_terms, ns)]
+    # support of n lies in the window, already checked disjoint, so n is a unit and
+    # chi(u_n) is the table's phase at n mod m, read without a unit check
+    m, phases = chi.modulus, chi._phases
+    terms = [weight * phases[n % m or m] for weight, n in zip(abs_terms, ns)]
     series = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     product = 1.0 + 0j
     for p in window.primes:
-        product /= 1.0 - float_power(p, -beta) * chi(p)
+        product /= 1.0 - float_power(p, -beta) * phases[p % m or m]
     tail = zeta_e(beta, window) - math.fsum(abs_terms)
     return EulerSumResult(series, product, max(tail, 0.0), len(ns), ns[-1])
 

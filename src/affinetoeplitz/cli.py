@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import inf, isnan
+from math import inf, isnan, log10
 
 from . import bostconnes, spectrum, states
 from .algebra import Monomial, monomial_grid, reduce_word
@@ -28,13 +28,29 @@ def _fmt_real(x: float) -> str:
     return f"{x:.{REAL_DIGITS}e}"
 
 
+def _printable_int(n: int) -> int:
+    """n, or a ValueError naming its digit count when printing it would pass the
+    interpreter's int-to-str digit limit (none before Python 3.10.7)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # an int has at most as many digits as bits, so only a long one is counted
+    if limit and n.bit_length() > limit:
+        # the digit count of 2^(bits - 1), then one more when |n| reaches the next power of 10
+        digits = int((n.bit_length() - 1) * log10(2)) + 1
+        digits += abs(n) >= 10**digits
+        if digits > limit:
+            raise ValueError(f"a result has {digits} digits, past the {limit}-digit limit on printed integers")
+    return n
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
+    if isinstance(obj, bool) or obj is None:
         return obj
+    if isinstance(obj, int):
+        return _printable_int(obj)
     if isinstance(obj, float):
         return _fmt_real(obj)
     if isinstance(obj, complex):
@@ -353,7 +369,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.fn(args)
-        # an int past Python's int-to-str digit limit fails here, before any output
+        # an int past the interpreter's int-to-str digit limit fails here, before any output
         text = _render(payload, args.format)
     except KeyError as exc:
         print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)

@@ -19,10 +19,10 @@ size.  `relation_suite`, `q_projector_check` and `monomial_apply` (off the
 monoid model) run on these steppers, with one token per monoid generator: a
 monomial is the word [s^m, v_a, v_b*, s*^n], no index factored.
 Independently of them, the batch appliers apply a whole spanning monomial in
-one closed step over int32 lanes (int64 when the indices need it), on the
-fibered model one affine lift of the representative and one carry into the
-z-exponent per lane, for the big verification sweeps and the `trace_state`
-profile; the test suite checks the two paths against each other.  Phases are
+one closed step over the narrowest exact lanes (int16, int32 or int64, as
+the indices need), on the fibered model one affine lift of the
+representative and one carry into the z-exponent per lane, for the big
+verification sweeps and the `trace_state` profile; the test suite checks the two paths against each other.  Phases are
 tracked as integer exponents of z, so all comparisons are exact in the
 cyclotomic field; conversion to complex happens only at the edge
 (`trace_state`).
@@ -177,11 +177,10 @@ def monomial_apply(mono: Monomial, e: Basis) -> WeightedBasis:
 
 
 # --------------------------------------------------------------------------
-# batch application (one closed step per lane, over int32 or int64 lanes)
+# batch application (one closed step per lane, over int16, int32 or int64 lanes)
 # --------------------------------------------------------------------------
 
-_INT32_MAX = int(np.iinfo(np.int32).max)
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_LANE_DTYPES = tuple((int(np.iinfo(dtype).max), dtype) for dtype in (np.int16, np.int32, np.int64))
 
 
 def _peak(*values: np.ndarray) -> int:
@@ -199,11 +198,16 @@ def _peak(*values: np.ndarray) -> int:
 
 
 def _lane_dtype(bound: int) -> type:
-    """Lane dtype for values of absolute size at most `bound`: int32 when they
-    fit, int64 otherwise; past int64 a ValueError."""
-    if bound > _INT64_MAX:
-        raise ValueError(f"an index could reach {bound}, past int64; use monomial_apply for exact results")
-    return np.int32 if bound <= _INT32_MAX else np.int64
+    """Lane dtype for values of absolute size at most `bound`: the narrowest of
+    int16, int32 and int64 that holds them; past int64 a ValueError.
+
+    Narrower lanes are exact under the same bound and cheaper: NumPy's
+    elementwise integer kernels take twice the int16 lanes per SIMD
+    instruction that they take int32 ones, and move half the bytes."""
+    for top, dtype in _LANE_DTYPES:
+        if bound <= top:
+            return dtype
+    raise ValueError(f"an index could reach {bound}, past int64; use monomial_apply for exact results")
 
 
 def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
@@ -217,11 +221,11 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
     grows by floor((a k + m) / X), one carry for s*^n and s^m together.
     Killed lanes come back canonicalised to r = 0, x = 1, w = 0 with the null
     flag set, so the level stays a valid divisor and the arrays remain safe
-    to feed back in.  Lanes are int32 when (max|x| + max|n|) max|a| + max|m|
-    + max|w| + 2 fits int32 (the lift a k reaches -a n / b), int64 otherwise;
-    the results come back in the dtype of r, x and w (widened to int64 when
-    the lanes needed it).  Raises ValueError, never wrapping, when that bound
-    passes int64, as it does wherever a n alone does.
+    to feed back in.  The lanes are the narrowest of int16, int32 and int64
+    that holds the bound (max|x| + max|n|) max|a| + max|m| + max|w| + 2 (the
+    lift a k reaches -a n / b); the results come back in the dtype of r, x
+    and w, widened only when the lanes needed more.  Raises ValueError, never
+    wrapping, when that bound passes int64, as it does wherever a n alone does.
     """
     m, a, b, n, r, x, w = map(np.asarray, (m, a, b, n, r, x, w))
     lane = _lane_dtype(max((_peak(x) + _peak(n)) * _peak(a) + _peak(m) + _peak(w) + 2, _peak(b)))
@@ -260,9 +264,9 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
     """Vectorised action of s^m v_a v_b* s*^n on left-regular basis vectors e_(j, c).
 
     Requires a, b >= 1; killed lanes are canonicalised to j = 0, c = 1.
-    Lanes are int32 when every index stays within int32, int64 otherwise;
-    the results come back in the dtype of j and c (widened to int64 when the
-    lanes needed it).  Raises ValueError when an index could leave int64.
+    The lanes are the narrowest of int16, int32 and int64 that holds every
+    index; the results come back in the dtype of j and c, widened only when
+    the lanes needed more.  Raises ValueError when an index could leave int64.
     """
     m, a, b, n, j, c = map(np.asarray, (m, a, b, n, j, c))
     lane = _lane_dtype(max(_peak(j, c) * _peak(a) + _peak(m), _peak(n, b)))
@@ -300,14 +304,19 @@ def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
 def _fibered_window(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """Representatives and levels of every e_(r, x) with first <= x <= last, level by level.
 
-    Cached and read-only: the arrays depend on (first, last) alone, so every
-    cold `_diagonal_profile` at one n_max shares its level blocks (8 blocks,
-    about 1 MB in all, at n_max = 500) instead of rebuilding them."""
+    Both arrays are in the lane dtype of their largest value, `last` (int16
+    through level 32,767), so a profile block runs on the narrowest lanes
+    with no cast.  Cached and read-only: the arrays depend on (first, last)
+    alone, so every cold `_diagonal_profile` at one n_max shares its level
+    blocks (4 blocks, about 0.5 MB in all, at n_max = 500) instead of
+    rebuilding them."""
     lanes = (first + last) * (last - first + 1) // 2
-    dtype = np.int32 if lanes <= _INT32_MAX else np.int64
-    sizes = np.arange(first, last + 1, dtype=dtype)
+    # built on lanes that hold the offsets, up to `lanes`, then narrowed to hold the values, up to `last`
+    wide = _lane_dtype(lanes)
+    sizes = np.arange(first, last + 1, dtype=wide)
     levels = np.repeat(sizes, sizes)
-    reps = np.arange(lanes, dtype=dtype) - np.repeat(np.cumsum(sizes, dtype=dtype) - sizes, sizes)
+    reps = np.arange(lanes, dtype=wide) - np.repeat(np.cumsum(sizes, dtype=wide) - sizes, sizes)
+    reps, levels = (v.astype(_lane_dtype(last), copy=False) for v in (reps, levels))
     reps.flags.writeable = levels.flags.writeable = False
     return reps, levels
 
@@ -421,16 +430,16 @@ class TraceResult:
     tail: float
 
 
-_PROFILE_BLOCK_LANES = 1 << 14
+_PROFILE_BLOCK_LANES = 1 << 15
 """Most lanes in one block of whole levels in `_diagonal_profile`; a wider level is a block of its own.
 
 One pass over all of a profile's lanes (125,250 at n_max = 500) makes
-temporaries of about 0.5 MB each, which the allocator maps for the call and
-hands back to the system after it, so every cold profile faults them in
-again.  A block's temporaries (64 KB per int32 array) stay in the heap and
-in cache from one block to the next.  The blocks' windows depend on n_max
-alone and come from `_fibered_window`'s cache, so cold profiles at one n_max
-build them once."""
+temporaries of a quarter MB or more each, which the allocator maps for the
+call and hands back to the system after it, so every cold profile faults
+them in again.  A block's temporaries (64 KB per int16 lane array, the
+windows' dtype through level 32,767) stay in the heap and in cache from one
+block to the next.  The blocks' windows depend on n_max alone and come from
+`_fibered_window`'s cache, so cold profiles at one n_max build them once."""
 
 
 @lru_cache(maxsize=8192)

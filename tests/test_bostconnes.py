@@ -195,6 +195,13 @@ class PerCallPhases:
     def __call__(self, u):
         return cmath.exp(2j * math.pi * float(self.chi.angle(u)))
 
+    # char_euler_sum reads its phases off the table by residue; here each lookup computes one afresh
+    __getitem__ = __call__
+
+    @property
+    def _phases(self):
+        return self
+
 
 def reconstruct_per_n(primes, beta, k):
     """bc_reconstruct_check with the compression recomputed for every smooth n: (defect, tail_bound)."""

@@ -36,6 +36,7 @@ from affinetoeplitz.semigroup import SemigroupElement, join, leq
 from affinetoeplitz.states import CircleMeasure, PsiBetaMu, evaluate
 from conftest import GRID_MULTS
 
+INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
 S = Monomial.s_power(1)
 S_STAR = Monomial.s_power(-1)
@@ -327,6 +328,43 @@ class TestBatchAppliers:
                 assert (row[1][row[0]] == 0).all() and (row[2][row[0]] == 1).all() and (row[3][row[0]] == 0).all()
                 assert not row[0][1 + 3 * i : 4 + 3 * i].any()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        params=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(1, 12), st.integers(1, 12), st.integers(0, 200)),
+            min_size=1,
+            max_size=4,
+        ),
+        offset=st.integers(-(2**8), 2**8),
+    )
+    def test_x_batch_across_the_int16_boundary(self, data, params, offset):
+        monos = [Monomial(*p) for p in params]
+        m_top, a_top, _, n_top = (max(column) for column in zip(*params))
+        # the level `top` puts the lane bound (x + n)*a + m + w + 2 within 2^8 of int16's top
+        top = (INT16_MAX + offset - m_top - 2) // a_top - n_top
+        vectors = [(0, top)]
+        for y in monos:  # vectors that y does not kill: after s*^n, b divides r and x
+            for level in (top // y.b, data.draw(st.integers(1, top // y.b)), data.draw(st.integers(1, top // y.b))):
+                r = (data.draw(st.integers(0, level - 1)) * y.b + y.n) % (level * y.b)
+                vectors.append((r, level * y.b))
+        widened = (top + n_top) * a_top + m_top + 2 > INT16_MAX
+        first = None
+        for dtype in (np.int64, np.int32, np.int16) if top <= INT16_MAX else (np.int64, np.int32):
+            m, a, b, n = (np.array([[getattr(y, f)] for y in monos], dtype=dtype) for f in "mabn")
+            rs = np.array([v[0] for v in vectors], dtype=dtype)
+            xs = np.array([v[1] for v in vectors], dtype=dtype)
+            batch = x_monomial_apply_batch(m, a, b, n, np.zeros(rs.shape, bool), rs, xs, np.zeros_like(rs))
+            # the caller's dtype, widened only past the int16 rung
+            assert all(arr.dtype == (np.int32 if widened and dtype == np.int16 else dtype) for arr in batch[1:])
+            first = first or batch
+            assert all(np.array_equal(got, want) for got, want in zip(batch, first))
+            for i, y in enumerate(monos):
+                row = tuple(arr[i] for arr in batch)
+                assert_same_action(row, stepper_on_window(y, rs, xs))
+                assert (row[1][row[0]] == 0).all() and (row[2][row[0]] == 1).all() and (row[3][row[0]] == 0).all()
+                assert not row[0][1 + 3 * i : 4 + 3 * i].any()
+
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.data(),
@@ -381,6 +419,49 @@ class TestBatchAppliers:
         cs = np.array([v[1] for v in vectors], dtype=np.int64)
         null, j2, c2 = toeplitz_monomial_apply_batch(m, a, b, n, np.zeros(js.shape, bool), js, cs)
         assert j2.dtype == c2.dtype == np.int64 and j2.shape == (len(monos), len(vectors))
+        for i, y in enumerate(monos):
+            assert not null[i, 1 + 3 * i : 4 + 3 * i].any()
+            for k, (j, c) in enumerate(vectors):
+                step = monomial_apply(y, SemigroupElement(j, c))
+                if step.is_null:
+                    assert null[i, k] and (j2[i, k], c2[i, k]) == (0, 1)
+                else:
+                    assert not null[i, k] and (step.basis.m, step.basis.a) == (j2[i, k], c2[i, k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        params=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(1, 12), st.integers(1, 12), st.integers(0, 200)),
+            min_size=1,
+            max_size=4,
+        ),
+        offset=st.integers(-(2**8), 2**8),
+    )
+    def test_toeplitz_batch_across_the_int16_boundary(self, data, params, offset):
+        monos = [Monomial(*p) for p in params]
+        m_top, a_top, _, _ = (max(column) for column in zip(*params))
+        # the component `top` puts the overflow bound max(j, c)*a + m within 2^8 of int16's top
+        top = (INT16_MAX + offset - m_top) // a_top
+        vectors = [(top, 1)]
+        for y in monos:  # vectors that y does not kill: j >= n, and b divides j - n and c
+            vectors.append((y.n + (top - y.n) // y.b * y.b, top // y.b * y.b))  # the largest such
+            for _ in range(2):
+                j = y.n + y.b * data.draw(st.integers(0, (top - y.n) // y.b))
+                vectors.append((j, y.b * data.draw(st.integers(1, top // y.b))))
+        widened = top * a_top + m_top > INT16_MAX
+        first = None
+        for dtype in (np.int64, np.int32, np.int16) if top <= INT16_MAX else (np.int64, np.int32):
+            m, a, b, n = (np.array([[getattr(y, f)] for y in monos], dtype=dtype) for f in "mabn")
+            js = np.array([v[0] for v in vectors], dtype=dtype)
+            cs = np.array([v[1] for v in vectors], dtype=dtype)
+            batch = toeplitz_monomial_apply_batch(m, a, b, n, np.zeros(js.shape, bool), js, cs)
+            null, j2, c2 = batch
+            # the caller's dtype, widened only past the int16 rung
+            assert j2.dtype == c2.dtype == (np.int32 if widened and dtype == np.int16 else dtype)
+            assert j2.shape == (len(monos), len(vectors))
+            first = first or batch
+            assert all(np.array_equal(got, want) for got, want in zip(batch, first))
         for i, y in enumerate(monos):
             assert not null[i, 1 + 3 * i : 4 + 3 * i].any()
             for k, (j, c) in enumerate(vectors):
@@ -530,6 +611,21 @@ class TestDiagonalProfile:
             got_reps, got_levels = _fibered_window(first, last)
             assert np.array_equal(got_reps, reps[part]) and np.array_equal(got_levels, levels[part])
 
+    @pytest.mark.parametrize(
+        "first, last, dtype",
+        [(32766, 32767, np.int16), (32767, 32767, np.int16), (32767, 32768, np.int32), (32768, 32768, np.int32)],
+    )
+    def test_window_dtype_is_the_lane_dtype_of_its_last_level(self, first, last, dtype):
+        reps, levels = _fibered_window(first, last)
+        want_reps = np.concatenate([np.arange(x, dtype=np.int64) for x in range(first, last + 1)])
+        want_levels = np.concatenate([np.full(x, x, dtype=np.int64) for x in range(first, last + 1)])
+        assert reps.dtype == levels.dtype == dtype
+        assert np.array_equal(reps, want_reps) and np.array_equal(levels, want_levels)
+        for array in (reps, levels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     @pytest.mark.parametrize("mono", [Monomial(2, 3, 3, 5), Monomial(0, 1, 1, 0), Monomial(5, 6, 6, 5)])
     def test_nonempty_profiles(self, mono):
         profile = _diagonal_profile.__wrapped__(mono, 500)
@@ -542,8 +638,10 @@ class TestDiagonalProfile:
             assert _diagonal_profile.__wrapped__(mono, 500) == one_pass_profile(mono, 500), mono
 
     def test_around_block_boundaries(self):
-        first, second = block_boundaries(2)
-        n_maxes = {1, 2, 500, first - 1, first, first + 1, second - 1, second, second + 1}
+        # 2^15-lane blocks at n_max = 500: whole levels 1-255, 256-361, 362-442 and 443-500
+        bounds = block_boundaries(4)
+        assert bounds == [255, 361, 442, 510]
+        n_maxes = {1, 2, 500} | {n for last in bounds for n in (last - 1, last, last + 1) if n <= 500}
         for mono in (Monomial(2, 3, 3, 5), Monomial(0, 1, 1, 0), Monomial(1, 2, 2, 0), Monomial(3, 1, 1, 1)):
             for n_max in sorted(n_maxes):
                 assert _diagonal_profile.__wrapped__(mono, n_max) == one_pass_profile(mono, n_max), (mono, n_max)
@@ -565,7 +663,7 @@ class TestDiagonalProfile:
         warm = _fibered_window.cache_info()
         # the second cold profile at one n_max builds no window: one hit per block
         blocks = 1 + sum(last < 500 for last in block_boundaries(9))
-        assert cold.misses == blocks == 8 and cold.hits == 0
+        assert cold.misses == blocks == 4 and cold.hits == 0
         assert (warm.misses, warm.hits) == (cold.misses, cold.misses)
         for array in _fibered_window(1, 40):
             assert not array.flags.writeable
@@ -594,7 +692,7 @@ class TestDiagonalProfile:
         scalar = x_monomial_apply_batch(m, mono.a, mono.b, mono.n, False, reps, levels, zero)
         arrays = x_monomial_apply_batch(m, mono.a, mono.b, mono.n, np.zeros(levels.shape, bool), reps, levels,
                                         np.zeros_like(levels))
-        assert scalar[1].dtype == (np.int64 if wide else np.int32)
+        assert scalar[1].dtype == (np.int64 if wide else levels.dtype)
         for got, want in zip(scalar, arrays):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
