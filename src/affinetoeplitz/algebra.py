@@ -196,7 +196,12 @@ class GeneratorToken(TupleValue, namedtuple("GeneratorToken", "kind index power 
     __slots__ = ()
 
 
-_MAX_INDEX_BITS = 1 << 20  # bound on k * bitlength(p) for a word's term v_p^k
+# bound on k * bitlength(p) for a word's term v_p^k.  `join` inverts indices
+# modulo each other, quadratic in their bit length: `v2^32768* s^5 v3^32767`,
+# two terms at this bound, reduces in about 0.1 s, and the same word at 2^20
+# took 28 s.  Every result the CLI can print (4300 digits, about 14,300 bits)
+# stays admitted.
+_MAX_INDEX_BITS = 1 << 16
 
 
 class WordSyntaxError(ValueError):

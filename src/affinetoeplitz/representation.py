@@ -13,11 +13,15 @@ model's unit parameter z) or annihilates it.  The three models:
 
 The fibered and shift models each have one stepper (`_x_step`, `_z_step`)
 that applies one generator power to a whole array of basis vectors, from that
-generator's own definition, and one word runner (`_run_word`) drives either.
-The arrays hold Python integers (dtype=object), so indices stay exact at any
-size.  `relation_suite`, `q_projector_check` and `monomial_apply` (off the
-monoid model) run on these steppers, with one token per monoid generator: a
-monomial is the word [s^m, v_a, v_b*, s*^n], no index factored.
+generator's own definition, and one word runner (`_run_word`) drives either;
+both work on arrays of any one integer dtype.  `relation_suite`,
+`q_projector_check` and `monomial_apply` (off the monoid model) run on these
+steppers, with one token per monoid generator: a monomial is the word
+[s^m, v_a, v_b*, s*^n], no index factored.  `monomial_apply` steps one vector
+held in Python integers (dtype=object), so its indices stay exact at any
+size; the two relation oracles step their whole window in int64 lanes, under
+a bound on every value their words reach that `_check_window` checks before
+any array is built.
 Independently of them, the batch appliers apply a whole spanning monomial in
 one closed step over the narrowest exact lanes (int16, int32 or int64, as
 the indices need), on the fibered model one affine lift of the
@@ -112,12 +116,14 @@ def toeplitz_apply(y: SemigroupElement, e: SemigroupElement, star: bool = False)
 
 
 def _x_step(tok: GeneratorToken, null, r, x, w):
-    """One generator power on fibered basis vectors held in object arrays (null, r, x, w).
+    """One generator power on fibered basis vectors held in integer arrays (null, r, x, w).
 
     s sends e_(r, x) to e_(r+1, x), picking up one z when it wraps from x-1
     to 0, and s* is its inverse; v_p sends e_(r, x) to e_(pr, px), and v_p*
     undoes that where p divides both r and x and kills the vector elsewhere.
-    Killed lanes keep their last (valid) values.
+    Killed lanes keep their last (valid) values.  Any one integer dtype will
+    do: object arrays stay exact at any size, and int64 ones are exact while
+    the caller keeps every value inside int64.
     """
     if tok.kind == "s":
         moved = r - tok.power if tok.star else r + tok.power
@@ -130,10 +136,11 @@ def _x_step(tok: GeneratorToken, null, r, x, w):
 
 
 def _z_step(tok: GeneratorToken, null, n):
-    """One generator power on shift-model basis vectors held in object arrays (null, n).
+    """One generator power on shift-model basis vectors held in integer arrays (null, n).
 
     s sends e_n to e_(n+1) and is unitary; v_p sends e_n to e_(pn), and v_p*
     undoes that where p divides n and kills the vector elsewhere.  No phases.
+    Dtype-agnostic, as `_x_step` is.
     """
     if tok.kind == "s":
         return null, n - tok.power if tok.star else n + tok.power
@@ -146,7 +153,8 @@ def _z_step(tok: GeneratorToken, null, n):
 
 def _run_word(step, word: list[GeneratorToken], *basis):
     """(null, *basis) after a word in operator order (rightmost token first) acts
-    through a model's stepper on basis vectors held in object arrays."""
+    through a model's stepper on basis vectors held in arrays of one integer
+    dtype, which every step keeps."""
     state = (np.zeros(basis[0].shape, bool), *basis)
     for tok in reversed(word):
         state = step(tok, *state)
@@ -321,13 +329,44 @@ def _fibered_window(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, levels
 
 
+# largest generator index a relation oracle takes.  T5 runs p - 1 words per
+# index p, and Q5 and the projector product p words each, at some 20-30 us a
+# word on small windows, so p = 65521 costs about a second and p near 10^9
+# would run for hours toward a report of 10^9 entries.
+_MAX_GENERATOR_INDEX = 1 << 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_window(primes: list[int], window: int) -> None:
+    """Refuse an empty relation window, an index whose relation families run
+    too long, or a window whose words could leave int64 lanes; called before
+    any array is built.
+
+    With P the largest index, no value a relation word reaches on the window
+    passes (window + P) P^2.  A word either multiplies by two indices <= P
+    and shifts nothing (T2, Q2), or multiplies by at most one index <= P
+    with at most one shift of at most P before it and one after it (T1,
+    T3-T5, Q1, Q5, Q6 and the projector words s^k v_p v_p* s*^k).  A representative,
+    level or shift-model index starts at most `window` in size, so it ends
+    within max(window P^2, (window + P) P + P), and that is at most
+    (window + P) P^2 (for P = 1 each word shifts by at most 1 in all).
+    Killed lanes keep their values and are still multiplied, under the same
+    count.  A z-exponent moves by at most P + 1 a step.  So the int64
+    windows are exact wherever that product fits int64.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not primes:
         raise ValueError("prime list is empty")
     if min(primes) < 1:
         raise ValueError(f"generator indices must be >= 1, got {min(primes)}")
+    top = max(primes)
+    if top > _MAX_GENERATOR_INDEX:
+        raise ValueError(f"generator index {top} is past {_MAX_GENERATOR_INDEX}, the largest a relation check takes")
+    bound = (window + top) * top * top
+    if bound > _INT64_MAX:
+        raise ValueError(f"(window + largest index) * largest index^2 = {bound} passes {_INT64_MAX}")
 
 
 def relation_suite(model: str, primes: list[int], window: int) -> dict:
@@ -339,9 +378,14 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     checked vector by vector: each e_n lies in the range of exactly one
     s^k v_p v_p* s*^k with 0 <= k < p.
 
+    The window is stepped in int64 lanes.  `_check_window` raises
+    ValueError, before any array is built, for an index past
+    `_MAX_GENERATOR_INDEX` and where (window + P) P^2 passes int64, P the
+    largest index.
+
     Returns a JSON-compatible report with the first counterexample (in window
-    order) per failed relation.  Token lists below are written in operator
-    order: the leftmost factor acts last.
+    order) per failed relation, its values Python ints.  Token lists below
+    are written in operator order: the leftmost factor acts last.
     """
     if model not in ("x", "z"):
         raise ValueError(f"unknown model {model!r}")
@@ -357,13 +401,13 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
 
     # each model: its stepper, its window basis, and where a window index points
     if model == "x":
-        r, x = (a.astype(object) for a in _fibered_window(1, window))
-        step, basis = _x_step, (r, x, np.zeros(r.shape, dtype=object))
-        locate = lambda i: {"r": r[i], "x": x[i]}
+        r, x = (a.astype(np.int64) for a in _fibered_window(1, window))
+        step, basis = _x_step, (r, x, np.zeros(r.shape, dtype=np.int64))
+        locate = lambda i: {"r": int(r[i]), "x": int(x[i])}
     else:
-        n = np.arange(-window, window + 1).astype(object)
+        n = np.arange(-window, window + 1, dtype=np.int64)
         step, basis = _z_step, (n,)
-        locate = lambda i: {"n": n[i]}
+        locate = lambda i: {"n": int(n[i])}
 
     def check(name: str, lhs: list[GeneratorToken], rhs: list[GeneratorToken] | None) -> None:
         """lhs and rhs act alike on every window vector; rhs None means lhs kills them all."""
@@ -405,7 +449,7 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
         for k in range(p):
             null, moved = _run_word(step, _monomial_word(Monomial(k, p, p, k)), *basis)
             hits += ~null & (moved == n)
-        record(f"Q5[p={p}]", hits != 1, lambda i: {"n": n[i], "hits": int(hits[i])})
+        record(f"Q5[p={p}]", hits != 1, lambda i: {"n": int(n[i]), "hits": int(hits[i])})
     return report
 
 
@@ -512,11 +556,12 @@ def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fracti
     kill every e_(r, x) with x != 1 supported on `primes`.  Other vectors are
     unconstrained.  The z-exponent bookkeeping is formal, so the verdict is
     the same for every unit parameter; `z_angle` is accepted so callers can
-    name the fiber they have in mind.
+    name the fiber they have in mind.  The window is stepped in int64 lanes
+    under the same `_check_window` as `relation_suite`.
     """
     _check_window(primes, window)
     reps, levels = _fibered_window(1, window)
-    r, x, w = reps.astype(object), levels.astype(object), np.zeros(reps.shape, dtype=object)
+    r, x, w = reps.astype(np.int64), levels.astype(np.int64), np.zeros(reps.shape, dtype=np.int64)
     alive = np.ones(r.shape, bool)
     for p in primes:
         for j in range(p):

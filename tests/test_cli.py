@@ -45,12 +45,23 @@ def run_capture(capsys, argv):
     return results[0]
 
 
+def _fresh_env():
+    """The environment of a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(affinetoeplitz.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_interpreter(probe, timeout=None):
     """The stdout of `probe` run in a new interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(affinetoeplitz.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-c", probe]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=timeout).stdout
+    return subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, check=True, timeout=timeout).stdout
+
+
+def cli_process(argv, timeout):
+    """(exit code, stdout, stderr) of the CLI on `argv` in a new interpreter, under a timeout."""
+    argv = [sys.executable, "-m", "affinetoeplitz.cli", *argv]
+    done = subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_import_builds_no_parser():
@@ -115,6 +126,15 @@ class TestReduce:
         code, out, err = run_capture(capsys, ["reduce", "v\u0663 s^\u0662"])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_term_past_the_index_bits_exit_2(self):
+        # each junction of two 2^20-bit terms inverts one index modulo the other, for about 28 s:
+        # the parser refuses the first term past 2^16 bits before any is built
+        code, out, err = cli_process(["reduce", "v2^524288* s^5 v3^524279"], timeout=10)
+        assert (code, out, err) == (2, "", "error: v2^524288 builds an index past 65536 bits (at position 0)\n")
+        # 2^16 bits is past every printable result: a word at the bound is reduced, then refused at the digit limit
+        code, out, err = cli_process(["reduce", "v2^32768* s^5 v3^32767"], timeout=10)
+        assert (code, out) == (2, "") and err.startswith("error: a result has 15634 digits, past the ")
 
     def test_composite_needs_flag(self, capsys):
         code, _, err = run_capture(capsys, ["reduce", "v6"])
@@ -322,6 +342,12 @@ class TestSuiteCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_rep_check_index_past_the_cap_exit_2(self):
+        # T5 alone would run 10^9 words toward a report of 10^9 entries: refused before the first
+        code, out, err = cli_process(["rep-check", "--model", "x", "--primes", "1000000007", "--window", "3"], timeout=10)
+        assert (code, out) == (2, "")
+        assert err == "error: generator index 1000000007 is past 65536, the largest a relation check takes\n"
 
     def test_bc_euler(self, capsys):
         code, out, _ = run_capture(

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, monomial_grid, monomial_mul
 from affinetoeplitz.numtheory import factorize, zeta
 from affinetoeplitz.representation import (
+    _MAX_GENERATOR_INDEX,
     _PROFILE_BLOCK_LANES,
     NULL,
     WeightedBasis,
     XBasis,
+    _check_window,
     _diagonal_profile,
     _fibered_window,
     _monomial_word,
@@ -149,6 +153,9 @@ class TestXModel:
         report = relation_suite("x", [2, 4], 5)
         failed = {name: entry["counterexample"] for name, entry in report["relations"].items() if not entry["pass"]}
         assert failed == {"T3[p=2,q=4]": {"r": 0, "x": 1}, "T3[p=4,q=2]": {"r": 0, "x": 2}}
+        # read off the int64 window as Python ints, which JSON takes
+        assert all(type(v) is int for c in failed.values() for v in c.values())
+        assert json.loads(json.dumps(report)) == report
 
     @pytest.mark.parametrize("model", ["x", "z"])
     @pytest.mark.parametrize("primes, window", [([2, 3], 0), ([2, 3], -1), ([], 5), ([0, 2], 5)])
@@ -749,6 +756,149 @@ class TestQProjector:
     def test_rejects_empty_input(self, primes, window):
         with pytest.raises(ValueError):
             q_projector_check(primes, window)
+
+
+def object_relation_suite(model, primes, window):
+    """`relation_suite` stepped on object arrays of Python ints, exact at any size:
+    the reference the int64 windows must reproduce, report for report."""
+    report = {"model": model, "window": window, "relations": {}}
+
+    def record(name, bad, counterexample):
+        hits = np.flatnonzero(bad)
+        entry = {"pass": not hits.size}
+        if hits.size:
+            entry["counterexample"] = counterexample(int(hits[0]))
+        report["relations"][name] = entry
+
+    if model == "x":
+        r, x = (a.astype(object) for a in _fibered_window(1, window))
+        step, basis = _x_step, (r, x, np.zeros(r.shape, dtype=object))
+        locate = lambda i: {"r": r[i], "x": x[i]}
+    else:
+        n = np.arange(-window, window + 1).astype(object)
+        step, basis = _z_step, (n,)
+        locate = lambda i: {"n": n[i]}
+
+    def check(name, lhs, rhs):
+        null, *out = _run_word(step, lhs, *basis)
+        if rhs is None:
+            bad = ~null
+        else:
+            null2, *out2 = _run_word(step, rhs, *basis)
+            moved = np.logical_or.reduce([got != want for got, want in zip(out, out2)])
+            bad = (null != null2) | (~null & moved)
+        record(name, bad, locate)
+
+    s, s_star = GeneratorToken("s"), GeneratorToken("s", star=True)
+    v = {p: GeneratorToken("v", p) for p in primes}
+    v_star = {p: GeneratorToken("v", p, star=True) for p in primes}
+    if model == "x":
+        for p in primes:
+            check(f"T1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
+            check(f"T4[p={p}]", [s_star, v[p]], [GeneratorToken("s", power=p - 1), v[p], s_star])
+            for k in range(1, p):
+                check(f"T5[p={p},k={k}]", [v_star[p], GeneratorToken("s", power=k), v[p]], None)
+        for p in primes:
+            for q in primes:
+                if p < q:
+                    check(f"T2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
+                if p != q:
+                    check(f"T3[p={p},q={q}]", [v_star[p], v[q]], [v[q], v_star[p]])
+        return report
+
+    for p in primes:
+        check(f"Q1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
+    for p in primes:
+        for q in primes:
+            if p < q:
+                check(f"Q2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
+    check("Q6", [s, s_star], [])
+    for p in primes:
+        hits = np.zeros(n.shape, dtype=np.int64)
+        for k in range(p):
+            null, moved = _run_word(step, _monomial_word(Monomial(k, p, p, k)), *basis)
+            hits += ~null & (moved == n)
+        record(f"Q5[p={p}]", hits != 1, lambda i: {"n": n[i], "hits": int(hits[i])})
+    return report
+
+
+def object_q_projector_check(primes, window):
+    """`q_projector_check` stepped on object arrays of Python ints, the reference for its int64 window."""
+    reps, levels = _fibered_window(1, window)
+    r, x, w = reps.astype(object), levels.astype(object), np.zeros(reps.shape, dtype=object)
+    alive = np.ones(r.shape, bool)
+    for p in primes:
+        for j in range(p):
+            null, r2, x2, w2 = _run_word(_x_step, _monomial_word(Monomial(j, p, p, j)), r, x, w)
+            fixed = ~null & (r2 == r) & (x2 == x) & (w2 == 0)
+            if np.any(alive & ~null & ~fixed):
+                raise AssertionError("range projection did not act as a projection on a basis vector")
+            alive &= ~fixed
+    support = set(primes)
+    must_die = np.array([False] + [all(p in support for p, _ in factorize(v)) for v in range(2, window + 1)])
+    return bool(alive[0]) and not np.any(alive & must_die[levels - 1])
+
+
+# index sets over the composite indices 1, 2, 4, 6 and 9 and the primes up to 13
+INDEX_SETS = [[1], [2], [4], [6], [9], [1, 2], [2, 4], [4, 6, 9], [1, 2, 4, 6, 9], [2, 3, 5, 7, 11, 13], [2, 9, 13]]
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+class TestInt64RelationWindows:
+    @pytest.mark.parametrize("primes", INDEX_SETS, ids=lambda primes: "-".join(map(str, primes)))
+    def test_reports_equal_the_object_reference_on_the_grid(self, primes):
+        for window in range(1, 21):
+            assert_same_report(relation_suite("x", primes, window), object_relation_suite("x", primes, window))
+            assert q_projector_check(primes, window) is object_q_projector_check(primes, window)
+        for window in [*range(1, 41), *range(41, 200, 8), 200]:
+            assert_same_report(relation_suite("z", primes, window), object_relation_suite("z", primes, window))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 13), min_size=1, max_size=4, unique=True), st.data())
+    def test_reports_equal_the_object_reference_property(self, primes, data):
+        window = data.draw(st.integers(1, 20))
+        assert_same_report(relation_suite("x", primes, window), object_relation_suite("x", primes, window))
+        assert q_projector_check(primes, window) is object_q_projector_check(primes, window)
+        window = data.draw(st.integers(1, 200))
+        assert_same_report(relation_suite("z", primes, window), object_relation_suite("z", primes, window))
+
+    def test_bound_is_refused_before_any_allocation(self):
+        # (2^32 + 65521) * 65521^2 passes int64: refused at once, with no window built
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="passes 9223372036854775807"):
+                relation_suite("z", [65521], 2**32)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 1 << 16
+        with pytest.raises(ValueError, match="passes"):
+            q_projector_check([65521], 2**32)
+
+    def test_largest_window_under_the_bound_is_admitted(self):
+        top = _MAX_GENERATOR_INDEX
+        largest = (2**63 - 1) // top**2 - top
+        _check_window([top], largest)
+        with pytest.raises(ValueError, match="passes"):
+            _check_window([top], largest + 1)
+
+    @pytest.mark.parametrize("fn, args", [(relation_suite, ("x", [2, 65537], 3)), (relation_suite, ("z", [10**9 + 7], 3)),
+                                          (q_projector_check, ([65537], 3))])
+    def test_index_past_the_cap_is_refused(self, fn, args):
+        with pytest.raises(ValueError, match=f"generator index {max(args[-2])} is past 65536"):
+            fn(*args)
+
+    def test_index_at_the_cap_is_admitted(self):
+        _check_window([_MAX_GENERATOR_INDEX], 1)
+        # the largest prime under the cap: T1, T4 and 65,520 T5 words, each checked
+        relations = relation_suite("x", [65521], 2)["relations"]
+        assert len(relations) == 65522 and all(entry["pass"] for entry in relations.values())
 
 
 @pytest.mark.parametrize(
