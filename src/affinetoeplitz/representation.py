@@ -21,20 +21,23 @@ steppers, with one token per monoid generator: a monomial is the word
 held in Python integers (dtype=object), so its indices stay exact at any
 size; the two relation oracles step their whole window in int64 lanes, under
 a bound on every value their words reach that `_check_window` checks before
-any array is built.
+any array is built, and run each relation family (T5, Q5, the projector) on
+a k axis, an int64 column of shifts, a block at a time.
 Independently of them, the batch appliers apply a whole spanning monomial in
 one closed step over the narrowest exact lanes (int16, int32 or int64, as
 the indices need), on the fibered model one affine lift of the
 representative and one carry into the z-exponent per lane, for the big
-verification sweeps and the `trace_state` profile; the test suite checks the two paths against each other.  Phases are
-tracked as integer exponents of z, so all comparisons are exact in the
-cyclotomic field; conversion to complex happens only at the edge
-(`trace_state`).
+verification sweeps and the `trace_state` profile; the test suite checks the
+two paths against each other.  Phases are tracked as integer exponents of
+z, so all comparisons are exact in the cyclotomic field; conversion to
+complex happens only at the edge (`trace_state`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +126,8 @@ def _x_step(tok: GeneratorToken, null, r, x, w):
     undoes that where p divides both r and x and kills the vector elsewhere.
     Killed lanes keep their last (valid) values.  Any one integer dtype will
     do: object arrays stay exact at any size, and int64 ones are exact while
-    the caller keeps every value inside int64.
+    the caller keeps every value inside int64.  A power may be an int64
+    column, one shift per row, which broadcasts against the lanes.
     """
     if tok.kind == "s":
         moved = r - tok.power if tok.star else r + tok.power
@@ -140,7 +144,7 @@ def _z_step(tok: GeneratorToken, null, n):
 
     s sends e_n to e_(n+1) and is unitary; v_p sends e_n to e_(pn), and v_p*
     undoes that where p divides n and kills the vector elsewhere.  No phases.
-    Dtype-agnostic, as `_x_step` is.
+    Dtype-agnostic, and broadcasting a power column, as `_x_step` is.
     """
     if tok.kind == "s":
         return null, n - tok.power if tok.star else n + tok.power
@@ -329,10 +333,23 @@ def _fibered_window(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, levels
 
 
-# largest generator index a relation oracle takes.  T5 runs p - 1 words per
-# index p, and Q5 and the projector product p words each, at some 20-30 us a
-# word on small windows, so p = 65521 costs about a second and p near 10^9
-# would run for hours toward a report of 10^9 entries.
+_BLOCK_LANES = 1 << 15
+"""Most lanes in a block of whole levels (`_diagonal_profile`) or of k-rows (`_k_blocks`); at least one level or k.
+
+One pass over all of a profile's lanes (125,250 at n_max = 500) makes
+temporaries of a quarter MB or more each, which the allocator maps for the
+call and hands back to the system after it, so every cold profile faults
+them in again.  A block's temporaries (64 KB per int16 lane array, the
+windows' dtype through level 32,767) stay in the heap and in cache from one
+block to the next.  The blocks' windows depend on n_max alone and come from
+`_fibered_window`'s cache, so cold profiles at one n_max build them once.
+A relation family in one block would ask for about 10 GiB at p = 65521 and window 200."""
+
+
+# largest generator index a relation oracle takes.  A family's k runs as an
+# int64 column, so p = 65521 takes a few hundredths of a second on a small
+# window, but T5 still writes p - 1 report entries per index p (65,520 at
+# 65521), and p near 10^9 would build a report of 10^9 entries.
 _MAX_GENERATOR_INDEX = 1 << 16
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -369,6 +386,22 @@ def _check_window(primes: list[int], window: int) -> None:
         raise ValueError(f"(window + largest index) * largest index^2 = {bound} passes {_INT64_MAX}")
 
 
+def _k_blocks(ks: range, lanes: int):
+    """The shifts ks as int64 columns of at most `_BLOCK_LANES` // lanes rows each, one at least."""
+    rows = max(1, _BLOCK_LANES // lanes)
+    for first in range(ks.start, ks.stop, rows):
+        yield np.arange(first, min(first + rows, ks.stop), dtype=np.int64)[:, None]
+
+
+def _projections(step, basis: tuple, p: int):
+    """(killed, fixed), k by lanes, of s^k v_p v_p* s*^k on the window vectors, over k < p a block at a time."""
+    v, v_star = GeneratorToken("v", p), GeneratorToken("v", p, star=True)
+    for k in _k_blocks(range(p), basis[0].size):
+        shift, unshift = GeneratorToken("s", power=k), GeneratorToken("s", power=k, star=True)
+        null, *out = _run_word(step, [shift, v, v_star, unshift], *basis)
+        yield null, functools.reduce(np.logical_and, (got == want for got, want in zip(out, basis)), ~null)
+
+
 def relation_suite(model: str, primes: list[int], window: int) -> dict:
     """Check the defining relations on every window basis vector.
 
@@ -376,12 +409,14 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     e_(r, x) with x <= window; for the shift model the unitary additive
     relations hold on |n| <= window, and the range-partition property is
     checked vector by vector: each e_n lies in the range of exactly one
-    s^k v_p v_p* s*^k with 0 <= k < p.
+    s^k v_p v_p* s*^k with 0 <= k < p.  Each relation is written once, with
+    its name on each model it holds on.
 
-    The window is stepped in int64 lanes.  `_check_window` raises
-    ValueError, before any array is built, for an index past
-    `_MAX_GENERATOR_INDEX` and where (window + P) P^2 passes int64, P the
-    largest index.
+    The window is stepped in int64 lanes, and a family's k (T5's 0 < k < p,
+    Q5's k < p) as an int64 column the steppers broadcast against them, in
+    blocks of at most `_BLOCK_LANES` k-rows times lanes.  `_check_window`
+    raises ValueError, before any array is built, for an index past
+    `_MAX_GENERATOR_INDEX` and where (window + P) P^2 passes int64, P the largest index.
 
     Returns a JSON-compatible report with the first counterexample (in window
     order) per failed relation, its values Python ints.  Token lists below
@@ -391,13 +426,6 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
         raise ValueError(f"unknown model {model!r}")
     _check_window(primes, window)
     report: dict = {"model": model, "window": window, "relations": {}}
-
-    def record(name: str, bad: np.ndarray, counterexample) -> None:
-        hits = np.flatnonzero(bad)
-        entry: dict = {"pass": not hits.size}
-        if hits.size:
-            entry["counterexample"] = counterexample(int(hits[0]))
-        report["relations"][name] = entry
 
     # each model: its stepper, its window basis, and where a window index points
     if model == "x":
@@ -409,47 +437,43 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
         step, basis = _z_step, (n,)
         locate = lambda i: {"n": int(n[i])}
 
-    def check(name: str, lhs: list[GeneratorToken], rhs: list[GeneratorToken] | None) -> None:
-        """lhs and rhs act alike on every window vector; rhs None means lhs kills them all."""
-        null, *out = _run_word(step, lhs, *basis)
-        if rhs is None:
-            bad = ~null
-        else:
-            null2, *out2 = _run_word(step, rhs, *basis)
-            moved = np.logical_or.reduce([got != want for got, want in zip(out, out2)])
-            bad = (null != null2) | (~null & moved)
-        record(name, bad, locate)
+    def record(names: list[str], bad: np.ndarray, counterexample=locate) -> None:
+        """One entry per name, from its row of bad (lanes in window order)."""
+        bad = bad.reshape(len(names), basis[0].size)
+        for name, hit, i in zip(names, bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()):
+            report["relations"][name] = {"pass": False, "counterexample": counterexample(i)} if hit else {"pass": True}
+
+    def check(names: tuple, words, ks: range | None = None) -> None:
+        """words(k) = (lhs, rhs) act alike on every window vector (rhs None: the zero operator), at k None or at
+        each k of a family's ks, an int64 column.  names: fibered and shift name, {k} filled in; None off a model."""
+        if (name := names[model == "z"]) is None:
+            return
+        for k in (None,) if ks is None else _k_blocks(ks, basis[0].size):
+            lhs, rhs = words(k)
+            null, *out = _run_word(step, lhs, *basis)
+            if rhs is None:
+                bad = ~null
+            else:
+                null2, *out2 = _run_word(step, rhs, *basis)
+                moved = functools.reduce(np.logical_or, (got != want for got, want in zip(out, out2)))
+                bad = (null != null2) | (~null & moved)
+            record([name] if k is None else [name.format(k=j) for j in k[:, 0].tolist()], bad)
 
     s, s_star = GeneratorToken("s"), GeneratorToken("s", star=True)
-    v = {p: GeneratorToken("v", p) for p in primes}
-    v_star = {p: GeneratorToken("v", p, star=True) for p in primes}
-    if model == "x":
-        for p in primes:
-            check(f"T1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
-            check(f"T4[p={p}]", [s_star, v[p]], [GeneratorToken("s", power=p - 1), v[p], s_star])
-            for k in range(1, p):
-                check(f"T5[p={p},k={k}]", [v_star[p], GeneratorToken("s", power=k), v[p]], None)
-        for p in primes:
-            for q in primes:
-                if p < q:
-                    check(f"T2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
-                if p != q:
-                    check(f"T3[p={p},q={q}]", [v_star[p], v[q]], [v[q], v_star[p]])
-        return report
-
+    v, v_star = ({p: GeneratorToken("v", p, star=star) for p in primes} for star in (False, True))
     for p in primes:
-        check(f"Q1[p={p}]", [v[p], s], [GeneratorToken("s", power=p), v[p]])
+        check((f"T1[p={p}]", f"Q1[p={p}]"), lambda k: ([v[p], s], [s._replace(power=p), v[p]]))
+        check((f"T4[p={p}]", None), lambda k: ([s_star, v[p]], [s._replace(power=p - 1), v[p], s_star]))
+        check((f"T5[p={p},k={{k}}]", None), lambda k: ([v_star[p], s._replace(power=k), v[p]], None), range(1, p))
+    for p, q in itertools.permutations(primes, 2):
+        if p < q:
+            check((f"T2[p={p},q={q}]", f"Q2[p={p},q={q}]"), lambda k: ([v[p], v[q]], [v[q], v[p]]))
+        check((f"T3[p={p},q={q}]", None), lambda k: ([v_star[p], v[q]], [v[q], v_star[p]]))
+    check((None, "Q6"), lambda k: ([s, s_star], []))
     for p in primes:
-        for q in primes:
-            if p < q:
-                check(f"Q2[p={p},q={q}]", [v[p], v[q]], [v[q], v[p]])
-    check("Q6", [s, s_star], [])
-    for p in primes:
-        hits = np.zeros(n.shape, dtype=np.int64)
-        for k in range(p):
-            null, moved = _run_word(step, _monomial_word(Monomial(k, p, p, k)), *basis)
-            hits += ~null & (moved == n)
-        record(f"Q5[p={p}]", hits != 1, lambda i: {"n": int(n[i]), "hits": int(hits[i])})
+        if model == "z":  # Q5: the ranges of s^k v_p v_p* s*^k, k < p, partition the basis
+            hits = sum(fixed.sum(axis=0) for _, fixed in _projections(step, basis, p))
+            record([f"Q5[p={p}]"], hits != 1, lambda i: {"n": int(n[i]), "hits": int(hits[i])})
     return report
 
 
@@ -474,18 +498,6 @@ class TraceResult:
     tail: float
 
 
-_PROFILE_BLOCK_LANES = 1 << 15
-"""Most lanes in one block of whole levels in `_diagonal_profile`; a wider level is a block of its own.
-
-One pass over all of a profile's lanes (125,250 at n_max = 500) makes
-temporaries of a quarter MB or more each, which the allocator maps for the
-call and hands back to the system after it, so every cold profile faults
-them in again.  A block's temporaries (64 KB per int16 lane array, the
-windows' dtype through level 32,767) stay in the heap and in cache from one
-block to the next.  The blocks' windows depend on n_max alone and come from
-`_fibered_window`'s cache, so cold profiles at one n_max build them once."""
-
-
 @lru_cache(maxsize=8192)
 def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int], ...]:
     """Aggregate diagonal matrix elements of a monomial over all e_(r, x), x <= n_max.
@@ -493,7 +505,7 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
     Returns (x, z_exponent, count) triples: `count` vectors at level x each
     contribute z^z_exponent to the diagonal.  Computed by batch application of
     the monomial to every basis vector, not from any closed formula.  The
-    window is applied in blocks of whole levels (`_PROFILE_BLOCK_LANES`), so
+    window is applied in blocks of whole levels (`_BLOCK_LANES`), so
     that a cold profile reuses small temporaries instead of mapping and
     faulting in large ones; the blocks are `_fibered_window`'s cached
     read-only windows, shared by every profile at the same n_max.  Each
@@ -504,7 +516,7 @@ def _diagonal_profile(mono: Monomial, n_max: int) -> tuple[tuple[int, int, int],
     first = 1
     while first <= n_max:
         # the largest last >= first with (first + last)(last - first + 1)/2 <= block lanes
-        last = (math.isqrt(8 * _PROFILE_BLOCK_LANES + 4 * first * (first - 1) + 1) - 1) // 2
+        last = (math.isqrt(8 * _BLOCK_LANES + 4 * first * (first - 1) + 1) - 1) // 2
         last = min(max(last, first), n_max)
         reps, levels = _fibered_window(first, last)
         # no lane starts killed or with a phase: scalars, not arrays, and the
@@ -557,20 +569,18 @@ def q_projector_check(primes: list[int], window: int, z_angle: Fraction = Fracti
     unconstrained.  The z-exponent bookkeeping is formal, so the verdict is
     the same for every unit parameter; `z_angle` is accepted so callers can
     name the fiber they have in mind.  The window is stepped in int64 lanes
-    under the same `_check_window` as `relation_suite`.
+    under the same `_check_window` and k axis as `relation_suite`.
     """
     _check_window(primes, window)
     reps, levels = _fibered_window(1, window)
-    r, x, w = reps.astype(np.int64), levels.astype(np.int64), np.zeros(reps.shape, dtype=np.int64)
-    alive = np.ones(r.shape, bool)
+    basis = reps.astype(np.int64), levels.astype(np.int64), np.zeros(reps.shape, dtype=np.int64)
+    alive = np.ones(reps.shape, bool)
     for p in primes:
-        for j in range(p):
-            null, r2, x2, w2 = _run_word(_x_step, _monomial_word(Monomial(j, p, p, j)), r, x, w)
-            fixed = ~null & (r2 == r) & (x2 == x) & (w2 == 0)
+        for killed, fixed in _projections(_x_step, basis, p):
             # (1 - P) on a basis vector: either untouched or annihilated
-            if np.any(alive & ~null & ~fixed):
+            if np.any(~killed & ~fixed):
                 raise AssertionError("range projection did not act as a projection on a basis vector")
-            alive &= ~fixed
+            alive &= ~fixed.any(axis=0)
     support = set(primes)
     must_die = np.array([False] + [all(p in support for p, _ in factorize(v)) for v in range(2, window + 1)])
     return bool(alive[0]) and not np.any(alive & must_die[levels - 1])

@@ -15,13 +15,14 @@ from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, monomial_grid
 from affinetoeplitz.numtheory import factorize, zeta
 from affinetoeplitz.representation import (
     _MAX_GENERATOR_INDEX,
-    _PROFILE_BLOCK_LANES,
+    _BLOCK_LANES,
     NULL,
     WeightedBasis,
     XBasis,
     _check_window,
     _diagonal_profile,
     _fibered_window,
+    _k_blocks,
     _monomial_word,
     _peak,
     _run_word,
@@ -598,12 +599,12 @@ def one_pass_profile(mono, n_max):
 
 def block_boundaries(count):
     """The last level of each of the first `count` profile blocks: whole levels are
-    added while a block holds at most _PROFILE_BLOCK_LANES lanes."""
+    added while a block holds at most _BLOCK_LANES lanes."""
     bounds, level = [], 0
     for _ in range(count):
         lanes = level + 1
         level += 1
-        while lanes + level + 1 <= _PROFILE_BLOCK_LANES:
+        while lanes + level + 1 <= _BLOCK_LANES:
             level += 1
             lanes += level
         bounds.append(level)
@@ -757,6 +758,17 @@ class TestQProjector:
         with pytest.raises(ValueError):
             q_projector_check(primes, window)
 
+    def test_a_stepper_that_is_no_projection_raises(self, monkeypatch):
+        # a mutant v_p* that leaves the level undivided: s^k v_p v_p* s*^k sends
+        # e_(0, p) to e_(0, p^2), which it neither fixes nor kills
+        def keeps_level(tok, null, r, x, w):
+            killed, r2, x2, w2 = _x_step(tok, null, r, x, w)
+            return killed, r2, x if tok.kind == "v" and tok.star else x2, w2
+
+        monkeypatch.setattr("affinetoeplitz.representation._x_step", keeps_level)
+        with pytest.raises(AssertionError, match="did not act as a projection"):
+            q_projector_check([2], 4)
+
 
 def object_relation_suite(model, primes, window):
     """`relation_suite` stepped on object arrays of Python ints, exact at any size:
@@ -894,11 +906,39 @@ class TestInt64RelationWindows:
         with pytest.raises(ValueError, match=f"generator index {max(args[-2])} is past 65536"):
             fn(*args)
 
+    @pytest.mark.parametrize("budget", [1, 10, 25])
+    def test_reports_equal_the_object_reference_across_k_blocks(self, monkeypatch, budget):
+        # a lane budget of a few k-rows: T5, Q5 and the projector product span
+        # several blocks, the last one partial (at budget 25, window 3: 11 k in 4, 4, 3)
+        monkeypatch.setattr("affinetoeplitz.representation._BLOCK_LANES", budget)
+        assert [len(k) for k in _k_blocks(range(11), 6)] == {1: [1] * 11, 10: [1] * 11, 25: [4, 4, 3]}[budget]
+        for primes in ([2, 9, 11, 13], [4, 7]):
+            for window in range(1, 7):
+                assert_same_report(relation_suite("x", primes, window), object_relation_suite("x", primes, window))
+                assert q_projector_check(primes, window) is object_q_projector_check(primes, window)
+                assert_same_report(relation_suite("z", primes, window), object_relation_suite("z", primes, window))
+
     def test_index_at_the_cap_is_admitted(self):
         _check_window([_MAX_GENERATOR_INDEX], 1)
-        # the largest prime under the cap: T1, T4 and 65,520 T5 words, each checked
-        relations = relation_suite("x", [65521], 2)["relations"]
-        assert len(relations) == 65522 and all(entry["pass"] for entry in relations.values())
+        # the largest prime under the cap, each family's k < 65521 run in blocks of
+        # _BLOCK_LANES lanes (256 KB an int64 array): the shift model and the
+        # projector stay under 4 MB, and the fibered report, T1, T4 and 65,520 T5
+        # entries, adds under 400 B an entry
+        for window in (2, 20):
+            for fn, args, want, bound in [(relation_suite, ("x", [65521], window), 65522, (4 << 20) + 400 * 65522),
+                                          (relation_suite, ("z", [65521], window), 3, 4 << 20),
+                                          (q_projector_check, ([65521], window), None, 4 << 20)]:
+                tracemalloc.start()
+                try:
+                    got = fn(*args)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (fn.__name__, args, peak)
+                if want is None:
+                    assert got is True
+                else:
+                    assert len(got["relations"]) == want and all(entry["pass"] for entry in got["relations"].values())
 
 
 @pytest.mark.parametrize(
