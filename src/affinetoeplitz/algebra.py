@@ -167,9 +167,10 @@ def adjoint(x: Monomial) -> Monomial:
 
 def monomial_grid(shift_max: int, mults: Sequence[int]) -> list[Monomial]:
     """Every s^m v_a v_b* s*^n with m, n in [0, shift_max] and a, b in `mults`,
-    in (m, n, a, b) order."""
+    in (m, n, a, b) order; a repeated mult counts once, where it first occurs."""
     if any(c < 1 for c in mults):
         raise ValueError("isometry indices must be >= 1")
+    mults = list(dict.fromkeys(mults))
     return [
         Monomial(m, a, b, n)
         for m in range(shift_max + 1)

@@ -24,13 +24,13 @@ a bound on every value their words reach that `_check_window` checks before
 any array is built, and run each relation family (T5, Q5, the projector) on
 a k axis, an int64 column of shifts, a block at a time.
 Independently of them, the batch appliers apply a whole spanning monomial in
-one closed step over the narrowest exact lanes (int16, int32 or int64, as
-the indices need), on the fibered model one affine lift of the
-representative and one carry into the z-exponent per lane, for the big
-verification sweeps and the `trace_state` profile; the test suite checks the
-two paths against each other.  Phases are tracked as integer exponents of
-z, so all comparisons are exact in the cyclotomic field; conversion to
-complex happens only at the edge (`trace_state`).
+one closed step over the narrowest exact lanes (int16, int32 or int64, as the
+indices need), on the fibered model one affine lift of the representative and
+one carry into the z-exponent per lane, dividing by arrays in a float unit
+(`_floor_divide`), for the big verification sweeps and the `trace_state`
+profile; the tests check the two paths against each other.  Phases are
+integer exponents of z, so all comparisons are exact in the cyclotomic field;
+conversion to complex happens only at the edge (`trace_state`).
 """
 
 from __future__ import annotations
@@ -215,11 +215,39 @@ def _lane_dtype(bound: int) -> type:
 
     Narrower lanes are exact under the same bound and cheaper: NumPy's
     elementwise integer kernels take twice the int16 lanes per SIMD
-    instruction that they take int32 ones, and move half the bytes."""
+    instruction that they take int32 ones, and move half the bytes.  Lacking SIMD integer
+    division by an array, int16/int32 lanes divide in float32/float64, only a division unit (`_floor_divide`)."""
     for top, dtype in _LANE_DTYPES:
         if bound <= top:
             return dtype
     raise ValueError(f"an index could reach {bound}, past int64; use monomial_apply for exact results")
+
+
+def _floor_divide(t, d, out):
+    """(floor(t / d) in `out`, the lanes where d divides t), for divisors d >= 1 and out not t.
+
+    On int16 and int32 lanes an array divisor takes NumPy's SIMD float32 and float64 division, truncated into
+    `out` in the ufunc's small buffers: exact, as the lane bound keeps |t| under 2^15 and 2^31, inside the 24- and
+    53-bit mantissas p, so where d does not divide t the quotient lies 1/d or more from an integer and rounds by
+    less than |t/d| 2^-p < 1/d.  One product q d gives the floor (q d > t only for t < 0, d not dividing t) and the
+    divisibility: no value leaves the integers.  int64 lanes and 0-d divisors (one multiplier) keep np.floor_divide."""
+    if d.ndim == 0 or out.dtype == np.int64:
+        return np.floor_divide(t, d, out=out), out * d == t
+    unit = np.float32 if out.dtype == np.int16 else np.float64
+    # a broadcast divisor is cast once, not once per lane it meets
+    np.divide(t, d if d.shape == out.shape else d.astype(unit), out=out, dtype=unit, casting="unsafe")
+    product = out * d
+    if t.min(initial=0) < 0:  # a quotient >= 0 truncates to its floor
+        out -= product > t
+    return out, product == t
+
+
+def _index_peaks(*indices: np.ndarray) -> list[int]:
+    """`_peak` of a and of b, after refusing an index below 1 (v_0 is no isometry) before any lane is built."""
+    low = min(int(v) if v.ndim == 0 else int(v.min(initial=1)) for v in indices)
+    if low < 1:
+        raise ValueError(f"indices a and b must be >= 1, got {low}")
+    return [int(v) if v.ndim == 0 else int(v.max(initial=0)) for v in indices]
 
 
 def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
@@ -227,9 +255,9 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
 
     Parameters broadcast against the state arrays (null, r, x, w), where w is
     the accumulated z-exponent.  Requires a, b >= 1 (a vanished monomial is a
-    mask, not a parameter row).  One affine step on the integer lift of r:
-    a lane survives iff b | x and b | (r - n); then, with k = (r - n)/b, it
-    moves to level X = a x / b with representative (a k + m) mod X, and w
+    mask, not a parameter row), else ValueError.  One affine step on the lift
+    of r: a lane survives iff b | x and b | (r - n); then, with k = (r - n)/b,
+    it moves to level X = a x / b with representative (a k + m) mod X, and w
     grows by floor((a k + m) / X), one carry for s*^n and s^m together.
     Killed lanes come back canonicalised to r = 0, x = 1, w = 0 with the null
     flag set, so the level stays a valid divisor and the arrays remain safe
@@ -240,7 +268,8 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
     wrapping, when that bound passes int64, as it does wherever a n alone does.
     """
     m, a, b, n, r, x, w = map(np.asarray, (m, a, b, n, r, x, w))
-    lane = _lane_dtype(max((_peak(x) + _peak(n)) * _peak(a) + _peak(m) + _peak(w) + 2, _peak(b)))
+    peak_a, peak_b = _index_peaks(a, b)
+    lane = _lane_dtype(max((_peak(x) + _peak(n)) * peak_a + _peak(m) + _peak(w) + 2, peak_b))
     out = np.promote_types(np.result_type(r, x, w), lane)
     m, a, b, n, r, x, w = (v.astype(lane, copy=False) for v in (m, a, b, n, r, x, w))
     # t, k and level get the full broadcast shape (at least 1-d) and are
@@ -249,21 +278,21 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
     # v_b* s*^n: defined when b | x and b | (r - n), on the lift k = (r - n)/b;
     # a killed lane keeps a level >= 1 until the end
     t = np.subtract(r, n, out=np.empty(shape or (1,), lane))
-    k = t // b
-    level = np.floor_divide(x, b, out=np.empty_like(t))
-    null = np.asarray(null, dtype=bool) | (k * b != t) | (level * b != x)
-    np.maximum(level, 1, out=level)
+    k, live = _floor_divide(t, b, np.empty_like(t))
+    level, divides_x = _floor_divide(x, b, np.empty_like(t))
+    live &= divides_x & ~np.asarray(null, dtype=bool)
+    level += level == 0
     # s^m v_a: the lift a k + m on the level X = a x / b; its floor carries
     # one z per crossing of 0 for the walk down and the walk up together
     level *= a
     k *= a
     k += m
-    np.floor_divide(k, level, out=t)
+    _floor_divide(k, level, t)
     w = w + t
     t *= level
     k -= t
     # killed lanes to r = 0, x = 1, w = 0
-    live = ~null
+    null = ~live
     k *= live
     level *= live
     level += null
@@ -275,31 +304,31 @@ def x_monomial_apply_batch(m, a, b, n, null, r, x, w):
 def toeplitz_monomial_apply_batch(m, a, b, n, null, j, c):
     """Vectorised action of s^m v_a v_b* s*^n on left-regular basis vectors e_(j, c).
 
-    Requires a, b >= 1; killed lanes are canonicalised to j = 0, c = 1.
+    Requires a, b >= 1, else ValueError; killed lanes come back as j = 0, c = 1.
     The lanes are the narrowest of int16, int32 and int64 that holds every
     index; the results come back in the dtype of j and c, widened only when
     the lanes needed more.  Raises ValueError when an index could leave int64.
     """
     m, a, b, n, j, c = map(np.asarray, (m, a, b, n, j, c))
-    lane = _lane_dtype(max(_peak(j, c) * _peak(a) + _peak(m), _peak(n, b)))
+    peak_a, peak_b = _index_peaks(a, b)
+    lane = _lane_dtype(max(_peak(j, c) * peak_a + _peak(m), _peak(n), peak_b))
     out = np.promote_types(np.result_type(j, c), lane)
     m, a, b, n, j, c = (v.astype(lane, copy=False) for v in (m, a, b, n, j, c))
     # full-shape lane arrays (at least 1-d), as in x_monomial_apply_batch
     shape = np.broadcast(m, a, b, n, null, j, c).shape
     # s*^n: defined when j >= n
     j = np.subtract(j, n, out=np.empty(shape or (1,), lane))
-    null = np.asarray(null, dtype=bool) | (j < 0)
-    np.maximum(j, 0, out=j)
-    # v_b*: defined when b | j and b | c (j becomes j mod b)
-    q = j // b
-    t = np.floor_divide(c, b, out=np.empty_like(j))
-    j -= q * b
-    null |= (j != 0) | (t * b != c)
+    live = j >= 0
+    j *= live  # killed lanes to j = 0, so that a j / b + m stays inside the lanes
+    # v_b*: defined when b | j and b | c
+    q, divides_j = _floor_divide(j, b, np.empty_like(j))
+    t, divides_c = _floor_divide(c, b, np.empty_like(j))
+    live &= divides_j & divides_c & ~np.asarray(null, dtype=bool)
     # v_a then s^m; killed lanes to j = 0, c = 1
     q *= a
     q += m
     t *= a
-    live = ~null
+    null = ~live
     q *= live
     t *= live
     t += null

@@ -232,6 +232,13 @@ class TestMonomialMul:
         with pytest.raises(ValueError):
             monomial_grid(0, (0, 1))
 
+    def test_grid_counts_a_repeated_mult_once(self):
+        # first-occurrence order: a duplicate-free list gives the same grid, in the same order
+        assert monomial_grid(1, (2, 1, 2, 1)) == monomial_grid(1, (2, 1))
+        assert monomial_grid(2, (1, 1)) == monomial_grid(2, (1,)) and len(monomial_grid(2, (1, 1))) == 9
+        assert monomial_grid(1, (3, 1, 2)) == [Monomial(m, a, b, n) for m in (0, 1) for n in (0, 1)
+                                               for a in (3, 1, 2) for b in (3, 1, 2)]
+
     def test_product_table_matches_monomial_mul(self):
         left = monomial_grid(1, (1, 2, 3, 6))
         right = left[::3]

@@ -195,6 +195,27 @@ class TestStateCommands:
         code, out, _ = run_capture(capsys, ["ground-check", "--vector", "0", "--grid", "1"])
         assert code == 0
 
+    def test_repeated_mults_count_once(self, capsys):
+        # --grid 1 --mults 1,1: 4 monomials, 16 pairs, not 64 and 256
+        code, out, _ = run_capture(capsys, ["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1",
+                                            "--mults", "1,1"])
+        assert code == 0 and json.loads(out)["pairs"] == 16
+        for mults in ("1,2,2,1", "2,1"):
+            code, out, _ = run_capture(capsys, ["ground-check", "--vector", "0", "--grid", "1", "--mults", mults])
+            assert code == 0 and json.loads(out)["checked"] == 12
+        # the witness of a failing grid is the one its duplicate-free list gives
+        outs = []
+        for mults in ("1,2,1,2,3", "1,2,3"):
+            code, out, _ = run_capture(capsys, ["kms-check", "--state", "psi_beta", "--beta", "2", "--at-beta", "1.5",
+                                                "--grid", "1", "--mults", mults])
+            assert code == 1
+            outs.append(json.loads(out))
+        assert outs[0] == outs[1] and outs[0]["pairs"] == 36**2
+        state = '{"variant":"psi_beta","beta":1.5}'
+        outs = [run_capture(capsys, ["ground-check", "--state", state, "--grid", "1", "--mults", mults])
+                for mults in ("3,2,3,1", "3,2,1")]
+        assert outs[0] == outs[1] and outs[0][0] == 1
+
     def test_kms_check_precision(self, capsys):
         code, out, _ = run_capture(
             capsys, ["kms-check", "--state", "psi_beta", "--beta", "2", "--grid", "1", "--precision", "10"]

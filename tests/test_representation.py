@@ -22,6 +22,7 @@ from affinetoeplitz.representation import (
     _check_window,
     _diagonal_profile,
     _fibered_window,
+    _floor_divide,
     _k_blocks,
     _monomial_word,
     _peak,
@@ -478,6 +479,77 @@ class TestBatchAppliers:
                     assert null[i, k] and (j2[i, k], c2[i, k]) == (0, 1)
                 else:
                     assert not null[i, k] and (step.basis.m, step.basis.a) == (j2[i, k], c2[i, k])
+
+
+def assert_floor_divides(t, d, dtype):
+    """_floor_divide on `dtype` lanes agrees with np.floor_divide in int64, quotient and divisibility."""
+    t, d = np.asarray(t, np.int64), np.asarray(d, np.int64)
+    want = np.floor_divide(t, d)
+    got, divides = _floor_divide(t.astype(dtype), d.astype(dtype), np.empty(want.shape, dtype))
+    assert got.dtype == dtype and np.array_equal(got.astype(np.int64), want)
+    assert np.array_equal(divides, want * d == t)
+
+
+class TestFloorDivide:
+    def test_every_int16_dividend(self):
+        # float32 quotients: every dividend against the smallest and the largest divisors, two
+        # divisors by 2^14 dividends a call into buffers made once, so that no call maps fresh pages
+        t = np.arange(-(2**15), 2**15).reshape(4, 1, 2**14)
+        want, product = np.empty((2, 2**14), np.int64), np.empty((2, 2**14), np.int64)
+        got = np.empty((2, 2**14), np.int16)
+        for divisors in (np.arange(1, 513), np.arange(32512, 32768)):
+            for pair in divisors.reshape(-1, 2, 1):
+                for part, lanes in zip(t, t.astype(np.int16)):
+                    quotient, divides = _floor_divide(lanes, pair.astype(np.int16), got)
+                    np.floor_divide(part, pair, out=want)
+                    assert np.array_equal(quotient, want)
+                    assert np.array_equal(divides, np.multiply(want, pair, out=product) == part)
+
+    def test_int32_dividends(self):
+        # float64 quotients: seeded pairs, the int32 extremes, and 2^24 + 1, past float32's mantissa
+        rng = np.random.default_rng(7)
+        edges = [INT32_MAX, -INT32_MAX, INT32_MAX - 1, -INT32_MAX + 1, 2**24 + 1, -(2**24) - 1]
+        t = np.concatenate([rng.integers(-INT32_MAX, INT32_MAX, 100_000, endpoint=True), edges])
+        d = np.concatenate([rng.integers(1, INT32_MAX, 100_000, endpoint=True), [1, 1, 2, 3, 1, 1]])
+        for divisor in (d, d[::-1], rng.integers(1, 1000, t.size)):
+            assert_floor_divides(t, divisor, np.int32)
+        for divisor in (1, 3, INT32_MAX - 1, INT32_MAX):
+            assert_floor_divides(t, np.full((1, 1), divisor), np.int32)
+
+    def test_int64_lanes_and_scalar_divisors_divide_as_integers(self, monkeypatch):
+        floor_divide, calls = np.floor_divide, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return floor_divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "floor_divide", counted)
+        monkeypatch.setattr(np, "divide", lambda *args, **kwargs: pytest.fail("an integer path took the float unit"))
+        # past float64's mantissa only the integer division is exact
+        t, d = [2**62 + 1, -(2**62) - 1, 2**53 + 1, -7], [3, 3, 1, 2]
+        got, divides = _floor_divide(np.array(t), np.array(d), np.empty(4, np.int64))
+        assert got.tolist() == [u // v for u, v in zip(t, d)] and divides.tolist() == [False, False, True, False]
+        for dtype in (np.int16, np.int32, np.int64):
+            lanes = np.arange(-300, 300, dtype=dtype)
+            got, divides = _floor_divide(lanes, np.asarray(7, dtype), np.empty_like(lanes))
+            assert got.tolist() == [u // 7 for u in range(-300, 300)]
+            assert divides.tolist() == [u % 7 == 0 for u in range(-300, 300)]
+        assert calls == [(4,), (), (), ()]
+
+
+class TestIndexRefusal:
+    @pytest.mark.parametrize("a, b, low", [(0, 1, 0), (1, 0, 0), (-2, 3, -2), (2, -1, -1),
+                                           ([[1], [0]], 1, 0), (1, [[2], [-5]], -5), ([[3], [2]], [[0], [1]], 0)])
+    def test_an_index_below_one_is_refused(self, a, b, low):
+        # once a lane at level 0, live, and a divide-by-zero warning
+        with pytest.raises(ValueError, match=f"indices a and b must be >= 1, got {low}$"):
+            x_monomial_apply_batch(0, a, b, 0, [False], [0], [1], [0])
+        with pytest.raises(ValueError, match=f"indices a and b must be >= 1, got {low}$"):
+            toeplitz_monomial_apply_batch(0, a, b, 0, [False], [0], [1])
+
+    def test_indices_at_one_are_admitted(self):
+        assert x_monomial_apply_batch(0, [[1], [2]], 1, 0, [False], [0], [1], [0])[2].tolist() == [[1], [2]]
+        assert toeplitz_monomial_apply_batch(0, 1, [[1], [2]], 0, [False], [0], [2])[2].tolist() == [[2], [1]]
 
 
 def prime_by_prime_word(mono):
