@@ -224,6 +224,10 @@ def invariance_ratio(
 
 _RECONSTRUCT_TERMS = 10**5
 
+# inclusion-exclusion terms one reconstruction check may sum, 2^|E| for each distinct
+# k': a few tenths of a second, and at |E| = 18 about 40 MB of subsets (19 primes pass it).
+_RECONSTRUCT_SUBSET_TERMS = 1 << 18
+
 
 def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> tuple[float, float]:
     """Reconstruction defect for the model equilibrium values on mu_k mu_k*.
@@ -234,6 +238,9 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> tuple[float,
     compression by Q_E = prod (1 - mu_p mu_p*) has values computed by
     inclusion-exclusion over subsets S of E:
         phi(Q_E mu_k' mu_k'*) = sum_S (-1)^|S| lcm(prod S, k')^-beta.
+    Each distinct k' costs 2^|E| subset terms, counted against
+    `_RECONSTRUCT_SUBSET_TERMS`: ValueError before the subsets are built
+    when 2^|E| alone passes it, and before any k' whose terms would.
     The check sums the window-supported n in increasing order, stopping at
     `_RECONSTRUCT_TERMS` terms or at a weight n^-beta below 1e-18, and returns
     (defect, tail_bound): the defect is |phi(mu_k mu_k*) - sum_n (n^-beta /
@@ -249,12 +256,20 @@ def bc_reconstruct_check(primes: list[int], beta: float, k: int) -> tuple[float,
     window = PrimeWindow.of(primes)
     zeta_window = zeta_e(beta, window)
 
+    size, budget = 1 << len(window.primes), _RECONSTRUCT_SUBSET_TERMS
+    if size > budget:
+        raise ValueError(f"{size} subsets of {len(window.primes)} primes pass the {budget}-term budget")
     subsets = [[]]
     for p in window.primes:
         subsets += [s + [p] for s in subsets]
+    summed = 0
 
     @functools.cache  # k' = k / gcd(k, n) runs over divisors of k, each met many times
     def q_compressed(kp: int) -> float:
+        nonlocal summed
+        summed += size
+        if summed > budget:
+            raise ValueError(f"k = {k} passes the {budget}-term budget at {size} terms per k / gcd(k, n)")
         total = 0.0
         for s in subsets:
             ns = math.prod(s)

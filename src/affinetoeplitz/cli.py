@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import inf, isnan, log10
+from math import isnan, ldexp, log10
 
 from . import bostconnes, spectrum, states
 from .algebra import Monomial, monomial_grid, reduce_word
@@ -78,18 +78,18 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _parse_beta(text: str) -> float:
-    beta = inf if text == "inf" else float(text)
+    beta = float(text)
     if isnan(beta):
         raise ValueError("beta must be a number, got nan")
     return beta
 
 
-def _parse_precision(text: str) -> int:
-    """Tolerance bits: the verification tolerance is 2^-precision, so at least 1."""
+def _parse_precision(text: str) -> float:
+    """The verification tolerance 2^-bits, from a bit count of at least 1."""
     bits = int(text)
     if bits < 1:
         raise argparse.ArgumentTypeError(f"precision must be at least 1 bit, got {bits}")
-    return bits
+    return ldexp(1.0, -bits)
 
 
 def _parse_csv_ints(text: str) -> list[int]:
@@ -145,11 +145,10 @@ def _cmd_kms_check(args) -> tuple[int, dict]:
     monos = monomial_grid(args.grid, args.mults)
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a non-empty --mults")
-    tol = 2.0 ** (-args.precision)
     defect, (x, y), char, at = states.kms_grid(phi, monos, beta)
     worst = max(defect, char)
-    payload = {"max_defect": worst, "pairs": len(monos) ** 2, "tolerance": tol}
-    if worst <= tol:
+    payload = {"max_defect": worst, "pairs": len(monos) ** 2, "tolerance": args.tolerance}
+    if worst <= args.tolerance:
         return 0, payload
     # a tie reports the characterisation witness
     if defect > char:
@@ -168,14 +167,13 @@ def _cmd_ground_check(args) -> tuple[int, dict]:
         phi = states.Ground(states.CircleMeasure.point(args.evaluation))
     else:
         raise ValueError("pass --vector, --evaluation or --state")
-    tol = 2.0 ** (-args.precision)
     monos = [x for x in monomial_grid(args.grid, args.mults) if x.a != 1 or x.b != 1]
     if not monos:
         raise ValueError("empty monomial grid: need --grid >= 0 and a --mults entry other than 1")
     for x in monos:
-        if not states.ground_check(phi, x, tol):
-            return 1, {"counterexample": x.to_json(), "tolerance": tol}
-    return 0, {"checked": len(monos), "tolerance": tol}
+        if not states.ground_check(phi, x, args.tolerance):
+            return 1, {"counterexample": x.to_json(), "tolerance": args.tolerance}
+    return 0, {"checked": len(monos), "tolerance": args.tolerance}
 
 
 def _cmd_rep_check(args) -> tuple[int, dict]:
@@ -191,7 +189,7 @@ def _cmd_measure(args) -> tuple[int, dict]:
     value, tail = states.measure_cylinder(beta, args.m, args.a)
     closed = 1 / args.a if beta == 1 else float_power(args.a, -beta)
     payload = {"series": value, "tail": tail, "closed_form": closed}
-    if abs(value - closed) > tail + 2.0 ** (-args.precision):
+    if abs(value - closed) > tail + args.tolerance:
         return 1, payload
     return 0, payload
 
@@ -201,15 +199,14 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     phi = _state_from_args(args)
     window = PrimeWindow.of(args.primes)
-    tol = 2.0 ** (-args.precision)
     worst = 0.0
     worst_n = 0
     for n in range(0, args.n + 1):
         defect = states.reconstruct_sn(phi, window, n)
         if defect > worst:
             worst, worst_n = defect, n
-    payload = {"max_defect": worst, "worst_n": worst_n, "n_max": args.n, "tolerance": tol}
-    return (0 if worst <= tol else 1), payload
+    payload = {"max_defect": worst, "worst_n": worst_n, "n_max": args.n, "tolerance": args.tolerance}
+    return (0 if worst <= args.tolerance else 1), payload
 
 
 def _cmd_bc(args) -> tuple[int, dict]:
@@ -229,14 +226,13 @@ def _cmd_bc(args) -> tuple[int, dict]:
             "tail_bound": res.tail_bound,
             "terms": res.terms,
         }
-        return (0 if defect <= res.tail_bound + 2.0 ** (-args.precision) else 1), payload
+        return (0 if defect <= res.tail_bound + args.tolerance else 1), payload
     if args.mode == "invariance":
         ratios = bostconnes.invariance_ratio(chi, beta, args.kmax)
         return 0, {"ratios": ratios}
     defect, tail_bound = bostconnes.bc_reconstruct_check(args.primes, beta, args.k)
-    tol = 2.0 ** (-args.precision)
-    payload = {"defect": defect, "k": args.k, "tail_bound": tail_bound, "tolerance": tol}
-    return (0 if defect <= tail_bound + tol else 1), payload
+    payload = {"defect": defect, "k": args.k, "tail_bound": tail_bound, "tolerance": args.tolerance}
+    return (0 if defect <= tail_bound + args.tolerance else 1), payload
 
 
 def _cmd_spectrum(args) -> tuple[int, dict]:
@@ -283,6 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    # the one --precision of every verifying subcommand, read as the tolerance itself
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--precision", dest="tolerance", metavar="PRECISION", type=_parse_precision, default="30",
+                         help="tolerance bits: a check passes within 2^-PRECISION (default 30)")
+
     p = add("reduce", _cmd_reduce, help="reduce a word to its normal form")
     p.add_argument("word")
     p.add_argument("--expand-composite", action="store_true")
@@ -307,39 +308,35 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--monomial", help="monomial JSON")
     p.add_argument("--expand-composite", action="store_true")
 
-    p = add("kms-check", _cmd_kms_check, help="equilibrium defect over a monomial grid")
+    p = add("kms-check", _cmd_kms_check, parents=[checked], help="equilibrium defect over a monomial grid")
     state_flags(p)
     p.add_argument("--grid", type=int, default=2, help="additive exponent bound")
     p.add_argument("--mults", type=_parse_csv_ints, default=[1, 2, 3, 4, 6])
     p.add_argument("--at-beta", default=None, help="check the condition at a different temperature")
-    p.add_argument("--precision", type=_parse_precision, default=30, help="tolerance bits")
 
-    p = add("ground-check", _cmd_ground_check, help="ground-state vanishing over a grid")
+    p = add("ground-check", _cmd_ground_check, parents=[checked], help="ground-state vanishing over a grid")
     p.add_argument("--vector", type=int, default=None)
     p.add_argument("--evaluation", default=None, help="rational angle, e.g. 1/4")
     p.add_argument("--state", default=None, help="check an arbitrary state JSON instead")
     p.add_argument("--grid", type=int, default=2)
     p.add_argument("--mults", type=_parse_csv_ints, default=[1, 2, 3, 4, 6])
-    p.add_argument("--precision", type=_parse_precision, default=30)
 
     p = add("rep-check", _cmd_rep_check, help="relation report on a concrete model")
     p.add_argument("--model", choices=("x", "z"), required=True)
     p.add_argument("--primes", type=_parse_csv_ints, default=[2, 3, 5])
     p.add_argument("--window", type=int, default=20)
 
-    p = add("measure", _cmd_measure, help="cylinder mass: truncated series vs closed form")
+    p = add("measure", _cmd_measure, parents=[checked], help="cylinder mass: truncated series vs closed form")
     p.add_argument("--beta", required=True)
     p.add_argument("m", type=int)
     p.add_argument("a", type=int)
-    p.add_argument("--precision", type=_parse_precision, default=30)
 
-    p = add("reconstruct", _cmd_reconstruct, help="conditional-state reconstruction defect")
+    p = add("reconstruct", _cmd_reconstruct, parents=[checked], help="conditional-state reconstruction defect")
     state_flags(p)
     p.add_argument("--primes", type=_parse_csv_ints, required=True)
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--precision", type=_parse_precision, default=30, help="tolerance bits")
 
-    p = add("bc", _cmd_bc, help="character Euler sums and the invariance ratio")
+    p = add("bc", _cmd_bc, parents=[checked], help="character Euler sums and the invariance ratio")
     p.add_argument("--mode", choices=("euler", "invariance", "reconstruct"), required=True)
     p.add_argument("--character", default=None, help="character JSON (default: quadratic mod 4)")
     p.add_argument("--beta", default="1")
@@ -347,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=10**4)
     p.add_argument("--kmax", type=int, default=40)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--precision", type=_parse_precision, default=30)
 
     p = add("spectrum", _cmd_spectrum, help="membership, action and verification for spectrum points")
     p.add_argument("--point", required=True, help="spectrum point JSON")

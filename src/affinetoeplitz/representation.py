@@ -48,7 +48,7 @@ import numpy as np
 
 from .algebra import GeneratorToken, Monomial
 from .numtheory import factorize, zeta
-from .semigroup import SemigroupElement, join
+from .semigroup import SemigroupElement
 
 __all__ = [
     "XBasis",
@@ -62,7 +62,6 @@ __all__ = [
     "trace_state",
     "TraceResult",
     "q_projector_check",
-    "nica_covariance_rhs",
 ]
 
 
@@ -439,7 +438,8 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     relations hold on |n| <= window, and the range-partition property is
     checked vector by vector: each e_n lies in the range of exactly one
     s^k v_p v_p* s*^k with 0 <= k < p.  Each relation is written once, with
-    its name on each model it holds on.
+    its name on each model it holds on.  A repeated index counts once, where
+    it first occurs: T3 and the pair relations are stated only for p != q.
 
     The window is stepped in int64 lanes, and a family's k (T5's 0 < k < p,
     Q5's k < p) as an int64 column the steppers broadcast against them, in
@@ -454,6 +454,7 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
     if model not in ("x", "z"):
         raise ValueError(f"unknown model {model!r}")
     _check_window(primes, window)
+    primes = list(dict.fromkeys(primes))
     report: dict = {"model": model, "window": window, "relations": {}}
 
     # each model: its stepper, its window basis, and where a window index points
@@ -504,16 +505,6 @@ def relation_suite(model: str, primes: list[int], window: int) -> dict:
             hits = sum(fixed.sum(axis=0) for _, fixed in _projections(step, basis, p))
             record([f"Q5[p={p}]"], hits != 1, lambda i: {"n": int(n[i]), "hits": int(hits[i])})
     return report
-
-
-def nica_covariance_rhs(x: SemigroupElement, y: SemigroupElement, e: SemigroupElement) -> WeightedBasis:
-    """Right side of the covariance identity for T_x* T_y, via the join.
-
-    T_x* T_y = T_u T_v* with u = x^-1 (x v y), v = y^-1 (x v y) when the join
-    is finite, and 0 otherwise; the join carries both complements.
-    """
-    jn = join(x, y)
-    return NULL if jn is None else monomial_apply(Monomial(jn.alpha, jn.b_prime, jn.a_prime, jn.beta), e)
 
 
 # --------------------------------------------------------------------------

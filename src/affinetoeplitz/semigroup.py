@@ -94,17 +94,13 @@ class GroupElement:
         return cls(Fraction(0), Fraction(1))
 
 
-def _as_group(g: GroupElement | SemigroupElement) -> GroupElement:
-    return g.to_group() if isinstance(g, SemigroupElement) else g
-
-
 def leq(g: GroupElement | SemigroupElement, h: GroupElement | SemigroupElement) -> bool:
     """Left-invariant order: g <= h iff g^-1 h lies in the monoid.
 
     Equivalently x^-1 (s - r) is a natural number and x^-1 y a positive
     integer, for g = (r, x), h = (s, y).
     """
-    g, h = _as_group(g), _as_group(h)
+    g, h = (v.to_group() if isinstance(v, SemigroupElement) else v for v in (g, h))
     step = (h.r - g.r) / g.x
     scale = h.x / g.x
     return step.denominator == 1 and step >= 0 and scale.denominator == 1
@@ -174,9 +170,6 @@ class Join(TupleValue, namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
     """
 
     __slots__ = ()
-
-    def element(self) -> SemigroupElement:
-        return tuple.__new__(SemigroupElement, (self.l, self.lcm))
 
 
 def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:

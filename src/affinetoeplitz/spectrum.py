@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .numtheory import (
+    NABLA,
     SupernaturalNumber,
     factorize,
     int_divides_sn,
@@ -152,12 +153,15 @@ def includes(w1: SpectrumPoint, w2: SpectrumPoint, level: int) -> bool:
 
 
 def boundary_act(x: SemigroupElement, point: BPoint) -> BPoint:
-    """The action (m, a) . r = m + a r on boundary points.
+    """The action (m, a) . r = m + a r on boundary points, those with N = NABLA.
 
     The level is kept: an integer family stays an integer family, and a
     level-L family yields a level-L family, since m + a r mod l is
-    determined by r mod l for every l | L.
+    determined by r mod l for every l | L.  Off the boundary the image of
+    B(r, N) also changes N (to a N), so a point with N != NABLA raises ValueError.
     """
+    if point.N != NABLA:
+        raise ValueError("the action applies to boundary points, whose N has every exponent infinite")
     return BPoint(ResidueFamily(x.m + x.a * point.r.value, point.r.level), point.N)
 
 

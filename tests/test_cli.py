@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affinetoeplitz
+from affinetoeplitz import bostconnes, states
 from affinetoeplitz.cli import _build_parser, run
+from affinetoeplitz.numtheory import first_primes
 
 # 1000 units mod 2 * 10^6: past the table-size guard, far short of phi = 800000
 LONG_CHARACTER = json.dumps(
@@ -136,6 +138,9 @@ class TestReduce:
         code, out, err = cli_process(["reduce", "v2^32768* s^5 v3^32767"], timeout=10)
         assert (code, out) == (2, "") and err.startswith("error: a result has 15634 digits, past the ")
 
+    def test_v_index_zero_exit_2(self, capsys):
+        assert run_capture(capsys, ["reduce", "s v0"]) == (2, "", "error: v-index must be >= 1 (at position 2)\n")
+
     def test_composite_needs_flag(self, capsys):
         code, _, err = run_capture(capsys, ["reduce", "v6"])
         assert code == 2
@@ -253,6 +258,14 @@ class TestStateCommands:
         assert code == 0
         assert float(json.loads(out)["closed_form"]) == pytest.approx(0.25)
 
+    def test_measure_wrong_series_exit_1(self, capsys, monkeypatch):
+        # a series off its closed form by more than tail and tolerance is a counterexample: the payload shows both
+        monkeypatch.setattr(states, "measure_cylinder", lambda beta, m, a: (0.5, 0.0))
+        code, out, err = run_capture(capsys, ["measure", "--beta", "2", "0", "6"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"closed_form": "2.777777777778e-02", "precision": 12,
+                                   "series": "5.000000000000e-01", "tail": "0.000000000000e+00"}
+
     @pytest.mark.parametrize("a", ["2", "12"])
     def test_measure_underflowing_ratio(self, capsys, a):
         # 2^-1999 is below the least double: every series term is 0, like a^-beta
@@ -358,6 +371,12 @@ class TestSuiteCommands:
         assert code == 0
         assert json.loads(out)["relations"]["T4[p=1]"] == {"pass": True}
 
+    def test_rep_check_repeated_index_counts_once(self, capsys):
+        # T3 is stated for p != q: a repeated index gives the report of the index once, not a T3[p=2,q=2] failure
+        once = run_capture(capsys, ["rep-check", "--model", "x", "--primes", "2", "--window", "3"])
+        assert once[0] == 0
+        assert run_capture(capsys, ["rep-check", "--model", "x", "--primes", "2,2", "--window", "3"]) == once
+
     def test_rep_check_empty_window_exit_2(self, capsys):
         code, out, err = run_capture(capsys, ["rep-check", "--model", "x", "--window", "-1"])
         assert code == 2
@@ -393,6 +412,24 @@ class TestSuiteCommands:
         assert code == 0
         assert float(payload["tolerance"]) < float(payload["defect"]) <= float(payload["tail_bound"])
 
+    def test_bc_reconstruct_window_past_the_term_budget_exit_2(self):
+        # the first 26 odd primes have 2^26 subsets, about 14 GB as lists: refused before any is built
+        primes = ",".join(map(str, first_primes(27)[1:]))
+        code, out, err = cli_process(["bc", "--mode", "reconstruct", "--primes", primes, "--beta", "2", "--k", "6"], timeout=10)
+        assert (code, out) == (2, "")
+        assert err == "error: 67108864 subsets of 26 primes pass the 262144-term budget\n"
+
+    def test_bc_reconstruct_k_past_the_term_budget_exit_2(self, capsys, monkeypatch):
+        # k = 45 over {3, 5} meets six k' = 45 / gcd(45, n), four subset terms each: 24 terms in all
+        argv = ["bc", "--mode", "reconstruct", "--primes", "3,5", "--beta", "2", "--k", "45"]
+        want = run_capture(capsys, argv)
+        assert want[0] == 0
+        monkeypatch.setattr(bostconnes, "_RECONSTRUCT_SUBSET_TERMS", 24)
+        assert run_capture(capsys, argv) == want
+        monkeypatch.setattr(bostconnes, "_RECONSTRUCT_SUBSET_TERMS", 23)
+        message = "error: k = 45 passes the 23-term budget at 4 terms per k / gcd(k, n)\n"
+        assert run_capture(capsys, argv) == (2, "", message)
+
     def test_bc_invariance(self, capsys):
         code, out, _ = run_capture(capsys, ["bc", "--mode", "invariance", "--beta", "1", "--kmax", "5"])
         assert code == 0
@@ -420,6 +457,13 @@ class TestSuiteCommands:
         code, out, _ = run_capture(capsys, ["spectrum", "--point", finite, "--decompose"])
         assert code == 0
         assert json.loads(out)["2"] == {"value": 3, "level": 4}
+
+    @pytest.mark.parametrize("factors, default", [({"2": 1}, 0), ({"2": "inf"}, 0), ({"3": 2}, "inf")])
+    def test_spectrum_act_off_the_boundary_exit_2(self, capsys, factors, default):
+        # B(1, 2) goes to B(3, 6) under (0, 3), not B(3, 2): the action is defined only where N has every exponent infinite
+        point = json.dumps({"kind": "B", "generator": 1, "N": {"factors": factors, "default": default}})
+        message = "error: the action applies to boundary points, whose N has every exponent infinite\n"
+        assert run_capture(capsys, ["spectrum", "--point", point, "--act", "0", "3"]) == (2, "", message)
 
     def test_spectrum_level_zero_exit_2(self, capsys):
         point = json.dumps({"kind": "B", "generator": 1, "N": {"factors": {"2": 2}, "default": 0}, "level": 0})

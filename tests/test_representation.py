@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, monomial_grid, monomial_mul
+from affinetoeplitz.algebra import ZERO, GeneratorToken, Monomial, covariance_reduce, monomial_grid, monomial_mul
 from affinetoeplitz.numtheory import factorize, zeta
 from affinetoeplitz.representation import (
     _MAX_GENERATOR_INDEX,
@@ -30,7 +30,6 @@ from affinetoeplitz.representation import (
     _x_step,
     _z_step,
     monomial_apply,
-    nica_covariance_rhs,
     q_projector_check,
     relation_suite,
     toeplitz_apply,
@@ -38,7 +37,7 @@ from affinetoeplitz.representation import (
     trace_state,
     x_monomial_apply_batch,
 )
-from affinetoeplitz.semigroup import SemigroupElement, join, leq
+from affinetoeplitz.semigroup import SemigroupElement, leq
 from affinetoeplitz.states import CircleMeasure, PsiBetaMu, evaluate
 from conftest import GRID_MULTS
 
@@ -98,6 +97,7 @@ class TestToeplitzModel:
                     assert back == WeightedBasis(0, e)
 
     def test_nica_covariance_against_join(self):
+        # T_x* T_y = T_u T_v* read off the join x v y: the model checks the rewriter's own Nica step
         vectors = [SemigroupElement(j, c) for j in range(6) for c in (1, 2, 3, 4, 6)]
         for xm, xa in itertools.product(range(0, 11, 2), (1, 2, 3, 5, 10)):
             for ym, ya in itertools.product(range(0, 11, 3), (1, 2, 4, 9)):
@@ -105,7 +105,7 @@ class TestToeplitzModel:
                 for e in vectors:
                     lhs = toeplitz_apply(y, e)
                     lhs = toeplitz_apply(x, lhs.basis, star=True)
-                    assert lhs == nica_covariance_rhs(x, y, e)
+                    assert lhs == monomial_apply(covariance_reduce(x.a, x.m, y.m, y.a), e)
 
 
 class TestXModel:
@@ -158,6 +158,15 @@ class TestXModel:
         # read off the int64 window as Python ints, which JSON takes
         assert all(type(v) is int for c in failed.values() for v in c.values())
         assert json.loads(json.dumps(report)) == report
+
+    @pytest.mark.parametrize("model", ["x", "z"])
+    def test_relation_suite_repeated_index_counts_once(self, model):
+        # T3 and the pair relations are stated for p != q: a repeated index is the index once, in first-occurrence order
+        for window in (3, 8):
+            assert relation_suite(model, [2, 2], window) == relation_suite(model, [2], window)
+            report = relation_suite(model, [3, 2, 3, 5, 2], window)
+            assert report == relation_suite(model, [3, 2, 5], window)
+            assert list(report["relations"]) == list(relation_suite(model, [3, 2, 5], window)["relations"])
 
     @pytest.mark.parametrize("model", ["x", "z"])
     @pytest.mark.parametrize("primes, window", [([2, 3], 0), ([2, 3], -1), ([], 5), ([0, 2], 5)])

@@ -123,7 +123,7 @@ class TestSemigroupElement:
         assert type(j) is Join
         assert repr(j) == "Join(l=4, lcm=6, alpha=2, beta=1, a_prime=2, b_prime=3)"
         assert j._asdict() == {"l": 4, "lcm": 6, "alpha": 2, "beta": 1, "a_prime": 2, "b_prime": 3}
-        assert type(j.element()) is SemigroupElement and j.element() == (4, 6)
+        assert SemigroupElement(j.l, j.lcm) == (4, 6)
         for op in (lambda: j + j, lambda: j * 2, lambda: 2 * j):
             with pytest.raises(TypeError, match="Join"):
                 op()
@@ -193,7 +193,7 @@ class TestJoin:
         p, q = SemigroupElement(3, 4), SemigroupElement(1, 6)
         j = join(p, q)
         assert j is not None
-        lub = j.element()
+        lub = SemigroupElement(j.l, j.lcm)
         # p * (alpha, b') = join and q * (beta, a') = join
         assert p * SemigroupElement(j.alpha, j.b_prime) == lub
         assert q * SemigroupElement(j.beta, j.a_prime) == lub
@@ -223,7 +223,8 @@ class TestJoin:
                 assert jq is None
                 continue
             assert (jp.l, jp.lcm) == (jq.l, jq.lcm)
-            assert leq(p, jp.element()) and leq(q, jp.element())
+            lub = SemigroupElement(jp.l, jp.lcm)
+            assert leq(p, lub) and leq(q, lub)
             ido = join(p, p)
             assert (ido.l, ido.lcm) == (p.m, p.a)
 
@@ -294,7 +295,7 @@ class TestJoin:
                 for a in (1, 2, 3, 4, 6, 12, 18, 36, 60, 180):
                     u = SemigroupElement(m, a)
                     if leq(p, u) and leq(q, u):
-                        assert leq(j.element(), u)
+                        assert leq(SemigroupElement(j.l, j.lcm), u)
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,16 @@ class TestBoundaryAction:
         assert moved.r.level == 12
         assert moved.r.at(12) == (5 + 7 * 7) % 12
 
+    @pytest.mark.parametrize(
+        "N",
+        [sn(2), SupernaturalNumber.from_exponents({2: inf}), SupernaturalNumber.from_exponents({3: 2}, default=inf)],
+    )
+    def test_refused_off_the_boundary(self, N):
+        # the image of B(1, 2) under (0, 3) is B(3, 6), not B(3, 2): off N = NABLA the modulus moves too
+        for r in (ResidueFamily.from_int(1), ResidueFamily.from_residue(1, 2)):
+            with pytest.raises(ValueError, match="boundary points"):
+                boundary_act(SemigroupElement(0, 3), BPoint(r, N))
+
 
 class TestDecompose:
     def test_example(self):
