@@ -256,18 +256,25 @@ def divisors(n: int) -> list[int]:
 
 
 def iter_smooth(primes: Iterable[int]) -> Iterator[int]:
-    """Positive integers with all prime factors in `primes`, in increasing order."""
-    ps = sorted(set(primes))
-    heap = [1]
-    seen = {1}
+    """Positive integers with all prime factors in `primes`, in increasing order.
+
+    Each n is pushed once, by n / P(n) for P(n) its largest prime factor: the
+    heap holds (n, index of P(n)) and n*p is pushed only for p >= P(n), so no
+    set of seen values is kept.  That rests on unique factorization, so a
+    window that is not a nonempty set of primes raises ValueError at the call.
+    """
+    return _smooth(PrimeWindow.of(primes).primes)
+
+
+def _smooth(ps: tuple[int, ...]) -> Iterator[int]:
+    # (n, i) is kept as the one int n*w + i, which orders as n does, not as a tuple
+    w = len(ps)
+    heap = [w]
     while heap:
-        n = heapq.heappop(heap)
+        n, i = divmod(heapq.heappop(heap), w)
         yield n
-        for p in ps:
-            m = n * p
-            if m not in seen:
-                seen.add(m)
-                heapq.heappush(heap, m)
+        for j in range(i, w):
+            heapq.heappush(heap, n * ps[j] * w + j)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .numtheory import (
     json_number,
     sn_divides,
 )
-from .semigroup import SemigroupElement, join
+from .semigroup import SemigroupElement, joins_within
 
 __all__ = [
     "LevelExceededError",
@@ -117,11 +117,15 @@ SpectrumPoint = Union[APoint, BPoint]
 
 def contains(w: SpectrumPoint, x: SemigroupElement) -> bool:
     """Membership of (m, a): divisibility of a into N plus the additive condition."""
-    if not int_divides_sn(x.a, w.N):
-        return False
+    return int_divides_sn(x.a, w.N) and x.m in _level_members(w, x.a, x.m)
+
+
+def _level_members(w: SpectrumPoint, a: int, top: int) -> range:
+    """The m <= top meeting w's additive condition at a level a dividing N:
+    m <= k and a | k - m for A(k, N), and m = r mod a for B(r, N)."""
     if isinstance(w, APoint):
-        return x.m <= w.k and (w.k - x.m) % x.a == 0
-    return x.m % x.a == w.r.at(x.a) % x.a
+        return range(w.k % a, min(w.k, top) + 1, a)
+    return range(w.r.at(a), top + 1, a)
 
 
 def includes(w1: SpectrumPoint, w2: SpectrumPoint, level: int) -> bool:
@@ -197,6 +201,13 @@ def recompose(parts: Mapping[int, ResidueFamily]) -> BPoint:
     return BPoint(ResidueFamily(value, level), SupernaturalNumber.from_int(level))
 
 
+# The window holds about bound^2 elements, and the join check walks their
+# pairs for every (a, b) with lcm(a, b) <= bound, so the cost grows four- to
+# fivefold per doubling of the bound: B(1, NABLA) takes 0.7-0.9 s at bound
+# 400 and 5.5-7 s at 1024 (in-process, one core of a shared 2-vCPU host).
+_BOUND_CEILING = 2**10
+
+
 def verify_hereditary_directed(
     members: SpectrumPoint | Iterable[SemigroupElement], bound: int
 ) -> bool:
@@ -205,42 +216,47 @@ def verify_hereditary_directed(
     Enumerates elements with m <= bound and a <= bound.  Hereditary: every
     window element below a member is a member.  Directed: every pair of
     members has a finite join, and the join is a member whenever its
-    coordinates fall inside the window.  Raises on bound < 1, whose window
-    is empty.
+    coordinates fall inside the window; the pairs are taken one pair of
+    multiplicative parts (a, b) at a time by `semigroup.joins_within`.
+
+    The identity (0, 1) lies below every element and inside every window, so
+    a set whose window is empty is empty or not hereditary, and fails.
+    Raises ValueError on bound < 1, whose window is empty, and on a bound
+    past _BOUND_CEILING (1024), where one check already takes seconds,
+    before any window is built.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound > _BOUND_CEILING:
+        raise ValueError(f"bound must be <= {_BOUND_CEILING}, got {bound}")
+    levels: dict[int, list[int]] = {}
     if isinstance(members, (APoint, BPoint)):
-        point = members
-        # (m, a) with m >= 0 and a >= 1 by the ranges: built without re-validation
-        window = [
-            x
-            for a in range(1, bound + 1)
-            for m in range(0, bound + 1)
-            if contains(point, x := tuple.__new__(SemigroupElement, (m, a)))
-        ]
-        member_set = set(window)
+        for a in range(1, bound + 1):
+            if int_divides_sn(a, members.N) and (ms := list(_level_members(members, a, bound))):
+                levels[a] = ms
+        member_set = {(m, a) for a, ms in levels.items() for m in ms}
     else:
         member_set = set(members)
-        window = [x for x in member_set if x.m <= bound and x.a <= bound]
+        for m, a in member_set:
+            if m <= bound and a <= bound:
+                levels.setdefault(a, []).append(m)
+    if not levels:
+        return False
 
     # elements hash like plain (m, a) tuples, so a probe needs no element built
-    for xm, xa in window:
-        for b in range(1, xa + 1):
-            if xa % b != 0:
-                continue
-            # (m, b) lies below (xm, xa): b divides xa and xm - m
-            for m in range(xm, -1, -b):
-                if (m, b) not in member_set:
-                    return False
-    # join is symmetric in (l, lcm) and join(x, x) = x, so each pair is checked once
-    for i, x in enumerate(window):
-        for y in window[i + 1 :]:
-            jn = join(x, y)
-            if jn is None:
-                return False
-            l, lcm = jn.l, jn.lcm
-            if l <= bound and lcm <= bound and (l, lcm) not in member_set:
+    for xa, ms in levels.items():
+        divs = [b for b in range(1, xa + 1) if xa % b == 0]
+        for xm in ms:
+            for b in divs:
+                # (m, b) lies below (xm, xa): b divides xa and xm - m
+                for m in range(xm, -1, -b):
+                    if (m, b) not in member_set:
+                        return False
+    # join is symmetric and join(x, x) = x, so each pair of parts a <= b is checked once
+    mults = sorted(levels)
+    for i, a in enumerate(mults):
+        for b in mults[i:]:
+            if not joins_within(a, levels[a], b, levels[b], bound, member_set):
                 return False
     return True
 

@@ -490,6 +490,8 @@ class TestSuiteCommands:
             # a level only sets the decomposition's depth: alone, or with another mode, it is refused
             (["spectrum", "--point", A_POINT, "--level", "0", "--bound", "5"], 2, "", "error: --level needs --decompose\n"),
             (["spectrum", "--point", A_POINT, "--contains", "0", "2", "--level", "3"], 2, "", "error: --level needs --decompose\n"),
+            # a window of about 10^18 elements is refused before it is built
+            (["spectrum", "--point", A_POINT, "--bound", "1000000000"], 2, "", "error: bound must be <= 1024, got 1000000000\n"),
         ],
     )
     def test_error_and_format_branches(self, capsys, argv, want_code, want_out, want_err):

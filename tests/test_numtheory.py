@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 import tracemalloc
@@ -282,6 +283,43 @@ def test_smooth_numbers():
     first = list(islice(iter_smooth([2]), 5))
     assert first == [1, 2, 4, 8, 16]
     assert list(islice(iter_smooth([2]), 0)) == []
+
+
+def smooth_by_seen_set(primes):
+    """Smooth numbers by a heap and a set of every value pushed: the reference."""
+    heap, seen = [1], {1}
+    while heap:
+        n = heapq.heappop(heap)
+        yield n
+        for p in sorted(set(primes)):
+            if n * p not in seen:
+                seen.add(n * p)
+                heapq.heappush(heap, n * p)
+
+
+@pytest.mark.parametrize("primes", [[2], [3, 2], [2, 3, 5], [5, 7, 7, 11], first_primes(6), first_primes(13)[1:], [1000003, 2]])
+def test_smooth_numbers_against_seen_set(primes):
+    assert list(islice(iter_smooth(primes), 3000)) == list(islice(smooth_by_seen_set(primes), 3000))
+
+
+def test_smooth_numbers_keep_no_seen_set():
+    # 2 * 10^4 terms over the 12 odd primes to 41 peak at about 2.3 MB; a set of
+    # every value pushed took 4.9 MB
+    tracemalloc.start()
+    try:
+        last = sum(1 for _ in islice(iter_smooth(first_primes(13)[1:]), 2 * 10**4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert last == 2 * 10**4
+    assert peak < 3.5 * 2**20
+
+
+@pytest.mark.parametrize("primes, bad", [([2, 4], 4), ([1, 3], 1), ([6], 6)])
+def test_smooth_numbers_refuse_non_primes(primes, bad):
+    # a composite generator would make some n twice, 8 = 2 * 4 = 4 * 2
+    with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+        iter_smooth(primes)
 
 
 class TestSupernatural:

@@ -14,6 +14,7 @@ from affinetoeplitz.semigroup import (
     euclid_smallest,
     euclid_smallest_direct,
     join,
+    joins_within,
     leq,
 )
 
@@ -296,6 +297,50 @@ class TestJoin:
                     u = SemigroupElement(m, a)
                     if leq(p, u) and leq(q, u):
                         assert leq(SemigroupElement(j.l, j.lcm), u)
+
+
+class TestJoinsWithin:
+    """One case per branch of the grouped check, each against its per-pair reading."""
+
+    def test_pair_that_never_meets(self):
+        # gcd(2, 4) = 2 does not divide 0 - 1; lcm 4 lies past bound 3, and the meeting test still runs
+        assert join((0, 2), (1, 4)) is None
+        assert not joins_within(2, [0], 4, [1], 3, {(0, 2), (1, 4)})
+        assert not joins_within(2, [0, 2], 4, [2, 1], 8, {(0, 2), (2, 2), (2, 4), (1, 4)})
+
+    def test_missing_join_inside_the_window(self):
+        # (0, 2) v (0, 3) = (0, 6), with lcm equal to the bound
+        members = {(0, 2), (0, 3)}
+        assert not joins_within(2, [0], 3, [0], 6, members)
+        assert joins_within(2, [0], 3, [0], 6, members | {(0, 6)})
+        # (3, 1) v (0, 2) = (4, 2), with l equal to the bound
+        assert not joins_within(1, [3], 2, [0], 4, {(3, 1), (0, 2)})
+        assert joins_within(1, [3], 2, [0], 4, {(3, 1), (0, 2), (4, 2)})
+
+    def test_join_past_the_window(self):
+        # lcm 6 past bound 5, and l = 4 past bound 3: neither join is looked up
+        assert joins_within(2, [0], 3, [0], 5, {(0, 2), (0, 3)})
+        assert joins_within(1, [3], 2, [0], 3, {(3, 1), (0, 2)})
+
+    def test_one_multiplicative_part(self):
+        # members of one level join at the larger of the two when they meet
+        assert not joins_within(2, [0, 1], 2, [0, 1], 4, {(0, 2), (1, 2)})
+        assert joins_within(2, [0, 2, 4], 2, [0, 2, 4], 4, {(0, 2), (2, 2), (4, 2)})
+
+    def test_against_join(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            bound = rng.randint(1, 12)
+            a, b = rng.randint(1, bound), rng.randint(1, bound)
+            ms = rng.sample(range(bound + 1), rng.randint(1, 2))
+            ns = rng.sample(range(bound + 1), rng.randint(1, 2))
+            members = {(m, a) for m in ms} | {(n, b) for n in ns}
+            members |= {(rng.randint(0, bound), rng.randint(1, bound)) for _ in range(rng.randint(0, 40))}
+            joins = [join((m, a), (n, b)) for m in ms for n in ns]
+            want = all(
+                j is not None and (j.l > bound or j.lcm > bound or (j.l, j.lcm) in members) for j in joins
+            )
+            assert joins_within(a, ms, b, ns, bound, members) == want
 
 
 @pytest.mark.parametrize(

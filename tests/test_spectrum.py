@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinetoeplitz import spectrum
 from affinetoeplitz.numtheory import NABLA, SupernaturalNumber
-from affinetoeplitz.semigroup import SemigroupElement
+from affinetoeplitz.semigroup import SemigroupElement, join
 from affinetoeplitz.spectrum import (
     APoint,
     BPoint,
@@ -23,6 +24,7 @@ from affinetoeplitz.spectrum import (
     verify_hereditary_directed,
 )
 from conftest import enumerate_members
+from test_acceptance import _random_point
 
 
 def sn(n):
@@ -240,12 +242,41 @@ class TestHereditaryDirected:
         members = {SemigroupElement(0, 1), SemigroupElement(0, 2), SemigroupElement(0, 3)}
         assert not verify_hereditary_directed(members, 6)
         assert verify_hereditary_directed(members | {SemigroupElement(0, 6)}, 6)
+        # at bound 5 that join lies past the window, and the set passes
+        assert verify_hereditary_directed(members, 5)
 
     def test_joinless_pair(self):
         # the full window is hereditary, but (0, 2) and (1, 2) have no common upper bound
         window = {SemigroupElement(m, a) for m in range(3) for a in (1, 2)}
         assert not verify_hereditary_directed(window, 2)
         assert verify_hereditary_directed({x for x in window if x.m % 2 == 0 or x.a == 1}, 2)
+
+    def test_join_on_the_window_edge(self):
+        # every join is present but (0, 2) v (3, 1) = (4, 2), whose l is the bound itself
+        below = {SemigroupElement(m, 1) for m in range(4)} | {SemigroupElement(0, 2), SemigroupElement(2, 2)}
+        assert not verify_hereditary_directed(below, 4)
+        assert verify_hereditary_directed(below | {SemigroupElement(4, 1), SemigroupElement(4, 2)}, 4)
+        # with bound 3 that join lies past the window, and the set passes
+        assert verify_hereditary_directed(below, 3)
+
+    def test_empty_window_fails(self):
+        # (0, 1) lies below every element and in every window: a nonempty
+        # hereditary set always meets the window
+        assert not verify_hereditary_directed(set(), 3)
+        assert not verify_hereditary_directed({SemigroupElement(100, 1)}, 5)
+        assert not verify_hereditary_directed({SemigroupElement(0, 7)}, 6)
+
+    def test_bound_ceiling(self, monkeypatch):
+        point = BPoint(ResidueFamily.from_int(1), NABLA)
+        with pytest.raises(ValueError, match="^bound must be <= 1024, got 1025$"):
+            verify_hereditary_directed(point, 1025)
+        with pytest.raises(ValueError, match="^bound must be <= 1024, got 1000000000$"):
+            verify_hereditary_directed(set(), 10**9)
+        # refused before any window is built: a point whose window would raise is refused the same way
+        monkeypatch.setattr(spectrum, "_BOUND_CEILING", 4)
+        assert verify_hereditary_directed(point, 4)
+        with pytest.raises(ValueError, match="^bound must be <= 4, got 5$"):
+            verify_hereditary_directed(BPoint(ResidueFamily(1, 2), NABLA), 5)
 
     def test_random_points(self):
         rng = random.Random(29)
@@ -255,6 +286,66 @@ class TestHereditaryDirected:
             else:
                 point = BPoint(ResidueFamily.from_int(rng.randrange(0, 60)), rng.choice([NABLA, sn(12), sn(36)]))
             assert verify_hereditary_directed(point, 12)
+
+
+def hereditary_directed_by_pairs(members, bound):
+    """The check by one `join` call per pair of window members: the oracle
+    for the check grouped by pairs of multiplicative parts."""
+    member_set = set(members)
+    window = [x for x in member_set if x.m <= bound and x.a <= bound]
+    for xm, xa in window:
+        for b in range(1, xa + 1):
+            if xa % b == 0 and any((m, b) not in member_set for m in range(xm, -1, -b)):
+                return False
+    for i, x in enumerate(window):
+        for y in window[i + 1 :]:
+            jn = join(x, y)
+            if jn is None:
+                return False
+            if jn.l <= bound and jn.lcm <= bound and (jn.l, jn.lcm) not in member_set:
+                return False
+    return True
+
+
+def down_closure(elements):
+    return {
+        SemigroupElement(m, b)
+        for xm, xa in elements
+        for b in range(1, xa + 1)
+        if xa % b == 0
+        for m in range(xm, -1, -b)
+    }
+
+
+@st.composite
+def member_sets(draw):
+    bound = draw(st.integers(1, 9))
+    cell = st.tuples(st.integers(0, bound + 2), st.integers(1, bound + 2))
+    if draw(st.booleans()):
+        members = down_closure(draw(st.lists(cell, max_size=4)))
+    else:
+        members = {SemigroupElement(m, a) for m, a in draw(st.sets(cell, max_size=3 * bound))}
+    return frozenset(members), bound
+
+
+class TestHereditaryDirectedOracle:
+    """`verify_hereditary_directed` against one `join` call per pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(member_sets())
+    def test_matches_pairwise_joins(self, case):
+        members, bound = case
+        window_empty = all(x.m > bound or x.a > bound for x in members)
+        want = not window_empty and hereditary_directed_by_pairs(members, bound)
+        assert verify_hereditary_directed(members, bound) == want
+
+    def test_criterion_12_points(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            point = _random_point(rng)
+            assert hereditary_directed_by_pairs(enumerate_members(point, 20), 20)
+            assert verify_hereditary_directed(point, 20)
+            assert verify_hereditary_directed(enumerate_members(point, 20), 20)
 
 
 class TestJson:
