@@ -5,13 +5,11 @@ Group elements (r, x) act on numbers by t -> r + x*t, so the product is
 x in N^x induces a left-invariant order on the group, and any two elements
 with a common upper bound have a least one; computing it reduces to finding
 the smallest non-negative solution of k = alpha*c - beta*d for coprime c, d.
-`join` solves it by the modular inverse, in O(log d) steps, and `_lift` is
-the one home of that formula: `euclid_smallest_direct` is its argument checks
-plus a join, and `joins_within`, which checks a window's joins one pair of
-multiplicative parts (a, b) at a time, finds the gcd, inverse and lcm once per
-(a, b) and lifts each pair's join through `_lift` as well.  The alternating
-subtraction scheme of `euclid_smallest`, up to about min(c, d) rounds, stays
-as the reference implementation and as join's independent check.
+`join` solves it by the modular inverse, in O(log d) steps, and is the one
+home of that formula: `euclid_smallest_direct` is its argument checks plus a
+join.  The alternating subtraction scheme of `euclid_smallest`, up to about
+min(c, d) rounds, stays as the reference implementation and as join's
+independent check.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "euclid_smallest",
     "euclid_smallest_direct",
     "join",
-    "joins_within",
 ]
 
 
@@ -175,10 +172,6 @@ class Join(TupleValue, namedtuple("Join", "l lcm alpha beta a_prime b_prime")):
     __slots__ = ()
 
 
-# looked up once: join builds its result on the rewriter's hot path
-_tuple_new = tuple.__new__
-
-
 def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
     """Least upper bound of p and q, or None when they have no common upper bound.
 
@@ -188,8 +181,8 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
 
     (alpha, beta) is the smallest non-negative solution of
     (n - m)/g = alpha*a' - beta*b' with g = gcd(a, b), a' = a/g, b' = b/g,
-    lifted by `_lift` from the modular inverse of a' mod b' in O(log b') steps,
-    with no coprimality check: a' and b' are coprime and positive by construction.
+    found inline by the modular inverse of a' mod b' in O(log b') steps, with
+    no coprimality check: a' and b' are coprime and positive by construction.
     Plain (m, a) pairs are accepted, and a multiplicative part below 1 raises
     ValueError as SemigroupElement does.
     """
@@ -198,57 +191,15 @@ def join(p: SemigroupElement, q: SemigroupElement) -> Join | None:
     if a < 1 or b < 1:
         raise ValueError(f"multiplicative part must be >= 1, got {a if a < 1 else b}")
     g = gcd(a, b)
-    if (m - n) % g:
+    if (m - n) % g != 0:
         return None
-    if g == 1:  # coprime parts, the rewriter's common case, need no division
-        a1, b1, k = a, b, n - m
-    else:
-        a1, b1, k = a // g, b // g, (n - m) // g
-    alpha = _lift(k, a1, b1, pow(a1, -1, b1))
-    return _tuple_new(Join, (m + a * alpha, a * b1, alpha, (alpha * a1 - k) // b1, a1, b1))
-
-
-def _lift(k: int, a1: int, b1: int, inv: int) -> int:
-    """Join's euclid step: the least alpha >= 0 with alpha*a1 >= k and
-    alpha*a1 = k mod b1, for coprime a1, b1 >= 1 and inv = a1^-1 mod b1.
-
-    alpha is the least residue of k/a1 mod b1 (pow(a1, -1, 1) is 0), lifted
-    by multiples of b1 until alpha*a1 >= k.  The non-negative solutions of
-    k = alpha*a1 - beta*b1 form one chain (alpha + t*b1, beta + t*a1), t >= 0,
-    and for k < 0 the least residue is already its least element: neither
-    sign needs a role swap.
-    """
-    alpha = k % b1 * inv % b1
+    a1, b1 = a // g, b // g
+    # alpha is the least residue of k/a' mod b' (pow(a', -1, 1) is 0), lifted
+    # by multiples of b' until alpha*a' >= k.  The non-negative solutions form
+    # one chain (alpha + t*b', beta + t*a'), t >= 0, and for k < 0 the least
+    # residue is already its least element: neither sign needs a role swap.
+    k = (n - m) // g
+    alpha = k % b1 * pow(a1, -1, b1) % b1
     if alpha * a1 < k:
         alpha += b1 * (-(-(k - alpha * a1) // (a1 * b1)))
-    return alpha
-
-
-def joins_within(a: int, ms: list[int], b: int, ns: list[int], bound: int, members: set) -> bool:
-    """Whether every pair (m, a), (n, b) with m in the nonempty list ms and
-    n in the nonempty list ns has a join, and each join inside the window
-    l, lcm <= bound lies in `members`.
-
-    `members` holds (m, a) pairs and contains every (m, a) and (n, b) given.
-    The gcd, the inverse and the lcm depend on (a, b) alone, so they are
-    found once for all the pairs; `join`'s lift then gives each join's l.
-    Two members with one multiplicative part (a == b) join at the larger
-    of the two when they meet, and only the meeting test is run.
-    """
-    g = gcd(a, b)
-    # every pair meets iff all of ms and ns lie in one class mod g
-    if g > 1:
-        r = ms[0] % g
-        if any(m % g != r for m in ms) or any(n % g != r for n in ns):
-            return False
-    a1, b1 = a // g, b // g
-    lcm = a * b1
-    if a == b or lcm > bound:
-        return True
-    inv = pow(a1, -1, b1)
-    for m in ms:
-        for n in ns:
-            l = m + a * _lift((n - m) // g, a1, b1, inv)
-            if l <= bound and (l, lcm) not in members:
-                return False
-    return True
+    return tuple.__new__(Join, (m + a * alpha, a * b1, alpha, (alpha * a1 - k) // b1, a1, b1))

@@ -31,7 +31,7 @@ from .numtheory import (
     json_number,
     sn_divides,
 )
-from .semigroup import SemigroupElement, joins_within
+from .semigroup import SemigroupElement, join
 
 __all__ = [
     "LevelExceededError",
@@ -201,10 +201,12 @@ def recompose(parts: Mapping[int, ResidueFamily]) -> BPoint:
     return BPoint(ResidueFamily(value, level), SupernaturalNumber.from_int(level))
 
 
-# The window holds about bound^2 elements, and the join check walks their
-# pairs for every (a, b) with lcm(a, b) <= bound, so the cost grows four- to
-# fivefold per doubling of the bound: B(1, NABLA) takes 0.7-0.9 s at bound
-# 400 and 5.5-7 s at 1024 (in-process, one core of a shared 2-vCPU host).
+# The window holds about bound^2 elements, of which a point has about
+# bound*ln(bound) members, each probed against its covers; the join pass
+# visits every pair of levels, about bound^2/2, so one check grows three- to
+# fourfold per doubling of the bound: B(1, NABLA) takes 0.03-0.05 s at bound
+# 400 and 0.16-0.21 s at the ceiling, 1024 (in-process, one core of a shared
+# 2-vCPU host).
 _BOUND_CEILING = 2**10
 
 
@@ -216,14 +218,27 @@ def verify_hereditary_directed(
     Enumerates elements with m <= bound and a <= bound.  Hereditary: every
     window element below a member is a member.  Directed: every pair of
     members has a finite join, and the join is a member whenever its
-    coordinates fall inside the window; the pairs are taken one pair of
-    multiplicative parts (a, b) at a time by `semigroup.joins_within`.
+    coordinates fall inside the window.  Both are read off each level a
+    (the members with multiplicative part a) and its two ends:
+
+    * heredity by covers: a member (m, a) needs (m - a, a) when m >= a, and
+      (m, b) for every b | a; every window element (n, b) below (m, a) is
+      then reached by the chain (m, a) -> (m, b) -> (m - b, b) -> ... -> (n, b),
+      whose steps stay inside the window;
+    * one class per level: two members of level a meet iff they agree mod a,
+      and then join at the larger, so level a must be r_a, r_a + a, ..., t_a
+      with r_a < a; any two members (m, a), (n, b) then meet, since
+      (m, g) and (n, g) lie on the one class of level g = gcd(a, b);
+    * the joins of two levels a < b with L = lcm(a, b) <= bound (a larger L
+      puts every join past the window): join is monotone, so they are the
+      values of one class mod L from l0 = join((r_a, a), (r_b, b)).l, which
+      is below L, up to l1 = join((t_a, a), (t_b, b)).l, and by heredity
+      the largest of them inside the window decides the pair.
 
     The identity (0, 1) lies below every element and inside every window, so
     a set whose window is empty is empty or not hereditary, and fails.
     Raises ValueError on bound < 1, whose window is empty, and on a bound
-    past _BOUND_CEILING (1024), where one check already takes seconds,
-    before any window is built.
+    past _BOUND_CEILING (1024), before any window is built.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -244,20 +259,28 @@ def verify_hereditary_directed(
         return False
 
     # elements hash like plain (m, a) tuples, so a probe needs no element built
-    for xa, ms in levels.items():
-        divs = [b for b in range(1, xa + 1) if xa % b == 0]
-        for xm in ms:
-            for b in divs:
-                # (m, b) lies below (xm, xa): b divides xa and xm - m
-                for m in range(xm, -1, -b):
-                    if (m, b) not in member_set:
-                        return False
-    # join is symmetric and join(x, x) = x, so each pair of parts a <= b is checked once
-    mults = sorted(levels)
-    for i, a in enumerate(mults):
-        for b in mults[i:]:
-            if not joins_within(a, levels[a], b, levels[b], bound, member_set):
+    ends: dict[int, tuple[int, int]] = {}
+    for a, ms in levels.items():
+        divs = [b for b in range(1, a) if a % b == 0]
+        r = ms[0] % a
+        for m in ms:
+            if m % a != r or (m >= a and (m - a, a) not in member_set):
                 return False
+            if any((m, b) not in member_set for b in divs):
+                return False
+        # the (m - a, a) covers put the least member at r < a: level a is r, r + a, ..., max(ms)
+        ends[a] = r, max(ms)
+    mults = sorted(ends)
+    for i, a in enumerate(mults):
+        ra, ta = ends[a]
+        for b in mults[i + 1 :]:
+            lcm = math.lcm(a, b)
+            if lcm <= bound:
+                rb, tb = ends[b]
+                l0 = join((ra, a), (rb, b)).l
+                l1 = join((ta, a), (tb, b)).l
+                if (min(l1, bound - (bound - l0) % lcm), lcm) not in member_set:
+                    return False
     return True
 
 

@@ -328,6 +328,23 @@ def member_sets(draw):
     return frozenset(members), bound
 
 
+@st.composite
+def perturbed_point_windows(draw):
+    """A spectrum point's window, near hereditary and directed: united with a
+    second point's window, or less one member, or plus one window element."""
+    bound = draw(st.integers(1, 16))
+    rng = draw(st.randoms(use_true_random=False))
+    members = set(enumerate_members(_random_point(rng), bound))
+    how = draw(st.sampled_from(["union", "remove", "add"]))
+    if how == "union":
+        members |= enumerate_members(_random_point(rng), bound)
+    elif how == "remove":
+        members.remove(draw(st.sampled_from(sorted(members))))
+    else:
+        members.add(SemigroupElement(draw(st.integers(0, bound)), draw(st.integers(1, bound))))
+    return frozenset(members), bound
+
+
 class TestHereditaryDirectedOracle:
     """`verify_hereditary_directed` against one `join` call per pair."""
 
@@ -337,6 +354,14 @@ class TestHereditaryDirectedOracle:
         members, bound = case
         window_empty = all(x.m > bound or x.a > bound for x in members)
         want = not window_empty and hereditary_directed_by_pairs(members, bound)
+        assert verify_hereditary_directed(members, bound) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_point_windows())
+    def test_matches_pairwise_joins_near_points(self, case):
+        # every member lies in the window, so the window is empty only when the set is
+        members, bound = case
+        want = bool(members) and hereditary_directed_by_pairs(members, bound)
         assert verify_hereditary_directed(members, bound) == want
 
     def test_criterion_12_points(self):
