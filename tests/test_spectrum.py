@@ -288,6 +288,59 @@ class TestHereditaryDirected:
             assert verify_hereditary_directed(point, 12)
 
 
+def levels(**by_a):
+    """Members given level by level: levels(a1=[0, 1], a2=[0]) = {(0, 1), (1, 1), (0, 2)}."""
+    return {SemigroupElement(m, int(a[1:])) for a, ms in by_a.items() for m in ms}
+
+
+class TestLevelEnds:
+    """One case per fact the level check rests on, each against the per-pair oracle."""
+
+    def check(self, members, bound, want):
+        assert hereditary_directed_by_pairs(members, bound) == want
+        assert verify_hereditary_directed(members, bound) == want
+
+    def test_gap_inside_a_level(self):
+        # (4, 3) is missing below (7, 3); level 3 is still one class mod 3,
+        # and the largest join class value with level 1, (7, 3), is present
+        members = levels(a1=range(10), a3=[1, 7])
+        self.check(members, 9, False)
+        self.check(members | levels(a3=[4]), 9, True)
+
+    def test_missing_divisor_cover(self):
+        # (2, 1) lies below (2, 2); level 2's own cover (0, 2) and its join
+        # with level 1, (2, 2), are present
+        members = levels(a1=[0, 1], a2=[0, 2])
+        self.check(members, 2, False)
+        self.check(members | levels(a1=[2]), 2, True)
+
+    def test_two_classes_in_one_level(self):
+        # level 2 holds both classes mod 2, each closed under its cover; the
+        # class values that the level pair (1, 2) looks up are all present
+        members = levels(a1=range(4), a2=range(4))
+        self.check(members, 3, False)
+        self.check(levels(a1=range(4), a2=[1, 3]), 3, True)
+
+    def test_top_join_past_the_window(self):
+        # (6, 2) v (4, 3) = (10, 6) lies past bound 6, but (0, 2) v (1, 3) = (4, 6)
+        # does not, and the levels' joins run through it
+        members = levels(a1=range(7), a2=[0, 2, 4, 6], a3=[1, 4])
+        self.check(members, 6, False)
+        self.check(members | levels(a6=[4]), 6, True)
+
+    def test_top_join_below_the_window_cap(self):
+        # every join of levels 2 and 3 is (0, 6); (6, 6) is the class's largest
+        # window value at bound 11, but no pair of members joins there
+        self.check(levels(a1=[0], a2=[0], a3=[0], a6=[0]), 11, True)
+        self.check(levels(a1=[0], a2=[0], a3=[0]), 11, False)
+
+    def test_top_join_above_the_bottoms_join(self):
+        # (0, 2) v (0, 3) = (0, 6) is present; (6, 2) v (6, 3) = (6, 6) is not
+        members = levels(a1=range(7), a2=[0, 2, 4, 6], a3=[0, 3, 6], a6=[0])
+        self.check(members, 6, False)
+        self.check(members | levels(a6=[6]), 6, True)
+
+
 def hereditary_directed_by_pairs(members, bound):
     """The check by one `join` call per pair of window members: the oracle
     for the check grouped by pairs of multiplicative parts."""
