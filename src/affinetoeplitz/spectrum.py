@@ -201,44 +201,35 @@ def recompose(parts: Mapping[int, ResidueFamily]) -> BPoint:
     return BPoint(ResidueFamily(value, level), SupernaturalNumber.from_int(level))
 
 
-# The window holds about bound^2 elements, of which a point has about
-# bound*ln(bound) members, each probed against its covers; the join pass
-# visits every pair of levels, about bound^2/2, so one check grows three- to
-# fourfold per doubling of the bound: B(1, NABLA) takes 0.03-0.05 s at bound
-# 400 and 0.16-0.21 s at the ceiling, 1024 (in-process, one core of a shared
-# 2-vCPU host).
+# A point's window has about bound*ln(bound) members on at most bound levels:
+# the fold makes one join per level, on an lcm that grows to about 1.44*bound
+# bits, and the comparison reduces l and L mod each level once, so one check
+# grows about threefold per doubling of the bound: B(1, NABLA) takes
+# 0.0018 s at bound 512 and 0.005-0.008 s at the ceiling, 1024 (in-process,
+# one core of a shared 2-vCPU host).
 _BOUND_CEILING = 2**10
 
 
 def verify_hereditary_directed(
     members: SpectrumPoint | Iterable[SemigroupElement], bound: int
 ) -> bool:
-    """Finite-window check that a set is hereditary and directed.
+    """Finite-window check that a set is the window of a hereditary directed set.
 
-    Enumerates elements with m <= bound and a <= bound.  Hereditary: every
-    window element below a member is a member.  Directed: every pair of
-    members has a finite join, and the join is a member whenever its
-    coordinates fall inside the window.  Both are read off each level a
-    (the members with multiplicative part a) and its two ends:
+    The window W holds the elements with m <= bound and a <= bound, and level
+    a of a set is its members in W with multiplicative part a.  A nonempty
+    set S inside W is H & W for a hereditary directed H exactly when
+    S = down(J) & W, where J = (l, L) is the join of the level tops of S and
+    down(J), the set of elements below J, is hereditary and directed.  For
+    S = H & W, the tops have an upper bound in H, so J lies in H and
+    down(J) & W in S; two members of one level meet in H only when they agree
+    mod the level, so each lies below its level's top, and S in down(J).
 
-    * heredity by covers: a member (m, a) needs (m - a, a) when m >= a, and
-      (m, b) for every b | a; every window element (n, b) below (m, a) is
-      then reached by the chain (m, a) -> (m, b) -> (m - b, b) -> ... -> (n, b),
-      whose steps stay inside the window;
-    * one class per level: two members of level a meet iff they agree mod a,
-      and then join at the larger, so level a must be r_a, r_a + a, ..., t_a
-      with r_a < a; any two members (m, a), (n, b) then meet, since
-      (m, g) and (n, g) lie on the one class of level g = gcd(a, b);
-    * the joins of two levels a < b with L = lcm(a, b) <= bound (a larger L
-      puts every join past the window): join is monotone, so they are the
-      values of one class mod L from l0 = join((r_a, a), (r_b, b)).l, which
-      is below L, up to l1 = join((t_a, a), (t_b, b)).l, and by heredity
-      the largest of them inside the window decides the pair.
-
-    The identity (0, 1) lies below every element and inside every window, so
-    a set whose window is empty is empty or not hereditary, and fails.
-    Raises ValueError on bound < 1, whose window is empty, and on a bound
-    past _BOUND_CEILING (1024), before any window is built.
+    So the tops are folded by `join` from (0, 1), a None fails, and level c of
+    the window must be l mod c, l mod c + c, ..., min(l, bound) when c | L,
+    and empty otherwise.  The identity (0, 1) lies in every such window, so a
+    set whose window is empty fails.  Raises ValueError on bound < 1, whose
+    window is empty, and on a bound past _BOUND_CEILING (1024), before any
+    window is built.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -247,41 +238,21 @@ def verify_hereditary_directed(
     levels: dict[int, list[int]] = {}
     if isinstance(members, (APoint, BPoint)):
         for a in range(1, bound + 1):
-            if int_divides_sn(a, members.N) and (ms := list(_level_members(members, a, bound))):
-                levels[a] = ms
-        member_set = {(m, a) for a, ms in levels.items() for m in ms}
+            if int_divides_sn(a, members.N):
+                levels[a] = list(_level_members(members, a, bound))
     else:
-        member_set = set(members)
-        for m, a in member_set:
+        for m, a in sorted(set(members)):
             if m <= bound and a <= bound:
                 levels.setdefault(a, []).append(m)
-    if not levels:
-        return False
-
-    # elements hash like plain (m, a) tuples, so a probe needs no element built
-    ends: dict[int, tuple[int, int]] = {}
+    l, L = 0, 1
     for a, ms in levels.items():
-        divs = [b for b in range(1, a) if a % b == 0]
-        r = ms[0] % a
-        for m in ms:
-            if m % a != r or (m >= a and (m - a, a) not in member_set):
-                return False
-            if any((m, b) not in member_set for b in divs):
-                return False
-        # the (m - a, a) covers put the least member at r < a: level a is r, r + a, ..., max(ms)
-        ends[a] = r, max(ms)
-    mults = sorted(ends)
-    for i, a in enumerate(mults):
-        ra, ta = ends[a]
-        for b in mults[i + 1 :]:
-            lcm = math.lcm(a, b)
-            if lcm <= bound:
-                rb, tb = ends[b]
-                l0 = join((ra, a), (rb, b)).l
-                l1 = join((ta, a), (tb, b)).l
-                if (min(l1, bound - (bound - l0) % lcm), lcm) not in member_set:
-                    return False
-    return True
+        if (jn := join((l, L), (ms[-1], a))) is None:
+            return False
+        l, L = jn.l, jn.lcm
+    return all(
+        levels.get(c, []) == list(range(l % c, min(l, bound) + 1, c) if L % c == 0 else ())
+        for c in range(1, bound + 1)
+    )
 
 
 # --------------------------------------------------------------------------

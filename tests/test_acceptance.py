@@ -663,3 +663,60 @@ def test_criterion_15_phase_transition_at_2(grid_monomials):
         + " ".join(f"{r:.3f}" for r in ratios)
         + f", least gap of psi_beta_mu(s) at beta = 2.5, 3: {least_gaps[0]:.3f}, {least_gaps[1]:.3f}",
     )
+
+
+# --------------------------------------------------------------------------
+# 19. the window check accepts exactly the windows of spectrum points
+# --------------------------------------------------------------------------
+
+
+def _window_sets(bound):
+    """Every set inside the window m, a <= bound with one class per level and
+    heredity over divisors: level a is empty or r, r + a, ..., t with r < a,
+    and each member (m, a) puts (m, b) in the set for every b | a.  Built
+    level by level, so a level is chosen only inside its divisors' levels."""
+    sets = [{}]
+    for a in range(1, bound + 1):
+        divs = [b for b in range(1, a) if a % b == 0]
+        grown = []
+        for levels in sets:
+            grown.append(levels)
+            for r in range(a):
+                for t in range(r, bound + 1, a):
+                    if all(b in levels and (r - levels[b][0]) % b == 0 and t <= levels[b][1] for b in divs):
+                        grown.append({**levels, a: (r, t)})
+        sets = grown
+    return [frozenset((m, a) for a, (r, t) in levels.items() for m in range(r, t + 1, a)) for levels in sets]
+
+
+def _point_windows(bound):
+    """The windows of A(k, N) and B(r, N) from the definitions: a | N, and
+    (k - m)/a a natural number or m = r mod a.  A level a <= bound divides N
+    exactly when it divides gcd(N, lcm(1..bound)), so N runs over the divisors
+    of lcm(1..bound); there r acts through r mod N, and a cap k >= bound
+    through k mod N."""
+    cells = [(m, a) for m in range(bound + 1) for a in range(1, bound + 1)]
+    top = math.lcm(*range(1, bound + 1))
+    windows = set()
+    for n in (d for d in range(1, top + 1) if top % d == 0):
+        for r in range(n):
+            windows.add(frozenset((m, a) for m, a in cells if n % a == 0 and (m - r) % a == 0))
+        for k in range(bound + n):
+            windows.add(frozenset((m, a) for m, a in cells if n % a == 0 and m <= k and (k - m) % a == 0))
+    return windows
+
+
+def test_criterion_19_window_check_is_exact():
+    # Nica's spectrum is the hereditary directed subsets of the whole monoid, so
+    # the check must refuse a window set that passes every test inside the
+    # window while a join past it lies above a missing window element
+    start = time.monotonic()
+    ok, counts = True, []
+    for bound in (4, 5, 6):
+        candidates = _window_sets(bound)
+        accepted = {s for s in candidates if verify_hereditary_directed(s, bound)}
+        windows = _point_windows(bound)
+        ok = ok and accepted == windows
+        counts.append(f"bound {bound}: {len(accepted)} of {len(candidates)} accepted, {len(windows)} point windows")
+    elapsed = time.monotonic() - start
+    report(19, "window check is exact", ok, f"{elapsed:.2f}s, " + "; ".join(counts))

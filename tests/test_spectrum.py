@@ -294,70 +294,93 @@ def levels(**by_a):
 
 
 class TestLevelEnds:
-    """One case per fact the level check rests on, each against the per-pair oracle."""
+    """Hand-built windows, each failing and then mended, against the join-closure
+    oracle.  J is the join of a window's level tops, and each failing window
+    differs from the elements below J in one place."""
 
     def check(self, members, bound, want):
-        assert hereditary_directed_by_pairs(members, bound) == want
+        assert hereditary_directed_by_closure(members, bound) == want
         assert verify_hereditary_directed(members, bound) == want
 
     def test_gap_inside_a_level(self):
-        # (4, 3) is missing below (7, 3); level 3 is still one class mod 3,
-        # and the largest join class value with level 1, (7, 3), is present
+        # J = (9, 1) v (7, 3) = (10, 3), whose level 3 in the window is 1, 4, 7:
+        # (4, 3) is missing below the top (7, 3)
         members = levels(a1=range(10), a3=[1, 7])
         self.check(members, 9, False)
         self.check(members | levels(a3=[4]), 9, True)
 
     def test_missing_divisor_cover(self):
-        # (2, 1) lies below (2, 2); level 2's own cover (0, 2) and its join
-        # with level 1, (2, 2), are present
+        # J = (1, 1) v (2, 2) = (2, 2), whose level 1 in the window is 0, 1, 2:
+        # (2, 1) is missing below the top (2, 2)
         members = levels(a1=[0, 1], a2=[0, 2])
         self.check(members, 2, False)
         self.check(members | levels(a1=[2]), 2, True)
 
     def test_two_classes_in_one_level(self):
-        # level 2 holds both classes mod 2, each closed under its cover; the
-        # class values that the level pair (1, 2) looks up are all present
+        # J = (3, 1) v (3, 2) = (3, 2), whose level 2 is the one class 1, 3:
+        # the members (0, 2) and (2, 2) lie off it
         members = levels(a1=range(4), a2=range(4))
         self.check(members, 3, False)
         self.check(levels(a1=range(4), a2=[1, 3]), 3, True)
 
     def test_top_join_past_the_window(self):
-        # (6, 2) v (4, 3) = (10, 6) lies past bound 6, but (0, 2) v (1, 3) = (4, 6)
-        # does not, and the levels' joins run through it
+        # J = (6, 2) v (4, 3) = (10, 6) lies past bound 6, but (4, 6) lies below
+        # it and inside the window
         members = levels(a1=range(7), a2=[0, 2, 4, 6], a3=[1, 4])
         self.check(members, 6, False)
         self.check(members | levels(a6=[4]), 6, True)
 
     def test_top_join_below_the_window_cap(self):
-        # every join of levels 2 and 3 is (0, 6); (6, 6) is the class's largest
-        # window value at bound 11, but no pair of members joins there
+        # J = (0, 2) v (0, 3) = (0, 6), whose level 6 is (0, 6) alone at bound 11,
+        # though (6, 6) lies in the window
         self.check(levels(a1=[0], a2=[0], a3=[0], a6=[0]), 11, True)
         self.check(levels(a1=[0], a2=[0], a3=[0]), 11, False)
 
     def test_top_join_above_the_bottoms_join(self):
-        # (0, 2) v (0, 3) = (0, 6) is present; (6, 2) v (6, 3) = (6, 6) is not
+        # the bottoms join at (0, 6), which is present; J = (6, 2) v (6, 3) = (6, 6)
+        # puts (6, 6) on level 6 as well
         members = levels(a1=range(7), a2=[0, 2, 4, 6], a3=[0, 3, 6], a6=[0])
         self.check(members, 6, False)
         self.check(members | levels(a6=[6]), 6, True)
 
+    def test_join_past_the_window_reaches_level_1_at_bound_4(self):
+        # every join inside the window is present, but J = (3, 1) v (2, 3) = (5, 3)
+        # lies past it, above the missing (4, 1)
+        members = levels(a1=range(4), a3=[2])
+        self.check(members, 4, False)
+        self.check(members | levels(a1=[4]), 4, True)
 
-def hereditary_directed_by_pairs(members, bound):
-    """The check by one `join` call per pair of window members: the oracle
-    for the check grouped by pairs of multiplicative parts."""
-    member_set = set(members)
-    window = [x for x in member_set if x.m <= bound and x.a <= bound]
-    for xm, xa in window:
-        for b in range(1, xa + 1):
-            if xa % b == 0 and any((m, b) not in member_set for m in range(xm, -1, -b)):
-                return False
-    for i, x in enumerate(window):
-        for y in window[i + 1 :]:
-            jn = join(x, y)
-            if jn is None:
-                return False
-            if jn.l <= bound and jn.lcm <= bound and (jn.l, jn.lcm) not in member_set:
-                return False
-    return True
+    def test_join_past_the_window_reaches_level_1_at_bound_3(self):
+        # J = (2, 1) v (1, 3) = (4, 3) lies past the window, above the missing (3, 1)
+        members = levels(a1=range(3), a3=[1])
+        self.check(members, 3, False)
+        self.check(members | levels(a1=[3]), 3, True)
+
+
+def lies_below(x, y):
+    """(m, a) <= (n, b): (n, b) = (m, a)(k, c) for some (k, c) in the monoid."""
+    (m, a), (n, b) = x, y
+    return b % a == 0 and m <= n and (n - m) % a == 0
+
+
+def hereditary_directed_by_closure(members, bound):
+    """The definition, by brute force: close the window's members under `join`
+    of pairs, to a fixed point and failing on None, and compare the window
+    elements below the closure with the members.
+
+    The closure keeps its maximal elements only: an element below another
+    adds nothing below the closure, and joins every element that the larger
+    one joins.  Two maximal elements join strictly above both, so each join
+    drops at least one, and the fixed point is one element."""
+    window = {(m, a) for m, a in members if m <= bound and a <= bound}
+    closure = {x for x in window if not any(x != y and lies_below(x, y) for y in window)}
+    while len(closure) > 1:
+        x, y = sorted(closure)[:2]
+        if (jn := join(x, y)) is None:
+            return False
+        closure = {z for z in closure if not lies_below(z, jn[:2])} | {jn[:2]}
+    grid = [(m, a) for m in range(bound + 1) for a in range(1, bound + 1)]
+    return {x for x in grid if any(lies_below(x, z) for z in closure)} == window
 
 
 def down_closure(elements):
@@ -399,29 +422,29 @@ def perturbed_point_windows(draw):
 
 
 class TestHereditaryDirectedOracle:
-    """`verify_hereditary_directed` against one `join` call per pair."""
+    """`verify_hereditary_directed` against the closure of the window under `join`."""
 
     @settings(max_examples=400, deadline=None)
     @given(member_sets())
-    def test_matches_pairwise_joins(self, case):
+    def test_matches_join_closure(self, case):
         members, bound = case
         window_empty = all(x.m > bound or x.a > bound for x in members)
-        want = not window_empty and hereditary_directed_by_pairs(members, bound)
+        want = not window_empty and hereditary_directed_by_closure(members, bound)
         assert verify_hereditary_directed(members, bound) == want
 
     @settings(max_examples=400, deadline=None)
     @given(perturbed_point_windows())
-    def test_matches_pairwise_joins_near_points(self, case):
+    def test_matches_join_closure_near_points(self, case):
         # every member lies in the window, so the window is empty only when the set is
         members, bound = case
-        want = bool(members) and hereditary_directed_by_pairs(members, bound)
+        want = bool(members) and hereditary_directed_by_closure(members, bound)
         assert verify_hereditary_directed(members, bound) == want
 
     def test_criterion_12_points(self):
         rng = random.Random(99)
         for _ in range(100):
             point = _random_point(rng)
-            assert hereditary_directed_by_pairs(enumerate_members(point, 20), 20)
+            assert hereditary_directed_by_closure(enumerate_members(point, 20), 20)
             assert verify_hereditary_directed(point, 20)
             assert verify_hereditary_directed(enumerate_members(point, 20), 20)
 
